@@ -10,6 +10,8 @@ in place, so values captured by backward closures stay valid.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import ParameterError, ShapeError
 class Tensor:
     """A dense float64 array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -117,14 +119,27 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded primitive: output, inputs, and its backward rule."""
+    """One recorded primitive: output, inputs, and its backward rule.
 
-    __slots__ = ("out", "inputs", "grad_fn")
+    The node refers to its output weakly. A strong reference would make
+    every recorded op a reference cycle (output -> node -> output), so a
+    dropped tape and all its arrays would wait for the cyclic garbage
+    collector instead of being freed at once; on a sharing search those
+    waiting tapes set the process's peak memory. The output is alive
+    whenever the node is reached from a live root, because tracing only
+    follows the strong ``inputs`` references.
+    """
+
+    __slots__ = ("_out", "inputs", "grad_fn")
 
     def __init__(self, out: Tensor, inputs: tuple, grad_fn):
-        self.out = out
+        self._out = weakref.ref(out)
         self.inputs = inputs
         self.grad_fn = grad_fn
+
+    @property
+    def out(self) -> Tensor:
+        return self._out()
 
 
 class Tape:
@@ -234,38 +249,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def head_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """Per-head matrix product: [N, K, D] with [K, D, E] -> [N, K, E]."""
+    """Per-head matrix product: [N, K, D] with [K, D, E] -> [N, K, E].
+
+    One batched ``np.matmul`` over the head axis, so each head is a BLAS
+    gemm. The output is a transposed view of that product (not
+    contiguous). It agrees with the per-head product up to BLAS rounding
+    in the last bits; it is the only message-passing kernel whose
+    results are not bitwise fixed.
+    """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"head_matmul expects 3-d operands, got {x.data.shape} and {w.data.shape}")
     if x.data.shape[1] != w.data.shape[0] or x.data.shape[2] != w.data.shape[1]:
         raise ShapeError(f"head_matmul dims differ: {x.data.shape} with {w.data.shape}")
-    data = np.einsum("nkd,kde->nke", x.data, w.data)
     x_val, w_val = x.data, w.data
+    data = np.matmul(x_val.transpose(1, 0, 2), w_val).transpose(1, 0, 2)
 
     def grad_fn(g):
-        gx = np.einsum("nke,kde->nkd", g, w_val)
-        gw = np.einsum("nkd,nke->kde", x_val, g)
+        g_heads = g.transpose(1, 0, 2)
+        gx = np.matmul(g_heads, w_val.transpose(0, 2, 1)).transpose(1, 0, 2)
+        gw = np.matmul(x_val.transpose(1, 2, 0), g_heads)
         return (gx, gw)
 
     return _make(data, (x, w), grad_fn)
 
 
+def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``.
+
+    ``np.bincount`` over the flattened (row, column) cell adds its weights
+    in input order, which is the order ``np.add.at`` adds rows in, so the
+    result is bitwise equal to ``np.add.at`` into zeros. ``np.add.reduceat``
+    over sorted rows is not: it sums in another order.
+    """
+    rest = values.shape[1:]
+    width = math.prod(rest)
+    cells = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cells, weights=values.reshape(-1), minlength=n_rows * width)
+    # bincount returns int64 for an empty input, weights or not.
+    return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds into the source."""
+    """Select rows along axis 0; backward scatter-adds into the source.
+
+    The backward adds repeated rows in index order (``_scatter_add``), so
+    it is bitwise equal to ``np.add.at``.
+    """
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows index must be 1-d, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ParameterError("gather_rows index out of range")
     data = x.data[idx]
-    shape = x.data.shape
-
-    def grad_fn(g):
-        gx = np.zeros(shape, dtype=np.float64)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _make(data, (x,), grad_fn)
+    n_rows = x.data.shape[0]
+    return _make(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
@@ -418,24 +455,37 @@ def _check_segments(x: Tensor, segment_ids, n_segments: int) -> np.ndarray:
     return seg
 
 
+def _segment_counts(seg: np.ndarray, n_segments: int) -> np.ndarray:
+    """Rows per segment; a mean or max over no rows has no value."""
+    counts = np.bincount(seg, minlength=n_segments)
+    if not counts.all():
+        raise ParameterError(f"segment {int(np.argmin(counts))} is empty")
+    return counts
+
+
+def _sorted_segments(seg: np.ndarray, n_segments: int):
+    """Stable row order grouped by segment, plus each segment's start and size.
+
+    Sorting a narrow unsigned copy of the ids lets numpy use radix sort
+    (up to 65536 segments); the sort is stable, so rows keep their index
+    order inside each segment.
+    """
+    counts = _segment_counts(seg, n_segments)
+    order = np.argsort(seg.astype(np.min_scalar_type(n_segments - 1)), kind="stable")
+    starts = np.cumsum(counts) - counts
+    return order, starts, counts
+
+
 def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """Per-segment sum; rows are added in row order, bitwise as ``np.add.at``."""
     seg = _check_segments(x, segment_ids, n_segments)
-    rest = x.data.shape[1:]
-    flat = x.data.reshape(x.data.shape[0], -1)
-    out = np.zeros((n_segments, flat.shape[1]), dtype=np.float64)
-    np.add.at(out, seg, flat)
-    data = out.reshape((n_segments,) + rest)
-
-    def grad_fn(g):
-        return (g[seg],)
-
-    return _make(data, (x,), grad_fn)
+    data = _scatter_add(x.data, seg, n_segments)
+    return _make(data, (x,), lambda g: (g[seg],))
 
 
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     seg = _check_segments(x, segment_ids, n_segments)
-    counts = np.bincount(seg, minlength=n_segments).astype(np.float64)
-    assert counts.min() > 0, "empty segment: self-loops should make this unreachable"
+    counts = _segment_counts(seg, n_segments).astype(np.float64)
     total = segment_sum(x, seg, n_segments)
     inv = (1.0 / counts).reshape((n_segments,) + (1,) * (x.data.ndim - 1))
     return mul(total, _as_tensor(inv))
@@ -444,27 +494,30 @@ def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Per-segment elementwise max; gradient routes to the first maximizer.
 
-    Ties go to the lowest row index so results do not depend on edge
-    ordering beyond the canonical one.
+    ``np.maximum.reduceat`` over the stably sorted rows gives the max
+    exactly, so values are bitwise those of ``np.maximum.at``. The
+    winner is the lowest row equal to the max, so ties go to the lowest
+    row index and results do not depend on edge ordering beyond the
+    canonical one. A NaN max equals no row; its gradient goes to the
+    segment's first row, and the NaN flows on to the loss check. Each
+    (winner, column) pair is distinct, so the backward is a plain
+    assignment. Winners are found in the backward, so a forward that is
+    only evaluated does not pay for them.
     """
     seg = _check_segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
     rest = x.data.shape[1:]
     flat = x.data.reshape(rows, -1)
     width = flat.shape[1]
-    out = np.full((n_segments, width), -np.inf)
-    np.maximum.at(out, seg, flat)
-    assert np.isfinite(out).all(), "empty segment: self-loops should make this unreachable"
-
-    winner = np.full((n_segments, width), rows, dtype=np.int64)
-    hit_rows, hit_cols = np.nonzero(flat == out[seg])
-    np.minimum.at(winner, (seg[hit_rows], hit_cols), hit_rows)
+    order, starts, counts = _sorted_segments(seg, n_segments)
+    out = np.maximum.reduceat(flat[order], starts, axis=0)
 
     def grad_fn(g):
-        g_flat = g.reshape(n_segments, width)
+        hits = np.where(flat[order] == np.repeat(out, counts, axis=0), order[:, None], rows)
+        winner = np.minimum.reduceat(hits, starts, axis=0)
+        winner = np.where(winner == rows, order[starts][:, None], winner)
         gx = np.zeros((rows, width), dtype=np.float64)
-        cols = np.broadcast_to(np.arange(width), (n_segments, width))
-        np.add.at(gx, (winner, cols), g_flat)
+        gx[winner, np.arange(width)] = g.reshape(n_segments, width)
         return (gx.reshape((rows,) + rest),)
 
     return _make(out.reshape((n_segments,) + rest), (x,), grad_fn)
@@ -473,14 +526,14 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Softmax within each segment of rows, numerically stabilized.
 
-    The per-segment max is subtracted as a constant; softmax is shift
-    invariant so the gradient is still exact.
+    The per-segment max (as in ``segment_max``, bitwise exact) is
+    subtracted as a constant; softmax is shift invariant so the gradient
+    is still exact. Non-finite scores give non-finite outputs.
     """
     seg = _check_segments(scores, segment_ids, n_segments)
     flat = scores.data.reshape(scores.data.shape[0], -1)
-    seg_max = np.full((n_segments, flat.shape[1]), -np.inf)
-    np.maximum.at(seg_max, seg, flat)
-    assert np.isfinite(seg_max).all(), "empty segment: self-loops should make this unreachable"
+    order, starts, _ = _sorted_segments(seg, n_segments)
+    seg_max = np.maximum.reduceat(flat[order], starts, axis=0)
     shift = _as_tensor(seg_max.reshape((n_segments,) + scores.data.shape[1:])[seg])
     exp_scores = exp(sub(scores, shift))
     denom = segment_sum(exp_scores, seg, n_segments)

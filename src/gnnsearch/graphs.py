@@ -237,8 +237,11 @@ def generate_multigraph(
         features = rng.standard_normal((n, feature_dim))
         graph = make_graph(n, edges, features, symmetrize=True)
 
-        neighbor_sum = np.zeros_like(features)
-        np.add.at(neighbor_sum, graph.dst, features[graph.src])
+        # bincount adds each column's edges in edge order, as a scatter-add would.
+        messages = features[graph.src]
+        neighbor_sum = np.stack(
+            [np.bincount(graph.dst, weights=messages[:, j], minlength=n) for j in range(feature_dim)], axis=1
+        )
         context = 0.5 * (features + neighbor_sum / graph.degrees[:, None])
         labels.append((context @ rule > 0.0).astype(np.int64))
         graphs.append(graph)

@@ -1,6 +1,9 @@
 """Tensor ops: forward values against hand/numpy oracles, gradients against
 central finite differences, and the tape's traversal guarantees."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,3 +495,18 @@ def test_finite_diff_helper_self_check(rng):
     x = Tensor(rng.standard_normal(4), requires_grad=True)
     numeric = finite_diff(lambda: ad.reduce_sum(ad.mul(x, x)).data, x)
     assert rel_err(2.0 * x.data, numeric) < 1e-6
+
+
+def test_dropped_tape_is_freed_without_cyclic_gc(rng):
+    # Nodes hold their outputs weakly, so reference counting alone frees a
+    # tape and its arrays once the root is dropped.
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    y = ad.tanh(ad.mul(x, x))
+    inner = weakref.ref(y.node.inputs[0])
+    assert inner() is not None
+    gc.disable()
+    try:
+        del y
+        assert inner() is None
+    finally:
+        gc.enable()

@@ -447,3 +447,16 @@ def test_hyperparam_validation():
         TrainHyperparams(dropout=1.0)
     with pytest.raises(ParameterError):
         TrainHyperparams(patience=300, max_epochs=200)
+
+
+@pytest.mark.parametrize("attention", ["gat", "sym-gat", "cos", "gene-linear"])
+def test_overflowing_max_pooling_child_raises_training_error(easy_sbm, attention):
+    # Overflow turns messages into inf/NaN; they must reach the loss check
+    # instead of tripping a kernel's own check.
+    arch = _arch(f"first-order,{attention},max-pooling,relu,2,8;first-order,{attention},max-pooling,linear,1,8")
+    model = build_model(arch, easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(0))
+    for p in model.parameters():
+        p.data = p.data * 1e200
+    hp = TrainHyperparams(lr=1e10, dropout=0.0, max_epochs=3, patience=3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+        train_child(model, easy_sbm, hp)

@@ -301,3 +301,15 @@ def test_save_rejects_multigraph(tmp_path):
     ds = generate_multigraph(3, 10, 3.0, 4, 2, seed=1)
     with pytest.raises(ParameterError, match="one graph"):
         save_citation(ds, tmp_path / "nope.txt")
+
+
+def test_multigraph_labels_match_add_at_reference():
+    # The neighbour sum behind the labels must add edges in the order
+    # np.add.at does, or the generated dataset would change.
+    ds = generate_multigraph(5, 30, 6.0, 7, 3, seed=11)
+    rule = np.random.default_rng(11).standard_normal((7, 3))  # first draw of the generator
+    for graph, labels in zip(ds.graphs, ds.labels):
+        neighbor_sum = np.zeros_like(graph.features)
+        np.add.at(neighbor_sum, graph.dst, graph.features[graph.src])
+        context = 0.5 * (graph.features + neighbor_sum / graph.degrees[:, None])
+        assert np.array_equal(labels, (context @ rule > 0.0).astype(np.int64))

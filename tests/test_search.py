@@ -1,5 +1,7 @@
 """Search loops, the shared store, reward plumbing, and derivation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gnnsearch.arch import ActionSpace, encode, enumerate_archs
 from gnnsearch.controller import Baseline, Controller
 from gnnsearch.errors import ConfigError, ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import TrainHyperparams, init_layer_params
+from gnnsearch.graphs import make_graph
 from gnnsearch.search import (
     EpisodeRecord,
     SearchConfig,
@@ -431,3 +434,13 @@ def test_minibatch_metric_is_seeded(easy_sbm, rng):
             task_kind=empty.task_kind, class_count=empty.class_count,
         )
         _minibatch_metric(model, broken, np.random.default_rng(0))
+
+
+def test_search_scores_an_overflowing_child_zero(easy_sbm):
+    # No monkeypatching: huge features overflow every cos/max-pooling child.
+    graphs = tuple(make_graph(g.node_count, g.edges, g.features * 1e200) for g in easy_sbm.graphs)
+    huge = dataclasses.replace(easy_sbm, graphs=graphs)
+    space = dataclasses.replace(TINY, attention=("cos",), aggregation=("max-pooling",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = search(tiny_config(episodes=3), dataset=huge, space=space)
+    assert [r.raw_reward for r in log] == [0.0, 0.0, 0.0]
