@@ -71,7 +71,6 @@ _SCHEMA = {
     "top_k": (int, 5),
     "seed": (int, 0),
     "batch_size": (int, 1),
-    "workers": (int, 1),
     # controller
     "controller_hidden": (int, 100),
     "controller_lr": (float, 0.0035),
@@ -185,7 +184,6 @@ def build_search_config(cfg: dict) -> SearchConfig:
         top_k=cfg["top_k"],
         seed=cfg["seed"],
         batch_size=cfg["batch_size"],
-        workers=cfg["workers"],
         controller_hidden=cfg["controller_hidden"],
         controller_lr=cfg["controller_lr"],
         temperature=cfg["temperature"],

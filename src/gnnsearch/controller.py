@@ -92,10 +92,9 @@ class Controller:
             digest.update(self._params[name].data.tobytes())
         return digest.hexdigest()
 
-    # -- differentiable path ------------------------------------------------
+    # -- the LSTM walk -----------------------------------------------------
 
-    def _step(self, x: Tensor, h: Tensor, c: Tensor):
-        p = self._params
+    def _step(self, p: dict, x: Tensor, h: Tensor, c: Tensor):
         gates = {}
         for gate in _GATES:
             pre = ad.add(ad.add(ad.matmul(x, p[f"w_x{gate}"]), ad.matmul(h, p[f"w_h{gate}"])), p[f"b_{gate}"])
@@ -104,137 +103,99 @@ class Controller:
         h_next = ad.mul(gates["o"], ad.tanh(c_next))
         return h_next, c_next
 
-    def _slot_logits(self, h: Tensor, s: int) -> Tensor:
-        raw = ad.add(ad.matmul(h, self._params[f"slot{s}.proj_w"]), self._params[f"slot{s}.proj_b"])
+    def _slot_logits(self, p: dict, h: Tensor, s: int) -> Tensor:
+        raw = ad.add(ad.matmul(h, p[f"slot{s}.proj_w"]), p[f"slot{s}.proj_b"])
         scaled = ad.mul(raw, Tensor(1.0 / self.temperature))
         return ad.mul(ad.tanh(scaled), Tensor(self.logit_clip))
 
-    def _walk(self, pick_token):
-        """Run the slot sequence; pick_token(slot_index, probs) chooses.
+    def _walk(self, pick, count: int = 1, params: dict | None = None):
+        """Run the slot sequence for ``count`` independent rows.
 
-        Returns (tokens, log_prob_node, entropy_sum).
+        ``pick(slot_index, probs)`` chooses the tokens of one slot from the
+        [count, options] probabilities. ``params`` defaults to the live
+        parameters, which record a tape; detached copies record none.
+        Returns (tokens [count, slots], log-prob node [count], entropy [count]).
         """
-        h = Tensor(np.zeros((1, self.hidden_size)))
-        c = Tensor(np.zeros((1, self.hidden_size)))
-        x = self._params["start"]
+        p = self._params if params is None else params
+        h = Tensor(np.zeros((count, self.hidden_size)))
+        c = Tensor(np.zeros((count, self.hidden_size)))
+        x = p["start"]
+        rows = np.arange(count)
         log_prob_total = None
-        entropy_total = 0.0
-        tokens = []
+        entropy_total = np.zeros(count)
+        tokens = np.empty((count, len(self.slots)), dtype=np.int64)
         for s, slot in enumerate(self.slots):
-            h, c = self._step(x, h, c)
-            adjusted = self._slot_logits(h, s)
+            h, c = self._step(p, x, h, c)
+            adjusted = self._slot_logits(p, h, s)
             # Logits are bounded by the clip, so plain softmax is safe.
-            weights = np.exp(adjusted.data[0])
-            probs = weights / weights.sum()
-            token = pick_token(s, probs)
-            tokens.append(token)
-            entropy_total += float(-np.sum(probs * np.log(probs)))
-            onehot = np.zeros((1, len(slot.options)))
-            onehot[0, token] = 1.0
-            picked = ad.reduce_sum(ad.mul(adjusted, Tensor(onehot)))
-            log_norm = ad.log(ad.reduce_sum(ad.exp(adjusted)))
+            weights = np.exp(adjusted.data)
+            probs = weights / weights.sum(axis=1, keepdims=True)
+            tokens[:, s] = pick(s, probs)
+            entropy_total += -np.sum(probs * np.log(probs), axis=1)
+            onehot = np.zeros((count, len(slot.options)))
+            onehot[rows, tokens[:, s]] = 1.0
+            picked = ad.reduce_sum(ad.mul(adjusted, Tensor(onehot)), axis=1)
+            log_norm = ad.log(ad.reduce_sum(ad.exp(adjusted), axis=1))
             term = ad.sub(picked, log_norm)
             log_prob_total = term if log_prob_total is None else ad.add(log_prob_total, term)
-            x = ad.gather_rows(self._params[f"slot{s}.emb"], [token])
+            x = ad.gather_rows(p[f"slot{s}.emb"], tokens[:, s])
         return tokens, log_prob_total, entropy_total
+
+    def _detached(self) -> dict:
+        """Copies of the parameters that need no gradient, so a walk on them records no tape."""
+        return {name: Tensor(t.data) for name, t in self._params.items()}
+
+    def _token_rows(self, tokens) -> np.ndarray:
+        rows = np.asarray(tokens, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != len(self.slots):
+            raise ShapeError(f"tokens shape {rows.shape} does not match {len(self.slots)} slots")
+        for s, slot in enumerate(self.slots):
+            bad = rows[(rows[:, s] < 0) | (rows[:, s] >= len(slot.options)), s]
+            if bad.size:
+                raise ParameterError(f"slot {s}: token {bad[0]} out of range")
+        return rows
 
     def sample(self, rng: np.random.Generator) -> Episode:
         """Draw one architecture; records log-prob (with graph) and entropy."""
-
-        def pick(_s, probs):
-            u = rng.random()
-            token = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-            return min(token, probs.size - 1)
-
-        tokens, log_prob_node, entropy = self._walk(pick)
+        tokens, log_prob, entropy = self._walk(lambda _s, probs: _draw(probs, rng))
+        log_prob_node = ad.reshape(log_prob, ())
         return Episode(
-            arch=arch_from_tokens(self.space, tokens),
-            tokens=tuple(tokens),
+            arch=arch_from_tokens(self.space, tokens[0]),
+            tokens=tuple(tokens[0].tolist()),
             log_prob_sum=float(log_prob_node.data),
-            entropy_sum=entropy,
+            entropy_sum=float(entropy[0]),
             log_prob_node=log_prob_node,
         )
 
     def teacher_force(self, tokens) -> tuple:
         """Log-prob (with graph) and entropy of a fixed token sequence."""
-        tokens = list(tokens)
-        if len(tokens) != len(self.slots):
-            raise ShapeError(f"{len(tokens)} tokens but the space has {len(self.slots)} slots")
-        for s, (slot, token) in enumerate(zip(self.slots, tokens)):
-            if not 0 <= token < len(slot.options):
-                raise ParameterError(f"slot {s}: token {token} out of range")
-        _, log_prob_node, entropy = self._walk(lambda s, _p: tokens[s])
-        return log_prob_node, entropy
+        rows = self._token_rows([list(tokens)])
+        _, log_prob, entropy = self._walk(lambda s, _p: rows[:, s])
+        return ad.reshape(log_prob, ()), float(entropy[0])
 
     def arch_log_prob(self, arch_tokens) -> float:
         node, _ = self.teacher_force(arch_tokens)
         return float(node.data)
 
-    # -- vectorized sampling (no gradients) ---------------------------------
-
-    def _np_step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        p = self._params
-
-        def lin(gate):
-            return x @ p[f"w_x{gate}"].data + h @ p[f"w_h{gate}"].data + p[f"b_{gate}"].data
-
-        i = _np_sigmoid(lin("i"))
-        f = _np_sigmoid(lin("f"))
-        g = np.tanh(lin("g"))
-        o = _np_sigmoid(lin("o"))
-        c_next = f * c + i * g
-        return o * np.tanh(c_next), c_next
-
-    def _np_probs(self, h: np.ndarray, s: int) -> np.ndarray:
-        p = self._params
-        raw = h @ p[f"slot{s}.proj_w"].data + p[f"slot{s}.proj_b"].data
-        adjusted = self.logit_clip * np.tanh(raw / self.temperature)
-        weights = np.exp(adjusted)
-        return weights / weights.sum(axis=1, keepdims=True)
-
     def sample_tokens_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Sample many token sequences at once; rows are independent draws."""
         if count < 1:
             raise ParameterError("count must be positive")
-        h = np.zeros((count, self.hidden_size))
-        c = np.zeros((count, self.hidden_size))
-        x = np.repeat(self._params["start"].data, count, axis=0)
-        tokens = np.empty((count, len(self.slots)), dtype=np.int64)
-        for s, _slot in enumerate(self.slots):
-            h, c = self._np_step(x, h, c)
-            probs = self._np_probs(h, s)
-            cumulative = np.cumsum(probs, axis=1)
-            cumulative[:, -1] = 1.1  # guard against rounding at the top end
-            chosen = (cumulative > rng.random((count, 1))).argmax(axis=1)
-            tokens[:, s] = chosen
-            x = self._params[f"slot{s}.emb"].data[chosen]
+        tokens, _, _ = self._walk(lambda _s, probs: _draw(probs, rng), count, self._detached())
         return tokens
 
-    def log_prob_batch(self, tokens: np.ndarray) -> np.ndarray:
+    def log_prob_batch(self, tokens) -> np.ndarray:
         """Joint log-probability of each row of token sequences."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 2 or tokens.shape[1] != len(self.slots):
-            raise ShapeError(f"tokens shape {tokens.shape} does not match {len(self.slots)} slots")
-        count = tokens.shape[0]
-        h = np.zeros((count, self.hidden_size))
-        c = np.zeros((count, self.hidden_size))
-        x = np.repeat(self._params["start"].data, count, axis=0)
-        total = np.zeros(count)
-        for s, _slot in enumerate(self.slots):
-            h, c = self._np_step(x, h, c)
-            probs = self._np_probs(h, s)
-            total += np.log(probs[np.arange(count), tokens[:, s]])
-            x = self._params[f"slot{s}.emb"].data[tokens[:, s]]
-        return total
+        rows = self._token_rows(tokens)
+        _, log_prob, _ = self._walk(lambda s, _p: rows[:, s], rows.shape[0], self._detached())
+        return log_prob.data
 
 
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row; the guard on the top bin absorbs rounding."""
+    cumulative = np.cumsum(probs, axis=1)
+    cumulative[:, -1] = 1.1
+    return (cumulative > rng.random((probs.shape[0], 1))).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,12 @@ class ChildModel:
     in_dim: int
     out_classes: int
     layers: list
-    layer_dims: list  # (in_dim, out_dim) actually used by each layer
+    plan: list  # one LayerPlan per layer
+
+    @property
+    def layer_dims(self) -> list:
+        """(in_dim, out_dim) actually used by each layer."""
+        return [(step.key.in_dim, step.out_dim) for step in self.plan]
 
     def parameters(self) -> list:
         out = []
@@ -136,8 +141,34 @@ class ChildModel:
                 layer.tensors[name].data = value.copy()
 
 
+@dataclass(frozen=True)
+class ShareKey:
+    """What must coincide for two layers to share trained weights."""
+
+    layer_index: int
+    attention: str
+    aggregation: str
+    in_dim: int
+    heads: int
+    hidden: int  # the layer's effective head width
+
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """One layer's resolved choices and effective dims."""
+
+    key: ShareKey
+    activation: str
+    skip_from: int | None
+    concat: bool  # the skip source is concatenated rather than added
+    base_out: int  # width of the merged heads, before any skip merge
+    out_dim: int
+    skip_dim: int | None
+    last: bool
+
+
 def _layer_plan(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
-    """Effective (input dim, head width, output dim, skip source dim) per layer."""
+    """The LayerPlan of every layer of an architecture."""
     resolved = arch.resolved()
     dims = [in_dim]
     plan = []
@@ -145,38 +176,24 @@ def _layer_plan(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
         last = i == len(resolved) - 1
         width = out_classes if last else layer.hidden
         base_out = width if last else layer.heads * width
-        skip_dim = None
-        out_dim = base_out
-        if layer.skip_from is not None:
-            skip_dim = dims[layer.skip_from]
-            # concat would change the class-count output, so the last
-            # layer always merges additively.
-            if layer.merge == "concat" and not last:
-                out_dim = base_out + skip_dim
-        plan.append((dims[i], width, base_out, out_dim, skip_dim, last))
+        skip_dim = None if layer.skip_from is None else dims[layer.skip_from]
+        # concat would change the class-count output, so the last
+        # layer always merges additively.
+        concat = skip_dim is not None and layer.merge == "concat" and not last
+        out_dim = base_out + skip_dim if concat else base_out
+        key = ShareKey(i, layer.attention, layer.aggregation, dims[i], layer.heads, width)
+        plan.append(LayerPlan(key, layer.activation, layer.skip_from, concat, base_out, out_dim, skip_dim, last))
         dims.append(out_dim)
     return plan
 
 
 def layer_signatures(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
-    """The sharing signature of every layer: position, kinds, and dims.
+    """The ShareKey of every layer: position, kinds, and effective dims.
 
-    Two layers with equal signatures have interchangeable-shaped
-    shareable parameters; anything here differing keeps them apart.
+    Two layers with equal keys have interchangeable-shaped shareable
+    parameters; anything here differing keeps them apart.
     """
-    resolved = arch.resolved()
-    plan = _layer_plan(arch, in_dim, out_classes)
-    return [
-        {
-            "layer_index": i,
-            "attention": layer.attention,
-            "aggregation": layer.aggregation,
-            "in_dim": d_in,
-            "heads": layer.heads,
-            "hidden": width,
-        }
-        for i, (layer, (d_in, width, _base, _out, _skip, _last)) in enumerate(zip(resolved, plan))
-    ]
+    return [step.key for step in _layer_plan(arch, in_dim, out_classes)]
 
 
 def build_model(
@@ -195,37 +212,18 @@ def build_model(
     """
     if in_dim < 1 or out_classes < 1:
         raise ParameterError("in_dim and out_classes must be positive")
-    resolved = arch.resolved()
     plan = _layer_plan(arch, in_dim, out_classes)
     layers = []
-    for i, (layer, (d_in, width, base_out, _out, skip_dim, last)) in enumerate(zip(resolved, plan)):
+    for step in plan:
+        key = step.key
         if store is not None:
-            params = store.layer_params(
-                layer_index=i,
-                attention=layer.attention,
-                aggregation=layer.aggregation,
-                in_dim=d_in,
-                heads=layer.heads,
-                hidden=width,
-                rng=rng,
-            )
+            params = store.layer_params(key, rng)
         else:
-            params = init_layer_params(rng, layer.attention, layer.aggregation, d_in, layer.heads, width)
-        needs_projection = (
-            layer.skip_from is not None
-            and (layer.merge == "add" or last)
-            and skip_dim != base_out
-        )
-        if needs_projection:
-            params.tensors["w_res"] = ad.glorot(rng, skip_dim, base_out)
+            params = init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
+        if step.skip_from is not None and not step.concat and step.skip_dim != step.base_out:
+            params.tensors["w_res"] = ad.glorot(rng, step.skip_dim, step.base_out)
         layers.append(params)
-    return ChildModel(
-        arch=arch,
-        in_dim=in_dim,
-        out_classes=out_classes,
-        layers=layers,
-        layer_dims=[(p[0], p[3]) for p in plan],
-    )
+    return ChildModel(arch=arch, in_dim=in_dim, out_classes=out_classes, layers=layers, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +318,30 @@ def forward(
     """Run the whole model; returns [node_count, out_classes]."""
     if graph.feature_dim != model.in_dim:
         raise ShapeError(f"graph features {graph.feature_dim}-d, model expects {model.in_dim}")
-    resolved = model.arch.resolved()
-    plan = _layer_plan(model.arch, model.in_dim, model.out_classes)
     outputs = [Tensor(graph.features)]
     n = graph.node_count
-    for layer, params, (d_in, width, base_out, _out, skip_dim, last) in zip(resolved, model.layers, plan):
+    for step, params in zip(model.plan, model.layers):
+        heads, width = step.key.heads, step.key.hidden
         x = ad.dropout(outputs[-1], dropout_p, rng, training)
-        z = ad.reshape(ad.matmul(x, params.tensors["w_t"]), (n, layer.heads, width))
-        scores = _edge_scores(layer.attention, z, graph, params)
+        z = ad.reshape(ad.matmul(x, params.tensors["w_t"]), (n, heads, width))
+        scores = _edge_scores(step.key.attention, z, graph, params)
         alpha = ad.segment_softmax(scores, graph.dst, n)
         alpha = ad.dropout(alpha, dropout_p, rng, training)
-        messages = ad.mul(ad.reshape(alpha, (graph.edge_count, layer.heads, 1)), ad.gather_rows(z, graph.src))
-        agg = _aggregate(layer.aggregation, messages, graph.dst, n, params)
-        if last:
-            combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / layer.heads))
+        messages = ad.mul(ad.reshape(alpha, (graph.edge_count, heads, 1)), ad.gather_rows(z, graph.src))
+        agg = _aggregate(step.key.aggregation, messages, graph.dst, n, params)
+        if step.last:
+            combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / heads))
         else:
-            combined = ad.reshape(agg, (n, layer.heads * width))
-        if layer.skip_from is not None:
-            source = outputs[layer.skip_from]
-            if layer.merge == "concat" and not last:
+            combined = ad.reshape(agg, (n, heads * width))
+        if step.skip_from is not None:
+            source = outputs[step.skip_from]
+            if step.concat:
                 combined = ad.concat([combined, source], axis=1)
             else:
                 if "w_res" in params.tensors:
                     source = ad.matmul(source, params.tensors["w_res"])
                 combined = ad.add(combined, source)
-        outputs.append(ad.activation(layer.activation, combined))
+        outputs.append(ad.activation(step.activation, combined))
     return outputs[-1]
 
 
@@ -352,9 +349,15 @@ def forward(
 # metrics, evaluation, training
 
 
-def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    predicted = predicted.astype(bool)
-    actual = actual.astype(bool)
+def node_metric(task_kind: str, logits: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy for single-label tasks, micro-F1 for multi-label; a row per node.
+
+    Multi-label predictions threshold the sigmoid at 0.5, i.e. logit 0.
+    """
+    if task_kind == "single":
+        return int(np.sum(np.argmax(logits, axis=1) == labels)) / labels.shape[0]
+    predicted = logits > 0.0
+    actual = labels.astype(bool)
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))
@@ -364,35 +367,27 @@ def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
     return 2.0 * tp / denom
 
 
+def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
+    return node_metric("multi", np.asarray(predicted, dtype=bool), actual)
+
+
+def pooled_metric(model: ChildModel, dataset: LabeledDataset, nodes: list) -> float:
+    """``node_metric`` over (graph index, node indices) pairs, pooled."""
+    logits, labels = [], []
+    for g, idx in nodes:
+        logits.append(forward(model, dataset.graphs[g], training=False).data[idx])
+        labels.append(dataset.labels[g][idx])
+    return node_metric(dataset.task_kind, np.concatenate(logits), np.concatenate(labels))
+
+
 def evaluate(model: ChildModel, dataset: LabeledDataset, mask_kind: str) -> float:
     """Metric pooled over every graph with nodes in the given split:
     accuracy for single-label tasks, micro-F1 for multi-label."""
-    hits = 0
-    total = 0
-    tp = fp = fn = 0
-    found = False
-    for graph, labels, mask in zip(dataset.graphs, dataset.labels, dataset.masks):
-        idx = mask.of(mask_kind)
-        if idx.size == 0:
-            continue
-        found = True
-        logits = forward(model, graph, training=False).data
-        if dataset.task_kind == "single":
-            pred = np.argmax(logits[idx], axis=1)
-            hits += int(np.sum(pred == labels[idx]))
-            total += idx.size
-        else:
-            pred = logits[idx] > 0.0  # sigmoid threshold 0.5
-            actual = labels[idx].astype(bool)
-            tp += int(np.sum(pred & actual))
-            fp += int(np.sum(pred & ~actual))
-            fn += int(np.sum(~pred & actual))
-    if not found:
+    nodes = [(g, mask.of(mask_kind)) for g, mask in enumerate(dataset.masks)]
+    nodes = [(g, idx) for g, idx in nodes if idx.size]
+    if not nodes:
         raise ParameterError(f"no graph has nodes in the {mask_kind!r} split")
-    if dataset.task_kind == "single":
-        return hits / total
-    denom = 2 * tp + fp + fn
-    return 1.0 if denom == 0 else 2.0 * tp / denom
+    return pooled_metric(model, dataset, nodes)
 
 
 @dataclass

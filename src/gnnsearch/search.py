@@ -19,7 +19,6 @@ study and fully deterministic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,11 +31,12 @@ from .errors import ConfigError, ParameterError, ShapeError, TrainingError
 from .gnn import (
     ChildModel,
     LayerParams,
+    ShareKey,
     TrainHyperparams,
     build_model,
     evaluate,
     init_layer_params,
-    layer_signatures,
+    pooled_metric,
     train_child,
 )
 from .graphs import LabeledDataset
@@ -44,20 +44,8 @@ from .graphs import LabeledDataset
 STRATEGIES = ("graphnas", "random", "nas-like", "enas-like")
 
 
-@dataclass(frozen=True)
-class ShareKey:
-    """What must coincide for two layers to share trained weights."""
-
-    layer_index: int
-    attention: str
-    aggregation: str
-    in_dim: int
-    heads: int
-    hidden: int
-
-
 class SharedParamStore:
-    """Snapshots of trained layer weights, keyed by layer signature.
+    """Snapshots of trained layer weights, keyed by ShareKey.
 
     Lookups never mutate the store; only ``merge_if_positive`` writes.
     Residual projections are not stored: the key cannot see the skip
@@ -72,20 +60,18 @@ class SharedParamStore:
     def __len__(self):
         return len(self.entries)
 
-    def layer_params(self, layer_index, attention, aggregation, in_dim, heads, hidden, rng) -> LayerParams:
-        key = ShareKey(layer_index, attention, aggregation, in_dim, heads, hidden)
-        return fetch_copy(self, key, rng)
+    def layer_params(self, key: ShareKey, rng: np.random.Generator) -> LayerParams:
+        """A private copy of the stored entry, or a fresh draw on a miss."""
+        stored = self.entries.get(key)
+        if stored is None:
+            self.misses += 1
+            return init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
+        self.hits += 1
+        tensors = {name: Tensor(value.copy(), requires_grad=True) for name, value in stored.items()}
+        return LayerParams(key.attention, key.aggregation, key.in_dim, key.heads, key.hidden, tensors)
 
 
-def fetch_copy(store: SharedParamStore, key: ShareKey, rng: np.random.Generator) -> LayerParams:
-    """A private copy of the stored entry, or a fresh draw on a miss."""
-    stored = store.entries.get(key)
-    if stored is None:
-        store.misses += 1
-        return init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
-    store.hits += 1
-    tensors = {name: Tensor(value.copy(), requires_grad=True) for name, value in stored.items()}
-    return LayerParams(key.attention, key.aggregation, key.in_dim, key.heads, key.hidden, tensors)
+fetch_copy = SharedParamStore.layer_params  # fetch_copy(store, key, rng)
 
 
 def merge_if_positive(store: SharedParamStore, key: ShareKey, params: LayerParams, shaped_reward: float) -> bool:
@@ -150,7 +136,6 @@ class SearchConfig:
     top_k: int = 5
     seed: int = 0
     batch_size: int = 1
-    workers: int = 1
     controller_hidden: int = 100
     controller_lr: float = 0.0035
     temperature: float = 5.0
@@ -169,7 +154,6 @@ class SearchConfig:
             ("derive_train_epochs", self.derive_train_epochs),
             ("top_k", self.top_k),
             ("batch_size", self.batch_size),
-            ("workers", self.workers),
             ("controller_hidden", self.controller_hidden),
         )
         for name, value in positives:
@@ -324,9 +308,8 @@ class _ChildRunner:
     def merge(self, model: ChildModel, shaped_reward: float) -> None:
         if self.store is None or model is None:
             return
-        signatures = layer_signatures(model.arch, self.dataset.feature_dim, self.dataset.class_count)
-        for sig, params in zip(signatures, model.layers):
-            merge_if_positive(self.store, ShareKey(**sig), params, shaped_reward)
+        for step, params in zip(model.plan, model.layers):
+            merge_if_positive(self.store, step.key, params, shaped_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +459,11 @@ def _minibatch_metric(model: ChildModel, dataset: LabeledDataset, rng: np.random
     if not pool:
         raise ParameterError("no validation nodes to score against")
     chosen = [pool[i] for i in rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
-    hits = 0
-    tp = fp = fn = 0
-    from .gnn import forward  # local import keeps module load light
-
     by_graph: dict[int, list] = {}
     for g, node in chosen:
         by_graph.setdefault(g, []).append(node)
-    for g, nodes in sorted(by_graph.items()):
-        idx = np.array(sorted(nodes), dtype=np.int64)
-        logits = forward(model, dataset.graphs[g], training=False).data
-        labels = dataset.labels[g]
-        if dataset.task_kind == "single":
-            hits += int(np.sum(np.argmax(logits[idx], axis=1) == labels[idx]))
-        else:
-            pred = logits[idx] > 0.0
-            actual = labels[idx].astype(bool)
-            tp += int(np.sum(pred & actual))
-            fp += int(np.sum(pred & ~actual))
-            fn += int(np.sum(~pred & actual))
-    if dataset.task_kind == "single":
-        return hits / len(chosen)
-    denom = 2 * tp + fp + fn
-    return 1.0 if denom == 0 else 2.0 * tp / denom
+    nodes = [(g, np.array(sorted(picked), dtype=np.int64)) for g, picked in sorted(by_graph.items())]
+    return pooled_metric(model, dataset, nodes)
 
 
 def derive(
@@ -518,25 +483,17 @@ def derive(
     if rng is None:
         rng = np.random.default_rng(config.seed + 1)
     candidates = [controller.sample(rng) for _ in range(config.derive_samples)]
-    jobs = []
-    for episode in candidates:
-        jobs.append((episode.arch, int(rng.integers(2**31)), rng.integers(2**31)))
-
-    def score_one(job):
-        arch, child_seed, batch_seed = job
-        local_rng = np.random.default_rng(child_seed)
-        model = build_model(arch, dataset.feature_dim, dataset.class_count, local_rng, store=store)
+    seeds = [(int(rng.integers(2**31)), rng.integers(2**31)) for _ in candidates]
+    scores = []
+    for episode, (child_seed, batch_seed) in zip(candidates, seeds):
+        model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
+                            np.random.default_rng(child_seed), store=store)
         try:
             train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
         except TrainingError:
-            return -np.inf
-        return _minibatch_metric(model, dataset, np.random.default_rng(batch_seed))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            scores = list(pool.map(score_one, jobs))
-    else:
-        scores = [score_one(job) for job in jobs]
+            scores.append(-np.inf)
+            continue
+        scores.append(_minibatch_metric(model, dataset, np.random.default_rng(batch_seed)))
 
     winner = int(np.argmax(np.asarray(scores)))  # first index wins ties
     best_arch = candidates[winner].arch

@@ -146,6 +146,36 @@ def test_teacher_force_validation():
         ctrl.teacher_force([0, 7, 0, 0, 0, 0])
 
 
+def test_token_range_is_checked_at_both_ends():
+    ctrl = small_controller()
+    last = len(ctrl.slots[1].options) - 1
+    for bad in (-1, last + 1):
+        tokens = [0, bad, 0, 0, 0, 0]
+        with pytest.raises(ParameterError, match=f"slot 1: token {bad} out of range"):
+            ctrl.teacher_force(tokens)
+        with pytest.raises(ParameterError, match=f"slot 1: token {bad} out of range"):
+            ctrl.log_prob_batch(np.array([[0] * 6, tokens]))
+    assert np.isfinite(ctrl.log_prob_batch(np.array([[0, last, 0, 0, 0, 0]]))).all()
+
+
+@pytest.mark.parametrize("space", [SMALL, default_space(2), default_space(2, skip_enabled=True)])
+def test_batch_and_single_sampling_are_one_rule(space):
+    ctrl = Controller(space, np.random.default_rng(21), hidden_size=12)
+    for seed in range(8):
+        episode = ctrl.sample(np.random.default_rng(seed))
+        row = ctrl.sample_tokens_batch(1, np.random.default_rng(seed))[0]
+        assert tuple(row.tolist()) == episode.tokens
+        batch = ctrl.log_prob_batch(row[None, :])[0]
+        assert abs(batch - episode.log_prob_sum) <= 1e-12
+
+
+def test_batch_scoring_records_no_tape():
+    ctrl = small_controller()
+    _, log_prob, _ = ctrl._walk(lambda s, probs: 0, count=3, params=ctrl._detached())
+    assert log_prob.node is None and not log_prob.requires_grad
+    assert all(p.grad is None for p in ctrl.parameters())
+
+
 def test_episode_validation():
     arch = arch_from_tokens(SMALL, [0, 0, 0, 0, 0, 0])
     with pytest.raises(ParameterError, match="log_prob_sum"):

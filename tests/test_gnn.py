@@ -9,6 +9,7 @@ from gnnsearch.autodiff import Tensor
 from gnnsearch.errors import ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import (
     LayerParams,
+    ShareKey,
     TrainHyperparams,
     attention_score,
     build_model,
@@ -215,15 +216,15 @@ def test_skip_add_mismatched_dims_gets_projection(rng):
 def test_layer_signatures_follow_effective_dims(rng):
     arch = _arch("first-order,gat,mlp,relu,2,8;first-order,cos,sum,tanh,4,16")
     sigs = layer_signatures(arch, in_dim=10, out_classes=3)
-    assert sigs[0] == {
-        "layer_index": 0, "attention": "gat", "aggregation": "mlp",
-        "in_dim": 10, "heads": 2, "hidden": 8,
-    }
+    assert sigs[0] == ShareKey(
+        layer_index=0, attention="gat", aggregation="mlp",
+        in_dim=10, heads=2, hidden=8,
+    )
     # The last layer's width is the class count, not the hidden token.
-    assert sigs[1] == {
-        "layer_index": 1, "attention": "cos", "aggregation": "sum",
-        "in_dim": 16, "heads": 4, "hidden": 3,
-    }
+    assert sigs[1] == ShareKey(
+        layer_index=1, attention="cos", aggregation="sum",
+        in_dim=16, heads=4, hidden=3,
+    )
 
 
 def test_build_is_deterministic(tiny_graph):

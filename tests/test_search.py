@@ -408,14 +408,6 @@ def test_derive_retrains_winner_from_scratch(easy_sbm):
     assert result.trained.epochs_ran <= config.hp.max_epochs
 
 
-def test_derive_workers_do_not_change_results(easy_sbm):
-    controller = Controller(TINY, np.random.default_rng(6), hidden_size=8)
-    one = derive(controller, None, easy_sbm, tiny_config(derive_samples=4, workers=1))
-    two = derive(controller, None, easy_sbm, tiny_config(derive_samples=4, workers=2))
-    assert one.arch == two.arch
-    assert one.candidate_scores == two.candidate_scores
-
-
 def test_minibatch_metric_is_seeded(easy_sbm, rng):
     from gnnsearch.arch import decode
     from gnnsearch.gnn import build_model
@@ -434,6 +426,44 @@ def test_minibatch_metric_is_seeded(easy_sbm, rng):
             task_kind=empty.task_kind, class_count=empty.class_count,
         )
         _minibatch_metric(model, broken, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", ["single", "multi"])
+def test_minibatch_metric_over_every_val_node_equals_evaluate(easy_sbm, kind, rng):
+    from gnnsearch.arch import decode
+    from gnnsearch.gnn import build_model, evaluate
+    from gnnsearch.graphs import generate_multigraph
+
+    dataset = easy_sbm if kind == "single" else generate_multigraph(
+        graph_count=4, nodes_per_graph=30, avg_degree=5.0, label_count=4, feature_dim=6, seed=2
+    )
+    arch = decode("first-order,gcn,sum,relu,1,8", TINY)
+    model = build_model(arch, dataset.feature_dim, dataset.class_count, rng)
+    val_nodes = sum(mask.val.size for mask in dataset.masks)
+    for seed in range(3):
+        mini = _minibatch_metric(model, dataset, np.random.default_rng(seed), size=val_nodes + seed)
+        assert mini == evaluate(model, dataset, "val")
+
+
+def test_built_child_hits_the_keys_its_merge_wrote(easy_sbm):
+    from gnnsearch.arch import decode
+    from gnnsearch.gnn import build_model
+
+    space = dataclasses.replace(TINY, layer_count=2)
+    arch = decode("first-order,gcn,sum,relu,1,8;first-order,const,sum,linear,1,4", space)
+    store = SharedParamStore()
+    runner = search_module._ChildRunner(tiny_config(layer_count=2, param_sharing=True), easy_sbm, store)
+    _, model = runner.reward(arch, np.random.default_rng(0))
+    assert model is not None
+    runner.merge(model, shaped_reward=1.0)
+    assert len(store) == 2
+    hits_before = store.hits
+    rebuilt = build_model(arch, easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(1), store=store)
+    assert store.hits == hits_before + 2
+    for merged, again in zip(model.layers, rebuilt.layers):
+        assert merged.named().keys() == again.named().keys()
+        for name, tensor in merged.named().items():
+            assert np.array_equal(again.tensors[name].data, tensor.data)
 
 
 def test_search_scores_an_overflowing_child_zero(easy_sbm):
