@@ -3,9 +3,12 @@
 Everything runs on float64 numpy arrays. Forward operations record a
 TapeNode per primitive; ``Tensor.backward`` replays the tape in reverse
 topological order and accumulates gradients on every tensor that
-requires them. There is no view aliasing: operations always produce
-fresh arrays, and the optimizer assigns new arrays rather than mutating
-in place, so values captured by backward closures stay valid.
+requires them. No operation and no optimizer step writes into an
+existing array: an op's output is a new array or a view of its input
+(``reshape``, ``head_matmul``), and ``adam_step`` assigns new arrays to
+the parameters. So values captured by backward closures stay valid, and
+a forward's output keeps describing the parameters it was computed
+from, which lets ``gnn.train_child`` reuse it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -289,19 +293,65 @@ def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarr
     return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
 
 
+class IndexPlan:
+    """Row ids into ``n`` rows, range-checked once, when built.
+
+    What the sorted kernels need from the ids (rows per id, a stable row
+    order grouped by id, and where each id's rows begin) is worked out on
+    first use and kept. A graph builds one plan for its edge sources and
+    one for its destinations (``Graph.plan``), so message passing checks,
+    counts and sorts them once per graph. Given raw ids, ``gather_rows``
+    and the segment ops build a plan for that call.
+    """
+
+    def __init__(self, ids, n: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ShapeError(f"index must be 1-d, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ParameterError(f"index out of range for {n} rows")
+        self.ids = ids
+        self.n = n
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Rows per id; a mean or max over an id with no rows has no value."""
+        counts = np.bincount(self.ids, minlength=self.n)
+        if not counts.all():
+            raise ParameterError(f"segment {int(np.argmin(counts))} is empty")
+        return counts
+
+    @cached_property
+    def grouping(self) -> tuple:
+        """(order, starts): rows grouped by id, keeping index order inside
+        each group, and the position where each id's group begins.
+
+        Sorting a narrow unsigned copy of the ids lets numpy use radix
+        sort (up to 65536 ids).
+        """
+        counts = self.counts
+        order = np.argsort(self.ids.astype(np.min_scalar_type(self.n - 1)), kind="stable")
+        return order, np.cumsum(counts) - counts
+
+
+def _plan(index, n: int) -> IndexPlan:
+    if isinstance(index, IndexPlan):
+        if index.n != n:
+            raise ShapeError(f"index plan covers {index.n} rows, expected {n}")
+        return index
+    return IndexPlan(index, n)
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows along axis 0; backward scatter-adds into the source.
 
-    The backward adds repeated rows in index order (``_scatter_add``), so
-    it is bitwise equal to ``np.add.at``.
+    ``index`` is an id array or an ``IndexPlan`` over ``x``'s rows. The
+    backward adds repeated rows in index order (``_scatter_add``), so it
+    is bitwise equal to ``np.add.at``.
     """
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows index must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ParameterError("gather_rows index out of range")
-    data = x.data[idx]
     n_rows = x.data.shape[0]
+    idx = _plan(index, n_rows).ids
+    data = x.data[idx]
     return _make(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
 
 
@@ -444,51 +494,30 @@ def activation(kind: str, x: Tensor) -> Tensor:
 # segment operations (reductions over groups of rows, axis 0)
 
 
-def _check_segments(x: Tensor, segment_ids, n_segments: int) -> np.ndarray:
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.ndim != 1 or seg.shape[0] != x.data.shape[0]:
-        raise ShapeError(f"segment ids shape {seg.shape} does not match rows {x.data.shape[0]}")
+def _segments(x: Tensor, segment_ids, n_segments: int) -> IndexPlan:
     if n_segments <= 0:
         raise ParameterError("n_segments must be positive")
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise ParameterError("segment id out of range")
-    return seg
-
-
-def _segment_counts(seg: np.ndarray, n_segments: int) -> np.ndarray:
-    """Rows per segment; a mean or max over no rows has no value."""
-    counts = np.bincount(seg, minlength=n_segments)
-    if not counts.all():
-        raise ParameterError(f"segment {int(np.argmin(counts))} is empty")
-    return counts
-
-
-def _sorted_segments(seg: np.ndarray, n_segments: int):
-    """Stable row order grouped by segment, plus each segment's start and size.
-
-    Sorting a narrow unsigned copy of the ids lets numpy use radix sort
-    (up to 65536 segments); the sort is stable, so rows keep their index
-    order inside each segment.
-    """
-    counts = _segment_counts(seg, n_segments)
-    order = np.argsort(seg.astype(np.min_scalar_type(n_segments - 1)), kind="stable")
-    starts = np.cumsum(counts) - counts
-    return order, starts, counts
+    plan = _plan(segment_ids, n_segments)
+    if plan.ids.shape[0] != x.data.shape[0]:
+        raise ShapeError(f"segment ids shape {plan.ids.shape} does not match rows {x.data.shape[0]}")
+    return plan
 
 
 def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Per-segment sum; rows are added in row order, bitwise as ``np.add.at``."""
-    seg = _check_segments(x, segment_ids, n_segments)
+    """Per-segment sum; rows are added in row order, bitwise as ``np.add.at``.
+
+    ``segment_ids`` here and in the other segment ops is an id array or
+    an ``IndexPlan`` over ``n_segments`` ids.
+    """
+    seg = _segments(x, segment_ids, n_segments).ids
     data = _scatter_add(x.data, seg, n_segments)
     return _make(data, (x,), lambda g: (g[seg],))
 
 
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
-    seg = _check_segments(x, segment_ids, n_segments)
-    counts = _segment_counts(seg, n_segments).astype(np.float64)
-    total = segment_sum(x, seg, n_segments)
-    inv = (1.0 / counts).reshape((n_segments,) + (1,) * (x.data.ndim - 1))
-    return mul(total, _as_tensor(inv))
+    plan = _segments(x, segment_ids, n_segments)
+    inv = (1.0 / plan.counts).reshape((n_segments,) + (1,) * (x.data.ndim - 1))
+    return mul(segment_sum(x, plan, n_segments), _as_tensor(inv))
 
 
 def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -504,12 +533,13 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     assignment. Winners are found in the backward, so a forward that is
     only evaluated does not pay for them.
     """
-    seg = _check_segments(x, segment_ids, n_segments)
+    plan = _segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
     rest = x.data.shape[1:]
     flat = x.data.reshape(rows, -1)
     width = flat.shape[1]
-    order, starts, counts = _sorted_segments(seg, n_segments)
+    order, starts = plan.grouping
+    counts = plan.counts
     out = np.maximum.reduceat(flat[order], starts, axis=0)
 
     def grad_fn(g):
@@ -530,14 +560,14 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     subtracted as a constant; softmax is shift invariant so the gradient
     is still exact. Non-finite scores give non-finite outputs.
     """
-    seg = _check_segments(scores, segment_ids, n_segments)
+    plan = _segments(scores, segment_ids, n_segments)
     flat = scores.data.reshape(scores.data.shape[0], -1)
-    order, starts, _ = _sorted_segments(seg, n_segments)
+    order, starts = plan.grouping
     seg_max = np.maximum.reduceat(flat[order], starts, axis=0)
-    shift = _as_tensor(seg_max.reshape((n_segments,) + scores.data.shape[1:])[seg])
+    shift = _as_tensor(seg_max.reshape((n_segments,) + scores.data.shape[1:])[plan.ids])
     exp_scores = exp(sub(scores, shift))
-    denom = segment_sum(exp_scores, seg, n_segments)
-    return div(exp_scores, gather_rows(denom, seg))
+    denom = segment_sum(exp_scores, plan, n_segments)
+    return div(exp_scores, gather_rows(denom, plan))
 
 
 # ---------------------------------------------------------------------------

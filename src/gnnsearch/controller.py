@@ -146,9 +146,15 @@ class Controller:
         return {name: Tensor(t.data) for name, t in self._params.items()}
 
     def _token_rows(self, tokens) -> np.ndarray:
-        rows = np.asarray(tokens, dtype=np.int64)
+        given = np.asarray(tokens)
+        with np.errstate(invalid="ignore"):
+            rows = given.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.slots):
             raise ShapeError(f"tokens shape {rows.shape} does not match {len(self.slots)} slots")
+        changed = np.argwhere(rows != given)
+        if changed.size:
+            r, s = changed[0]
+            raise ParameterError(f"slot {s}: token {given[r, s]} is not an integer")
         for s, slot in enumerate(self.slots):
             bad = rows[(rows[:, s] < 0) | (rows[:, s] >= len(slot.options)), s]
             if bad.size:

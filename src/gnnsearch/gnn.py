@@ -233,15 +233,14 @@ def build_model(
 def _edge_scores(kind: str, z: Tensor, graph: Graph, params: LayerParams) -> Tensor:
     """Scores for every directed edge, [E, heads]. The destination is the
     node doing the aggregating (index i in the usual e_ij notation)."""
-    src, dst = graph.src, graph.dst
+    plan = graph.plan
+    src, dst = plan.src, plan.dst
     e_count, k = graph.edge_count, z.shape[1]
     t = params.tensors
     if kind == "const":
         return Tensor(np.ones((e_count, k)))
     if kind == "gcn":
-        deg = graph.degrees.astype(np.float64)
-        vals = 1.0 / np.sqrt(deg[dst] * deg[src])
-        return Tensor(np.broadcast_to(vals[:, None], (e_count, k)).copy())
+        return Tensor(np.broadcast_to(plan.gcn_norm[:, None], (e_count, k)))
     if kind in ("gat", "sym-gat"):
         s_l = ad.reduce_sum(ad.mul(z, t["a_l"]), axis=-1)
         s_r = ad.reduce_sum(ad.mul(z, t["a_r"]), axis=-1)
@@ -320,15 +319,16 @@ def forward(
         raise ShapeError(f"graph features {graph.feature_dim}-d, model expects {model.in_dim}")
     outputs = [Tensor(graph.features)]
     n = graph.node_count
+    plan = graph.plan
     for step, params in zip(model.plan, model.layers):
         heads, width = step.key.heads, step.key.hidden
         x = ad.dropout(outputs[-1], dropout_p, rng, training)
         z = ad.reshape(ad.matmul(x, params.tensors["w_t"]), (n, heads, width))
         scores = _edge_scores(step.key.attention, z, graph, params)
-        alpha = ad.segment_softmax(scores, graph.dst, n)
+        alpha = ad.segment_softmax(scores, plan.dst, n)
         alpha = ad.dropout(alpha, dropout_p, rng, training)
-        messages = ad.mul(ad.reshape(alpha, (graph.edge_count, heads, 1)), ad.gather_rows(z, graph.src))
-        agg = _aggregate(step.key.aggregation, messages, graph.dst, n, params)
+        messages = ad.mul(ad.reshape(alpha, (graph.edge_count, heads, 1)), ad.gather_rows(z, plan.src))
+        agg = _aggregate(step.key.aggregation, messages, plan.dst, n, params)
         if step.last:
             combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / heads))
         else:
@@ -371,23 +371,37 @@ def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
     return node_metric("multi", np.asarray(predicted, dtype=bool), actual)
 
 
-def pooled_metric(model: ChildModel, dataset: LabeledDataset, nodes: list) -> float:
-    """``node_metric`` over (graph index, node indices) pairs, pooled."""
-    logits, labels = [], []
+def pooled_metric(model: ChildModel, dataset: LabeledDataset, nodes: list, logits: dict | None = None) -> float:
+    """``node_metric`` over (graph index, node indices) pairs, pooled.
+
+    ``logits``, when given, maps a graph index to the evaluation logits
+    at the model's current parameters: an entry is used in place of a
+    forward, and each forward run here is added. An added entry keeps
+    its tape only when its graph has training nodes, because the next
+    training step may take it over (``train_child``); other graphs keep
+    only the values.
+    """
+    picked, labels = [], []
     for g, idx in nodes:
-        logits.append(forward(model, dataset.graphs[g], training=False).data[idx])
+        out = None if logits is None else logits.get(g)
+        if out is None:
+            out = forward(model, dataset.graphs[g], training=False)
+            if logits is not None:
+                logits[g] = out if dataset.masks[g].train.size else Tensor(out.data)
+        picked.append(out.data[idx])
         labels.append(dataset.labels[g][idx])
-    return node_metric(dataset.task_kind, np.concatenate(logits), np.concatenate(labels))
+    return node_metric(dataset.task_kind, np.concatenate(picked), np.concatenate(labels))
 
 
-def evaluate(model: ChildModel, dataset: LabeledDataset, mask_kind: str) -> float:
+def evaluate(model: ChildModel, dataset: LabeledDataset, mask_kind: str, logits: dict | None = None) -> float:
     """Metric pooled over every graph with nodes in the given split:
-    accuracy for single-label tasks, micro-F1 for multi-label."""
+    accuracy for single-label tasks, micro-F1 for multi-label. ``logits``
+    is a cache as in ``pooled_metric``."""
     nodes = [(g, mask.of(mask_kind)) for g, mask in enumerate(dataset.masks)]
     nodes = [(g, idx) for g, idx in nodes if idx.size]
     if not nodes:
         raise ParameterError(f"no graph has nodes in the {mask_kind!r} split")
-    return pooled_metric(model, dataset, nodes)
+    return pooled_metric(model, dataset, nodes, logits)
 
 
 @dataclass
@@ -407,28 +421,42 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
     Tracks the best validation epoch, stops after ``patience``
     consecutive non-improving epochs (or at ``max_epochs``), restores
     the best parameters, and reports the test metric with them.
+
+    No forward is run twice at one parameter state. Without dropout a
+    training forward is an evaluation forward (dropout at rate 0 is the
+    identity and draws nothing), so the validation forward, tape
+    included, is the next training forward on its graph. Evaluation
+    forwards are deterministic, so the best epoch's validation logits
+    score the test split; only graphs without validation nodes are run
+    again, with the restored parameters.
     """
     params = model.parameters()
     state = ad.AdamState.init(params, hp.lr)
     rng = np.random.default_rng(hp.seed)
     train_graphs = [
-        (graph, labels, mask.train)
-        for graph, labels, mask in zip(dataset.graphs, dataset.labels, dataset.masks)
+        (g, labels, mask.train)
+        for g, (labels, mask) in enumerate(zip(dataset.labels, dataset.masks))
         if mask.train.size
     ]
     if not train_graphs:
         raise ParameterError("no graph has training nodes")
+    reuse = hp.dropout == 0.0
 
     best_metric = -np.inf
     best_snapshot = None
+    best_logits = {}
+    current = {}  # evaluation logits at the current parameters, by graph index
     best_epoch = -1
     stale = 0
     epochs_ran = 0
     epoch_seconds = []
     for epoch in range(hp.max_epochs):
         started = time.perf_counter()
-        for graph, labels, train_idx in train_graphs:
-            logits = forward(model, graph, training=True, rng=rng, dropout_p=hp.dropout)
+        for g, labels, train_idx in train_graphs:
+            logits = current.pop(g, None) if reuse else None
+            current.clear()  # this step moves the parameters
+            if logits is None:
+                logits = forward(model, dataset.graphs[g], training=True, rng=rng, dropout_p=hp.dropout)
             objective = ad.loss(
                 dataset.task_kind, logits, labels, train_idx,
                 l2_lambda=hp.l2_lambda, l2_params=params,
@@ -437,21 +465,26 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
                 raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch)
             ad.zero_grads(params)
             objective.backward()
+            del logits, objective  # free the tape and its gradients before the next forward
             ad.adam_step(state, params, [p.grad for p in params])
         epochs_ran = epoch + 1
-        val_metric = evaluate(model, dataset, "val")
+        val_metric = evaluate(model, dataset, "val", current)
         epoch_seconds.append(time.perf_counter() - started)
         if val_metric > best_metric:
             best_metric = val_metric
             best_snapshot = model.snapshot()
+            best_logits = {g: Tensor(out.data) for g, out in current.items()}
+            for saved in best_logits.values():  # holds no tape: values only
+                saved.data.setflags(write=False)
             best_epoch = epoch
             stale = 0
         else:
             stale += 1
             if stale > hp.patience:
                 break
+    current.clear()
     model.restore(best_snapshot)
-    test_metric = evaluate(model, dataset, "test")
+    test_metric = evaluate(model, dataset, "test", best_logits)
     if len(epoch_seconds) > 1:
         sec = float(np.median(epoch_seconds[1:]))  # first epoch pays warm-up costs
     else:

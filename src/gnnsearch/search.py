@@ -284,7 +284,8 @@ class _ChildRunner:
         )
 
     def reward(self, arch: ArchDescription, rng: np.random.Generator):
-        """Returns (raw_reward, trained_model_or_None). Divergence gives 0."""
+        """Returns (raw_reward, trained_model_or_None). Divergence or
+        running out of memory gives 0."""
         config = self.config
         seed = int(rng.integers(2**31))
         try:
@@ -302,7 +303,7 @@ class _ChildRunner:
                 result = train_child(model, self.dataset, _scratch_hp(config, config.hp.max_epochs, seed))
             self.opt_steps += result.opt_steps
             return result.best_val_metric, result.model
-        except TrainingError:
+        except (TrainingError, MemoryError):
             return 0.0, None
 
     def merge(self, model: ChildModel, shaped_reward: float) -> None:
@@ -490,7 +491,7 @@ def derive(
                             np.random.default_rng(child_seed), store=store)
         try:
             train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
-        except TrainingError:
+        except (TrainingError, MemoryError):
             scores.append(-np.inf)
             continue
         scores.append(_minibatch_metric(model, dataset, np.random.default_rng(batch_seed)))

@@ -1,6 +1,7 @@
 """Sampler policy: recurrence, probabilities, REINFORCE, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,11 +150,13 @@ def test_teacher_force_validation():
 def test_token_range_is_checked_at_both_ends():
     ctrl = small_controller()
     last = len(ctrl.slots[1].options) - 1
-    for bad in (-1, last + 1):
+    # A fractional token was once truncated to a valid one and scored as it.
+    for bad, why in ((-1, "out of range"), (last + 1, "out of range"), (1.7, "is not an integer")):
         tokens = [0, bad, 0, 0, 0, 0]
-        with pytest.raises(ParameterError, match=f"slot 1: token {bad} out of range"):
+        message = re.escape(f"slot 1: token {bad} {why}")
+        with pytest.raises(ParameterError, match=message):
             ctrl.teacher_force(tokens)
-        with pytest.raises(ParameterError, match=f"slot 1: token {bad} out of range"):
+        with pytest.raises(ParameterError, match=message):
             ctrl.log_prob_batch(np.array([[0] * 6, tokens]))
     assert np.isfinite(ctrl.log_prob_batch(np.array([[0, last, 0, 0, 0, 0]]))).all()
 

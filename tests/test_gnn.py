@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gnnsearch.gnn as gnn_module
 from gnnsearch import autodiff as ad
 from gnnsearch.arch import ATTENTION, decode, default_space
 from gnnsearch.autodiff import Tensor
@@ -439,6 +440,105 @@ def test_multigraph_training_only_touches_train_graphs():
     # 2 train graphs x 3 epochs: one optimizer step per graph per epoch.
     assert result.epochs_ran == 3
     assert result.opt_steps == 6
+
+
+def _reference_train(model, dataset, hp):
+    """The training loop with a fresh forward for every step and every
+    evaluation: (best val, test, epochs ran, best epoch, optimizer steps)."""
+    params = model.parameters()
+    state = ad.AdamState.init(params, hp.lr)
+    rng = np.random.default_rng(hp.seed)
+    best, snapshot, best_epoch, stale, epochs = -np.inf, None, -1, 0, 0
+    for epoch in range(hp.max_epochs):
+        for graph, labels, mask in zip(dataset.graphs, dataset.labels, dataset.masks):
+            if not mask.train.size:
+                continue
+            logits = forward(model, graph, training=True, rng=rng, dropout_p=hp.dropout)
+            objective = ad.loss(dataset.task_kind, logits, labels, mask.train,
+                                l2_lambda=hp.l2_lambda, l2_params=params)
+            ad.zero_grads(params)
+            objective.backward()
+            ad.adam_step(state, params, [p.grad for p in params])
+        epochs = epoch + 1
+        val = evaluate(model, dataset, "val")
+        if val > best:
+            best, snapshot, best_epoch, stale = val, model.snapshot(), epoch, 0
+        else:
+            stale += 1
+            if stale > hp.patience:
+                break
+    model.restore(snapshot)
+    return best, evaluate(model, dataset, "test"), epochs, best_epoch, state.step
+
+
+@pytest.mark.parametrize("case", ["sbm-dropout-0", "sbm-dropout-0.5", "multigraph"])
+def test_training_equals_the_forward_every_time_loop(easy_sbm, case):
+    if case == "multigraph":
+        dataset = generate_multigraph(6, 15, 4.0, 5, 3, seed=8)
+        text = "first-order,gat,max-pooling,relu,2,4;first-order,gcn,mean-pooling,linear,1,4"
+        hp = TrainHyperparams(lr=0.02, l2_lambda=0.0, dropout=0.0, max_epochs=6, patience=6, seed=3)
+    else:
+        dataset = easy_sbm
+        text = "first-order,gat,max-pooling,relu,2,8;first-order,gcn,mean-pooling,linear,1,8"
+        dropout = 0.5 if case == "sbm-dropout-0.5" else 0.0
+        hp = TrainHyperparams(lr=0.05, l2_lambda=0.0005, dropout=dropout, max_epochs=30, patience=4, seed=3)
+
+    def build():
+        return build_model(_arch(text), dataset.feature_dim, dataset.class_count, np.random.default_rng(6))
+
+    ref_model = build()
+    expected = _reference_train(ref_model, dataset, hp)
+    result = train_child(build(), dataset, hp)
+    got = (result.best_val_metric, result.test_metric, result.epochs_ran, result.best_epoch, result.opt_steps)
+    assert got == expected
+    if case != "multigraph":
+        assert result.epochs_ran < hp.max_epochs  # early stopping was exercised
+    for mine, theirs in zip(result.model.parameters(), ref_model.parameters()):
+        assert mine.data.tobytes() == theirs.data.tobytes()
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_each_parameter_state_is_forwarded_once(easy_sbm, monkeypatch, dropout):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("training", False))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(gnn_module, "forward", counted)
+    arch = _arch("first-order,gcn,sum,relu,1,8;first-order,gcn,sum,linear,1,8")
+    model = build_model(arch, easy_sbm.feature_dim, 2, np.random.default_rng(0))
+    epochs = 5
+    hp = TrainHyperparams(lr=0.01, dropout=dropout, max_epochs=epochs, patience=epochs, seed=0)
+    result = train_child(model, easy_sbm, hp)
+    assert result.epochs_ran == epochs
+    if dropout == 0.0:
+        # One training forward, then each validation forward is the next
+        # training forward, and the best one scores the test split.
+        assert len(calls) == epochs + 1
+        assert calls.count(True) == 1
+    else:
+        assert len(calls) == 2 * epochs  # the test split still needs no forward
+        assert calls.count(True) == epochs
+
+
+def test_forwards_build_the_graph_plan_once(tiny_graph, monkeypatch):
+    built = []
+    original = ad.IndexPlan.__init__
+
+    def counted(self, ids, n):
+        built.append(n)
+        original(self, ids, n)
+
+    monkeypatch.setattr(ad.IndexPlan, "__init__", counted)
+    arch = _arch("first-order,gcn,max-pooling,relu,2,4;first-order,gat,mean-pooling,linear,1,4")
+    model = build_model(arch, 5, 3, np.random.default_rng(0))
+    first = forward(model, tiny_graph)
+    assert built == [6, 6]  # the graph's source and destination plans
+    plan = tiny_graph.plan
+    second = forward(model, tiny_graph)
+    assert built == [6, 6] and tiny_graph.plan is plan
+    assert first.data.tobytes() == second.data.tobytes()
 
 
 def test_hyperparam_validation():

@@ -2,8 +2,10 @@
 
 The sum and max kernels must reproduce ``np.add.at`` / ``np.maximum.at``
 bit for bit (same values, same winner routing), so search rewards do not
-move with the kernel implementation. ``head_matmul`` goes through BLAS
-and is held to the per-head loop at ``allclose``.
+move with the kernel implementation. Each kernel is checked with raw ids
+and with a precomputed ``IndexPlan``, the form message passing passes.
+``head_matmul`` goes through BLAS and is held to the per-head loop at
+``allclose``.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from gnnsearch import autodiff as ad
 from gnnsearch.autodiff import Tensor
-from gnnsearch.errors import ParameterError
+from gnnsearch.errors import ParameterError, ShapeError
 
 E, N, K, D = 60, 7, 3, 4
 # BLAS may sum a dot product in any order: a few float64 ulps on O(1) values.
@@ -26,6 +28,11 @@ def _bitwise(a, b):
 def _interleaved_ids(rng, rows=E, n=N):
     # Every segment non-empty, ids unsorted and interleaved.
     return rng.permutation(np.arange(rows) % n)
+
+
+def _id_inputs(ids, n=N):
+    # Raw ids, and a plan built once and used for every call (as a graph's is).
+    return [ids, ad.IndexPlan(ids, n)]
 
 
 def _strided(rng, shape):
@@ -56,23 +63,29 @@ def _ref_max_at(values, seg, n):
 def test_segment_sum_bitwise_equals_add_at(rng, layout):
     x = rng.standard_normal((E, K, D)) if layout == "contiguous" else _strided(rng, (E, K, D))
     seg = _interleaved_ids(rng)
-    out = ad.segment_sum(Tensor(x), seg, N)
-    assert _bitwise(out.data, _ref_add_at(x, seg, N))
+    for ids in _id_inputs(seg):
+        out = ad.segment_sum(Tensor(x), ids, N)
+        assert _bitwise(out.data, _ref_add_at(x, seg, N))
 
 
 def test_segment_sum_leaves_unused_segments_zero(rng):
     x = rng.standard_normal((5, 2))
-    out = ad.segment_sum(Tensor(x), [3, 0, 3, 0, 3], 5)
-    assert _bitwise(out.data, _ref_add_at(x, np.array([3, 0, 3, 0, 3]), 5))
+    seg = np.array([3, 0, 3, 0, 3])
+    for ids in _id_inputs(seg, 5):
+        out = ad.segment_sum(Tensor(x), ids, 5)
+        assert _bitwise(out.data, _ref_add_at(x, seg, 5))
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
 def test_gather_rows_gradient_bitwise_equals_add_at(rng, layout):
-    x = Tensor(rng.standard_normal((N, K, D)), requires_grad=True)
     idx = _interleaved_ids(rng)
     g = rng.standard_normal((E, K, D)) if layout == "contiguous" else _strided(rng, (E, K, D))
-    ad.gather_rows(x, idx).backward(g)
-    assert _bitwise(x.grad, _ref_add_at(g, idx, N))
+    for ids in _id_inputs(idx):
+        x = Tensor(rng.standard_normal((N, K, D)), requires_grad=True)
+        out = ad.gather_rows(x, ids)
+        assert _bitwise(out.data, x.data[idx])
+        out.backward(g)
+        assert _bitwise(x.grad, _ref_add_at(g, idx, N))
 
 
 def test_gather_rows_empty_index_gradient_is_float_zeros():
@@ -85,15 +98,16 @@ def test_gather_rows_empty_index_gradient_is_float_zeros():
 def test_segment_max_values_and_routing_bitwise(rng, layout):
     x = rng.standard_normal((E, K, D)) if layout == "contiguous" else _strided(rng, (E, K, D))
     seg = _interleaved_ids(rng)
-    t = Tensor(x, requires_grad=True)
-    out = ad.segment_max(t, seg, N)
     ref_out, winner = _ref_max_at(x, seg, N)
-    assert _bitwise(out.data, ref_out)
     g = rng.standard_normal((N, K, D))
-    out.backward(g)
     ref_grad = np.zeros((E, K * D))
     np.add.at(ref_grad, (winner, np.arange(K * D)), g.reshape(N, -1))
-    assert _bitwise(t.grad, ref_grad.reshape(E, K, D))
+    for ids in _id_inputs(seg):
+        t = Tensor(x, requires_grad=True)
+        out = ad.segment_max(t, ids, N)
+        assert _bitwise(out.data, ref_out)
+        out.backward(g)
+        assert _bitwise(t.grad, ref_grad.reshape(E, K, D))
 
 
 def test_segment_max_ties_across_distant_rows_go_to_lowest(rng):
@@ -106,17 +120,18 @@ def test_segment_max_ties_across_distant_rows_go_to_lowest(rng):
         assert last - first > 1  # not adjacent
         x[[first, last], 0, 0] = top
         x[[last, first], 1, :] = top + np.abs(x[first, 1, :])  # equal head blocks
-    t = Tensor(x, requires_grad=True)
-    out = ad.segment_max(t, seg, N)
-    out.backward(np.ones((N, K, D)))
     ref_out, winner = _ref_max_at(x, seg, N)
-    assert _bitwise(out.data, ref_out)
     firsts = [np.flatnonzero(seg == s)[0] for s in range(N)]
     assert np.array_equal(winner[:, 0], firsts)
     assert np.array_equal(winner[:, D], firsts)  # column (1, 0)
     ref_grad = np.zeros((E, K * D))
     np.add.at(ref_grad, (winner, np.arange(K * D)), np.ones((N, K * D)))
-    assert _bitwise(t.grad, ref_grad.reshape(E, K, D))
+    for ids in _id_inputs(seg):
+        t = Tensor(x, requires_grad=True)
+        out = ad.segment_max(t, ids, N)
+        out.backward(np.ones((N, K, D)))
+        assert _bitwise(out.data, ref_out)
+        assert _bitwise(t.grad, ref_grad.reshape(E, K, D))
 
 
 def test_segment_softmax_shift_matches_max_at_reference(rng):
@@ -125,7 +140,8 @@ def test_segment_softmax_shift_matches_max_at_reference(rng):
     ref_max, _ = _ref_max_at(scores, seg, N)
     e = np.exp(scores - ref_max[seg])
     expected = e / _ref_add_at(e, seg, N)[seg]
-    assert _bitwise(ad.segment_softmax(Tensor(scores), seg, N).data, expected)
+    for ids in _id_inputs(seg):
+        assert _bitwise(ad.segment_softmax(Tensor(scores), ids, N).data, expected)
 
 
 def test_head_matmul_and_gradients_match_per_head_loop(rng):
@@ -147,8 +163,21 @@ def test_head_matmul_and_gradients_match_per_head_loop(rng):
 
 @pytest.mark.parametrize("op", [ad.segment_mean, ad.segment_max, ad.segment_softmax])
 def test_empty_segment_is_a_parameter_error(op):
-    with pytest.raises(ParameterError, match="segment 1 is empty"):
-        op(Tensor(np.ones((3, 2))), [0, 2, 0], 3)
+    for ids in _id_inputs(np.array([0, 2, 0]), 3):
+        with pytest.raises(ParameterError, match="segment 1 is empty"):
+            op(Tensor(np.ones((3, 2))), ids, 3)
+
+
+def test_plan_must_cover_the_rows_it_indexes():
+    plan = ad.IndexPlan([0, 2, 0], 3)
+    with pytest.raises(ShapeError, match="covers 3 rows, expected 4"):
+        ad.segment_sum(Tensor(np.ones((3, 2))), plan, 4)
+    with pytest.raises(ShapeError, match="covers 3 rows, expected 2"):
+        ad.gather_rows(Tensor(np.ones((2, 2))), plan)
+    with pytest.raises(ShapeError, match="does not match rows"):
+        ad.segment_sum(Tensor(np.ones((4, 2))), plan, 3)
+    with pytest.raises(ParameterError, match="out of range"):
+        ad.IndexPlan([0, 3], 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -346,12 +346,26 @@ def test_dataset_search_is_deterministic(easy_sbm):
 
 
 def test_divergent_children_score_zero(easy_sbm, monkeypatch):
-    def explode(model, dataset, hp):
-        raise TrainingError("non-finite training loss at epoch 0", 0)
+    # A child that diverges or runs out of memory scores 0 in search and
+    # -inf among derive's candidates; derive's retrain still runs.
+    train_child = search_module.train_child
+    config = tiny_config(episodes=3, derive_samples=4)
+    for error in (TrainingError("non-finite training loss at epoch 0", 0), MemoryError()):
+        calls = []
 
-    monkeypatch.setattr(search_module, "train_child", explode)
-    log = search(tiny_config(episodes=3), dataset=easy_sbm, space=TINY)
-    assert [r.raw_reward for r in log] == [0.0, 0.0, 0.0]
+        def explode(model, dataset, hp):
+            calls.append(hp)
+            if len(calls) > config.derive_samples:
+                return train_child(model, dataset, hp)
+            raise error
+
+        monkeypatch.setattr(search_module, "train_child", explode)
+        log = search(config, dataset=easy_sbm, space=TINY)
+        assert [r.raw_reward for r in log] == [0.0, 0.0, 0.0]
+        calls.clear()
+        result = derive(log.controller, None, easy_sbm, config)
+        assert result.candidate_scores == [-np.inf] * config.derive_samples
+        assert len(calls) == config.derive_samples + 1
 
 
 # ---------------------------------------------------------------------------
