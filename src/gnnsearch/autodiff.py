@@ -2,13 +2,21 @@
 
 Everything runs on float64 numpy arrays. Forward operations record a
 TapeNode per primitive; ``Tensor.backward`` replays the tape in reverse
-topological order and accumulates gradients on every tensor that
-requires them. No operation and no optimizer step writes into an
-existing array: an op's output is a new array or a view of its input
-(``reshape``, ``head_matmul``), and ``adam_step`` assigns new arrays to
-the parameters. So values captured by backward closures stay valid, and
-a forward's output keeps describing the parameters it was computed
-from, which lets ``gnn.train_child`` reuse it.
+topological order and accumulates gradients on every leaf tensor that
+requires them. A tape is single-use: the backward frees it as it goes.
+Each node gives up its inputs and its backward rule (and so the arrays
+the rule saved) once it has run, and each intermediate gradient is
+dropped once its node has consumed it, so only the leaves and the root
+keep a ``.grad``. A second backward through a consumed tape raises
+``ParameterError``. An op computes no gradient for an operand that
+needs none.
+
+No operation and no optimizer step writes into an existing array: an
+op's output is a new array or a view of its input (``reshape``,
+``head_matmul``), and ``adam_step`` assigns new arrays to the
+parameters. So values captured by backward closures stay valid, and a
+forward's output keeps describing the parameters it was computed from,
+which lets ``gnn.train_child`` reuse it.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ class Tensor:
         """Accumulate gradients of this tensor w.r.t. every ancestor.
 
         Without an explicit seed gradient the tensor must be a scalar.
+        Consumes the tape: only the leaves and this tensor keep a
+        ``.grad``, and everything else is freed during the walk.
         """
         if grad is None:
             if self.data.size != 1:
@@ -64,13 +74,22 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
             raise ShapeError(f"seed gradient shape {grad.shape} != {self.data.shape}")
+        nodes = Tape.trace(self).nodes  # raises, changing nothing, on a consumed tape
         self.grad = grad if self.grad is None else self.grad + grad
-        tape = Tape.trace(self)
-        for node in reversed(tape.nodes):
-            out_grad = node.out.grad
+        # Nodes hold their outputs weakly; detaching a consumer may drop
+        # the last other reference to an output whose node is still ahead.
+        outs = [node.out for node in nodes]
+        while nodes:
+            node, out = nodes.pop(), outs.pop()
+            out_grad = out.grad
+            if out is not self:
+                out.grad = None
+            del out  # do not keep its array alive while the rule runs
+            inputs, grad_fn = node.inputs, node.grad_fn
+            node.inputs = node.grad_fn = None
             if out_grad is None:
                 continue
-            for tensor, contribution in zip(node.inputs, node.grad_fn(out_grad)):
+            for tensor, contribution in zip(inputs, grad_fn(out_grad)):
                 if contribution is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is None:
@@ -125,6 +144,11 @@ class Tensor:
 class TapeNode:
     """One recorded primitive: output, inputs, and its backward rule.
 
+    A node serves one backward. The backward sets ``inputs`` and
+    ``grad_fn`` to None once the node has run, which frees the arrays
+    the rule saved; the output keeps the detached node, so a later
+    trace through it raises instead of giving partial gradients.
+
     The node refers to its output weakly. A strong reference would make
     every recorded op a reference cycle (output -> node -> output), so a
     dropped tape and all its arrays would wait for the cyclic garbage
@@ -168,6 +192,8 @@ class Tape:
                 continue
             if id(node) in seen:
                 continue
+            if node.inputs is None:
+                raise ParameterError("this tape was consumed by an earlier backward()")
             seen.add(id(node))
             stack.append((tensor, True))
             for parent in node.inputs:
@@ -208,31 +234,48 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    a_shape, b_shape = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        return (_unbroadcast(g, a_shape) if need_a else None, _unbroadcast(g, b_shape) if need_b else None)
+
+    return _make(data, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    a_shape, b_shape = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        return (_unbroadcast(g, a_shape) if need_a else None, _unbroadcast(-g, b_shape) if need_b else None)
+
+    return _make(data, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     a_val, b_val = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return (_unbroadcast(g * b_val, a_val.shape), _unbroadcast(g * a_val, b_val.shape))
+        return (
+            _unbroadcast(g * b_val, a_val.shape) if need_a else None,
+            _unbroadcast(g * a_val, b_val.shape) if need_b else None,
+        )
 
     return _make(data, (a, b), grad_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
-    a_val, b_val, out_val = a.data, b.data, data
+    a_shape, b_val, out_val = a.data.shape, b.data, data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        ga = _unbroadcast(g / b_val, a_val.shape)
-        gb = _unbroadcast(-g * out_val / b_val, b_val.shape)
+        ga = _unbroadcast(g / b_val, a_shape) if need_a else None
+        gb = _unbroadcast(-g * out_val / b_val, b_val.shape) if need_b else None
         return (ga, gb)
 
     return _make(data, (a, b), grad_fn)
@@ -245,9 +288,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
     a_val, b_val = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return (g @ b_val.T, a_val.T @ g)
+        return (g @ b_val.T if need_a else None, a_val.T @ g if need_b else None)
 
     return _make(data, (a, b), grad_fn)
 
@@ -267,11 +311,12 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"head_matmul dims differ: {x.data.shape} with {w.data.shape}")
     x_val, w_val = x.data, w.data
     data = np.matmul(x_val.transpose(1, 0, 2), w_val).transpose(1, 0, 2)
+    need_x, need_w = x.requires_grad, w.requires_grad
 
     def grad_fn(g):
         g_heads = g.transpose(1, 0, 2)
-        gx = np.matmul(g_heads, w_val.transpose(0, 2, 1)).transpose(1, 0, 2)
-        gw = np.matmul(x_val.transpose(1, 2, 0), g_heads)
+        gx = np.matmul(g_heads, w_val.transpose(0, 2, 1)).transpose(1, 0, 2) if need_x else None
+        gw = np.matmul(x_val.transpose(1, 2, 0), g_heads) if need_w else None
         return (gx, gw)
 
     return _make(data, (x, w), grad_fn)

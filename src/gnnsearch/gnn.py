@@ -413,6 +413,9 @@ class TrainedResult:
     seconds_per_epoch: float
     opt_steps: int
     model: ChildModel
+    # Read-only evaluation logits at the restored (best) parameters, by
+    # graph index, for every graph with validation nodes; values only.
+    best_logits: dict
 
 
 def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams) -> TrainedResult:
@@ -484,7 +487,7 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
                 break
     current.clear()
     model.restore(best_snapshot)
-    test_metric = evaluate(model, dataset, "test", best_logits)
+    test_metric = evaluate(model, dataset, "test", dict(best_logits))
     if len(epoch_seconds) > 1:
         sec = float(np.median(epoch_seconds[1:]))  # first epoch pays warm-up costs
     else:
@@ -497,4 +500,5 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
         seconds_per_epoch=sec,
         opt_steps=state.step,
         model=model,
+        best_logits=best_logits,
     )

@@ -452,8 +452,14 @@ class DeriveResult:
     trained: object  # TrainedResult of the winner, retrained from scratch
 
 
-def _minibatch_metric(model: ChildModel, dataset: LabeledDataset, rng: np.random.Generator, size: int = 64) -> float:
-    """Validation metric on a seeded node minibatch (pooled over graphs)."""
+def _minibatch_metric(
+    model: ChildModel, dataset: LabeledDataset, rng: np.random.Generator, size: int = 64, logits: dict | None = None,
+) -> float:
+    """Validation metric on a seeded node minibatch (pooled over graphs).
+
+    ``logits`` is a cache of evaluation logits at the model's current
+    parameters, as in ``pooled_metric``; it is not modified.
+    """
     pool = []
     for g, mask in enumerate(dataset.masks):
         pool.extend((g, int(node)) for node in mask.val)
@@ -464,7 +470,7 @@ def _minibatch_metric(model: ChildModel, dataset: LabeledDataset, rng: np.random
     for g, node in chosen:
         by_graph.setdefault(g, []).append(node)
     nodes = [(g, np.array(sorted(picked), dtype=np.int64)) for g, picked in sorted(by_graph.items())]
-    return pooled_metric(model, dataset, nodes)
+    return pooled_metric(model, dataset, nodes, None if logits is None else dict(logits))
 
 
 def derive(
@@ -490,11 +496,12 @@ def derive(
         model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
                             np.random.default_rng(child_seed), store=store)
         try:
-            train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
+            trained = train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
         except (TrainingError, MemoryError):
             scores.append(-np.inf)
             continue
-        scores.append(_minibatch_metric(model, dataset, np.random.default_rng(batch_seed)))
+        # The best epoch's validation logits are the restored model's.
+        scores.append(_minibatch_metric(model, dataset, np.random.default_rng(batch_seed), logits=trained.best_logits))
 
     winner = int(np.argmax(np.asarray(scores)))  # first index wins ties
     best_arch = candidates[winner].arch

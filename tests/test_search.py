@@ -407,7 +407,7 @@ def test_derive_prefers_earliest_on_ties(easy_sbm, monkeypatch):
     config = tiny_config(derive_samples=4, seed=5)
     controller = Controller(TINY, np.random.default_rng(2), hidden_size=8)
     expected = controller.sample(np.random.default_rng(config.seed + 1)).arch
-    monkeypatch.setattr(search_module, "_minibatch_metric", lambda model, dataset, rng, size=64: 0.5)
+    monkeypatch.setattr(search_module, "_minibatch_metric", lambda model, dataset, rng, size=64, logits=None: 0.5)
     result = derive(controller, None, easy_sbm, config)
     assert result.arch == expected
     assert result.candidate_scores == [0.5] * 4
@@ -457,6 +457,42 @@ def test_minibatch_metric_over_every_val_node_equals_evaluate(easy_sbm, kind, rn
     for seed in range(3):
         mini = _minibatch_metric(model, dataset, np.random.default_rng(seed), size=val_nodes + seed)
         assert mini == evaluate(model, dataset, "val")
+
+
+@pytest.mark.parametrize("kind,dropout", [("single", 0.0), ("single", 0.5), ("multi", 0.0)])
+def test_minibatch_metric_scores_from_the_best_epoch_logits(easy_sbm, kind, dropout, monkeypatch):
+    # derive scores a candidate from train_child's best-epoch logits: they
+    # are the restored model's evaluation logits, so no forward is needed.
+    import gnnsearch.gnn as gnn_module
+    from gnnsearch.arch import decode
+    from gnnsearch.gnn import build_model, forward, train_child
+    from gnnsearch.graphs import generate_multigraph
+
+    dataset = easy_sbm if kind == "single" else generate_multigraph(
+        graph_count=4, nodes_per_graph=30, avg_degree=5.0, label_count=4, feature_dim=6, seed=2
+    )
+    arch = decode("first-order,gcn,sum,relu,1,8", TINY)
+    model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
+    trained = train_child(model, dataset, dataclasses.replace(FAST_HP, max_epochs=4, dropout=dropout))
+    val_graphs = [g for g, mask in enumerate(dataset.masks) if mask.val.size]
+    assert sorted(trained.best_logits) == val_graphs
+    for g in val_graphs:
+        fresh = forward(model, dataset.graphs[g], training=False)
+        assert trained.best_logits[g].data.tobytes() == fresh.data.tobytes()
+        assert trained.best_logits[g].node is None
+    cached = dict(trained.best_logits)
+    expected = [_minibatch_metric(model, dataset, np.random.default_rng(seed), size=8) for seed in range(3)]
+
+    calls = []
+    real_forward = gnn_module.forward
+    monkeypatch.setattr(gnn_module, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
+    scores = [
+        _minibatch_metric(model, dataset, np.random.default_rng(seed), size=8, logits=trained.best_logits)
+        for seed in range(3)
+    ]
+    assert scores == expected
+    assert calls == []
+    assert trained.best_logits == cached  # the cache handed in is left as it was
 
 
 def test_built_child_hits_the_keys_its_merge_wrote(easy_sbm):
