@@ -41,13 +41,6 @@ class ActionSpace:
     skip_enabled: bool = False
 
     def __post_init__(self):
-        for name in ("sampling", "attention", "aggregation", "activation", "heads", "hidden"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
-            if not values:
-                raise ParameterError(f"option list {name!r} is empty")
-            if len(set(values)) != len(values):
-                raise ParameterError(f"option list {name!r} has duplicates")
         for name, table in (
             ("sampling", SAMPLING),
             ("attention", ATTENTION),
@@ -56,7 +49,19 @@ class ActionSpace:
             ("heads", HEADS),
             ("hidden", HIDDEN),
         ):
-            bad = [v for v in getattr(self, name) if v not in table]
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not values:
+                raise ParameterError(f"option list {name!r} is empty")
+            # Checked before any hashing or lookup: a list is unhashable,
+            # and True and 1.0 compare equal to the option 1.
+            kind = type(table[0])
+            wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+            if wrong:
+                raise ParameterError(f"option list {name!r} holds non-{kind.__name__} values {wrong}")
+            if len(set(values)) != len(values):
+                raise ParameterError(f"option list {name!r} has duplicates")
+            bad = [v for v in values if v not in table]
             if bad:
                 raise ParameterError(f"option list {name!r} holds unknown values {bad}")
         if self.layer_count < 1:

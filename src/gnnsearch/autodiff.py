@@ -47,10 +47,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -96,45 +92,6 @@ class Tensor:
                     tensor.grad = contribution
                 else:
                     tensor.grad = tensor.grad + contribution
-
-    # Arithmetic sugar delegates to the module-level primitives.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -432,14 +389,6 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g_exp, shape).copy(),)
 
     return _make(data, (x,), grad_fn)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = x.data.size
-    else:
-        count = x.data.shape[axis]
-    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), _as_tensor(1.0 / count))
 
 
 def exp(x: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .arch import (
     encode,
 )
 from .controller import load_controller, save_controller
-from .errors import ConfigError, GnnSearchError
+from .errors import ConfigError, GnnSearchError, ParameterError
 from .gnn import TrainHyperparams, build_model, train_child
 from .graphs import LabeledDataset, generate_multigraph, generate_sbm, load_citation
 from .search import (
@@ -41,6 +41,12 @@ from .search import (
     search,
     top_k_report,
 )
+
+
+def _field_rows(cls, skip: str) -> dict:
+    """Schema rows for a config dataclass: each field's kind is the type of its default."""
+    return {f.name: (type(f.default), f.default) for f in fields(cls) if f.name != skip}
+
 
 # key -> (kind, default); kind is one of int, float, str, bool, list
 _SCHEMA = {
@@ -58,32 +64,10 @@ _SCHEMA = {
     "nodes_per_graph": (int, 60),
     "avg_degree": (float, 8.0),
     "label_count": (int, 6),
-    # search
-    "strategy": (str, "graphnas"),
-    "episodes": (int, 1000),
-    "layer_count": (int, 2),
-    "skip_enabled": (bool, False),
-    "param_sharing": (bool, False),
-    "child_epochs": (int, 200),
-    "exploration_epochs": (int, 0),
-    "derive_samples": (int, 20),
-    "derive_train_epochs": (int, 5),
-    "top_k": (int, 5),
-    "seed": (int, 0),
-    "batch_size": (int, 1),
-    # controller
-    "controller_hidden": (int, 100),
-    "controller_lr": (float, 0.0035),
-    "temperature": (float, 5.0),
-    "logit_clip": (float, 2.5),
-    "entropy_weight": (float, 0.0001),
-    "baseline_decay": (float, 0.95),
-    # child training
-    "lr": (float, 0.005),
-    "l2_lambda": (float, 0.0005),
-    "dropout": (float, 0.6),
-    "max_epochs": (int, 200),
-    "patience": (int, 100),
+    # search, controller and child training: the SearchConfig and
+    # TrainHyperparams fields; hp.seed is the "seed" key
+    **_field_rows(SearchConfig, skip="hp"),
+    **_field_rows(TrainHyperparams, skip="seed"),
     # space restriction (defaults are the full option tables)
     "sampling_options": (list, list(SAMPLING)),
     "attention_options": (list, list(ATTENTION)),
@@ -163,35 +147,8 @@ def build_space(cfg: dict) -> ActionSpace:
 
 
 def build_search_config(cfg: dict) -> SearchConfig:
-    hp = TrainHyperparams(
-        lr=cfg["lr"],
-        l2_lambda=cfg["l2_lambda"],
-        dropout=cfg["dropout"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-    )
-    return SearchConfig(
-        strategy=cfg["strategy"],
-        episodes=cfg["episodes"],
-        layer_count=cfg["layer_count"],
-        skip_enabled=cfg["skip_enabled"],
-        param_sharing=cfg["param_sharing"],
-        child_epochs=cfg["child_epochs"],
-        exploration_epochs=cfg["exploration_epochs"],
-        derive_samples=cfg["derive_samples"],
-        derive_train_epochs=cfg["derive_train_epochs"],
-        top_k=cfg["top_k"],
-        seed=cfg["seed"],
-        batch_size=cfg["batch_size"],
-        controller_hidden=cfg["controller_hidden"],
-        controller_lr=cfg["controller_lr"],
-        temperature=cfg["temperature"],
-        logit_clip=cfg["logit_clip"],
-        entropy_weight=cfg["entropy_weight"],
-        baseline_decay=cfg["baseline_decay"],
-        hp=hp,
-    )
+    hp = TrainHyperparams(**{f.name: cfg[f.name] for f in fields(TrainHyperparams)})
+    return SearchConfig(hp=hp, **{f.name: cfg[f.name] for f in fields(SearchConfig) if f.name != "hp"})
 
 
 def make_dataset(cfg: dict) -> LabeledDataset:
@@ -330,7 +287,13 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
         except FileNotFoundError:
             raise ConfigError(f"log file not found: {path}") from None
-        records = [EpisodeRecord.from_line(line) for line in lines if line.strip()]
+        records = []
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    records.append(EpisodeRecord.from_line(line))
+                except ParameterError as err:
+                    raise ConfigError(f"log file {path}, line {lineno}: {err}") from None
         if not records:
             raise ConfigError(f"log file {path} is empty")
         stem = Path(path).stem

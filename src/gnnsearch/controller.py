@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -265,54 +266,46 @@ def reinforce_step(controller: Controller, episodes: list, state: ad.AdamState) 
 
 def save_controller(controller: Controller, path) -> None:
     """Write parameters plus enough metadata to rebuild the controller."""
-    space = controller.space
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "hidden_size": controller.hidden_size,
         "temperature": controller.temperature,
         "logit_clip": controller.logit_clip,
-        "space": {
-            "sampling": list(space.sampling),
-            "attention": list(space.attention),
-            "aggregation": list(space.aggregation),
-            "activation": list(space.activation),
-            "heads": list(space.heads),
-            "hidden": list(space.hidden),
-            "layer_count": space.layer_count,
-            "skip_enabled": space.skip_enabled,
-        },
+        "space": asdict(controller.space),
     }
     arrays = {name.replace(".", "__"): t.data for name, t in controller.named_parameters().items()}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_controller(path) -> Controller:
-    with np.load(path) as bundle:
-        meta = json.loads(bytes(bundle["__meta__"]).decode())
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ParameterError(
-                f"checkpoint format {meta.get('format_version')!r} is not version {CHECKPOINT_VERSION}"
-            )
-        space = ActionSpace(
-            sampling=tuple(meta["space"]["sampling"]),
-            attention=tuple(meta["space"]["attention"]),
-            aggregation=tuple(meta["space"]["aggregation"]),
-            activation=tuple(meta["space"]["activation"]),
-            heads=tuple(meta["space"]["heads"]),
-            hidden=tuple(meta["space"]["hidden"]),
-            layer_count=meta["space"]["layer_count"],
-            skip_enabled=meta["space"]["skip_enabled"],
+    """Rebuild a controller from a ``save_controller`` file.
+
+    A file that is not one raises ``ParameterError`` naming the path.
+    """
+    try:
+        with np.load(path) as bundle:
+            stored = {name: bundle[name] for name in bundle.files}
+        meta = json.loads(bytes(stored.pop("__meta__")).decode())
+    except KeyError:
+        raise ParameterError(f"controller checkpoint {path} has no __meta__ entry") from None
+    except (OSError, ValueError, zipfile.BadZipFile) as err:
+        raise ParameterError(f"controller checkpoint {path} is unreadable: {err}") from None
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise ParameterError(
+            f"checkpoint format {meta.get('format_version')!r} is not version {CHECKPOINT_VERSION}"
         )
-        controller = Controller(
-            space,
-            rng=np.random.default_rng(0),
-            hidden_size=meta["hidden_size"],
-            temperature=meta["temperature"],
-            logit_clip=meta["logit_clip"],
-        )
-        for name, tensor in controller.named_parameters().items():
-            stored = bundle[name.replace(".", "__")]
-            if stored.shape != tensor.data.shape:
-                raise ShapeError(f"checkpoint entry {name}: shape {stored.shape} != {tensor.data.shape}")
-            tensor.data = stored.astype(np.float64)
+    controller = Controller(
+        ActionSpace(**meta["space"]),
+        rng=np.random.default_rng(0),
+        hidden_size=meta["hidden_size"],
+        temperature=meta["temperature"],
+        logit_clip=meta["logit_clip"],
+    )
+    for name, tensor in controller.named_parameters().items():
+        entry = stored.get(name.replace(".", "__"))
+        if entry is None:
+            raise ParameterError(f"controller checkpoint {path} has no entry {name}")
+        if entry.shape != tensor.data.shape:
+            raise ShapeError(f"checkpoint entry {name}: shape {entry.shape} != {tensor.data.shape}")
+        tensor.data = entry.astype(np.float64)
     return controller

@@ -111,22 +111,10 @@ class ChildModel:
     layers: list
     plan: list  # one LayerPlan per layer
 
-    @property
-    def layer_dims(self) -> list:
-        """(in_dim, out_dim) actually used by each layer."""
-        return [(step.key.in_dim, step.out_dim) for step in self.plan]
-
     def parameters(self) -> list:
         out = []
         for layer in self.layers:
             out.extend(layer.ordered())
-        return out
-
-    def named_parameters(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, tensor in layer.named().items():
-                out[f"layer{i}.{name}"] = tensor
         return out
 
     def param_count(self) -> int:
@@ -185,15 +173,6 @@ def _layer_plan(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
         plan.append(LayerPlan(key, layer.activation, layer.skip_from, concat, base_out, out_dim, skip_dim, last))
         dims.append(out_dim)
     return plan
-
-
-def layer_signatures(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
-    """The ShareKey of every layer: position, kinds, and effective dims.
-
-    Two layers with equal keys have interchangeable-shaped shareable
-    parameters; anything here differing keeps them apart.
-    """
-    return [step.key for step in _layer_plan(arch, in_dim, out_classes)]
 
 
 def build_model(
@@ -268,31 +247,6 @@ def _edge_scores(kind: str, z: Tensor, graph: Graph, params: LayerParams) -> Ten
     raise ParameterError(f"unknown attention kind {kind!r}")
 
 
-def attention_score(kind: str, h_i, h_j, d_i: float, d_j: float, params: LayerParams | None = None) -> Tensor:
-    """Score one ordered pair on a two-node stub graph; returns [heads].
-
-    ``h_i`` is the aggregating node, ``h_j`` the neighbor, both given as
-    per-head transformed features [heads, width] (or [width] for one head).
-    """
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.ndim == 1:
-        h_i, h_j = h_i[None, :], h_j[None, :]
-    z = Tensor(np.stack([h_i, h_j]))
-    stub = Graph(
-        node_count=2,
-        edges=np.array([[1, 0]], dtype=np.int64),
-        features=np.zeros((2, 1)),
-        degrees=np.array([int(d_i), int(d_j)], dtype=np.int64),
-    )
-    if params is None:
-        if kind not in ("const", "gcn"):
-            raise ParameterError(f"attention kind {kind!r} needs parameters")
-        params = LayerParams(kind, "sum", 1, h_i.shape[0], h_i.shape[1], {"w_t": Tensor(np.zeros((1, h_i.shape[0] * h_i.shape[1])))})
-    scores = _edge_scores(kind, z, stub, params)
-    return ad.reshape(scores, (h_i.shape[0],))
-
-
 def _aggregate(kind: str, messages: Tensor, dst, n_nodes: int, params: LayerParams) -> Tensor:
     if kind == "sum":
         return ad.segment_sum(messages, dst, n_nodes)
@@ -365,10 +319,6 @@ def node_metric(task_kind: str, logits: np.ndarray, labels: np.ndarray) -> float
     if denom == 0:
         return 1.0  # nothing to find and nothing predicted
     return 2.0 * tp / denom
-
-
-def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return node_metric("multi", np.asarray(predicted, dtype=bool), actual)
 
 
 def pooled_metric(model: ChildModel, dataset: LabeledDataset, nodes: list, logits: dict | None = None) -> float:

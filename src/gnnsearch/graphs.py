@@ -303,8 +303,11 @@ def load_citation(path) -> LabeledDataset:
     labels), ``edge src dst`` lines, and ``mask train|val|test id...``
     lines. Edges are symmetrized and self-loops added on load.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestionError(f"cannot read {path}: {err}") from None
     if not lines:
         raise IngestionError("line 1: empty file")
 

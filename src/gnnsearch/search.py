@@ -19,7 +19,8 @@ study and fully deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+import zipfile
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -100,13 +101,17 @@ def save_store(store: SharedParamStore, path) -> None:
 
 
 def load_store(path) -> SharedParamStore:
+    """Read a ``save_store`` file; one that is not raises ``ParameterError`` naming the path."""
     store = SharedParamStore()
-    with np.load(path) as bundle:
-        for full_name in bundle.files:
-            prefix, name = full_name.split("::")
-            layer, attention, aggregation, in_dim, heads, hidden = prefix.split("|")
-            key = ShareKey(int(layer), attention, aggregation, int(in_dim), int(heads), int(hidden))
-            store.entries.setdefault(key, {})[name] = bundle[full_name].astype(np.float64)
+    try:
+        with np.load(path) as bundle:
+            for full_name in bundle.files:
+                prefix, name = full_name.split("::")
+                layer, attention, aggregation, in_dim, heads, hidden = prefix.split("|")
+                key = ShareKey(int(layer), attention, aggregation, int(in_dim), int(heads), int(hidden))
+                store.entries.setdefault(key, {})[name] = bundle[full_name].astype(np.float64)
+    except (OSError, ValueError, zipfile.BadZipFile) as err:
+        raise ParameterError(f"sharing store {path} is unreadable: {err}") from None
     return store
 
 
@@ -207,13 +212,21 @@ class EpisodeRecord:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise ParameterError(f"log line has {len(parts)} columns, expected 6")
+
+        def number(column: int, kind):
+            try:
+                return kind(parts[column])
+            except ValueError:
+                name = fields(cls)[column].name
+                raise ParameterError(f"log column {column + 1} ({name}) is not a number: {parts[column]!r}") from None
+
         return cls(
-            episode=int(parts[0]),
+            episode=number(0, int),
             arch=parts[1],
-            raw_reward=float(parts[2]),
-            shaped_reward=float(parts[3]),
-            baseline_value=float(parts[4]),
-            wall_ms=float(parts[5]),
+            raw_reward=number(2, float),
+            shaped_reward=number(3, float),
+            baseline_value=number(4, float),
+            wall_ms=number(5, float),
         )
 
 

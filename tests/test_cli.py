@@ -4,9 +4,11 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from gnnsearch.cli import main
+from gnnsearch.cli import build_search_config, load_config, main
+from gnnsearch.search import SearchConfig
 
 BASE_CFG = {
     "dataset": "sbm",
@@ -147,6 +149,33 @@ def test_citation_dataset_requires_path(tmp_path, capsys):
     assert "'path' is required" in capsys.readouterr().err
 
 
+def test_citation_dataset_missing_file(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dataset="citation", path=str(tmp_path / "missing.txt"))
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot read {tmp_path / 'missing.txt'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("head_options", [[1]], "'heads' holds non-int values [[1]]"),
+        ("head_options", [True, 2], "'heads' holds non-int values [True]"),
+        ("head_options", [1.0, 2], "'heads' holds non-int values [1.0]"),
+        ("hidden_options", [4, "8"], "'hidden' holds non-int values ['8']"),
+        ("attention_options", ["gcn", 1], "'attention' holds non-str values [1]"),
+    ],
+    ids=["nested-list", "bool", "float", "string-width", "integer-name"],
+)
+def test_malformed_option_lists_exit_cleanly(tmp_path, capsys, key, value, message):
+    cfg = write_cfg(tmp_path, **{key: value})
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"option list {message}" in capsys.readouterr().err
+
+
+def test_default_config_is_the_search_config_default():
+    assert build_search_config(load_config(None)) == SearchConfig()
+
+
 def test_strategy_config_conflicts_exit_cleanly(tmp_path, capsys):
     # exploration without sharing is a config-level contradiction
     cfg = write_cfg(tmp_path, exploration_epochs=3)
@@ -214,6 +243,49 @@ def test_derive_after_search(tmp_path, capsys):
     assert "val=" in stdout and "test=" in stdout
     derived = (out / "derived.txt").read_text().strip()
     assert derived.split(",")[0] == "first-order"
+
+
+def _garbage_controller(out):
+    (out / "controller.npz").write_bytes(b"not a checkpoint")
+
+
+def _controller_without_meta(out):
+    np.savez(out / "controller.npz", slot0__emb=np.zeros((2, 2)))
+
+
+def _controller_without_a_parameter(out):
+    with np.load(out / "controller.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files if name != "slot0__emb"}
+    np.savez(out / "controller.npz", **arrays)
+
+
+def _store_entry_without_separator(out):
+    np.savez(out / "store.npz", noseparator=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "corrupt,name,reason",
+    [
+        (_garbage_controller, "controller.npz", "is unreadable"),
+        (_controller_without_meta, "controller.npz", "has no __meta__ entry"),
+        (_controller_without_a_parameter, "controller.npz", "has no entry slot0.emb"),
+        (_store_entry_without_separator, "store.npz", "is unreadable"),
+    ],
+    ids=[
+        "garbage-controller",
+        "controller-without-meta",
+        "controller-without-a-parameter",
+        "store-entry-without-separator",
+    ],
+)
+def test_derive_rejects_bad_checkpoints(tmp_path, capsys, corrupt, name, reason):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    corrupt(out)
+    assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{out / name} {reason}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +370,16 @@ def test_report_needs_at_least_one_log(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+def test_report_names_the_bad_log_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    log = tmp_path / "bad.log"
+    log.write_text(
+        "0\tfirst-order,gcn,sum,relu,1,4\t0.5\t0.1\t0.4\t1.0\n"
+        "1\tfirst-order,gcn,sum,relu,1,4\tnan?\t0.1\t0.4\t1.0\n",
+        encoding="utf-8",
+    )
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r"), str(log)]) == 2
+    err = capsys.readouterr().err
+    assert f"log file {log}, line 2: log column 3 (raw_reward) is not a number: 'nan?'" in err

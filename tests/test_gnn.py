@@ -12,17 +12,15 @@ from gnnsearch.gnn import (
     LayerParams,
     ShareKey,
     TrainHyperparams,
-    attention_score,
     build_model,
     evaluate,
     forward,
     init_layer_params,
-    layer_signatures,
-    micro_f1,
+    node_metric,
     train_child,
 )
 from gnnsearch.gnn import _edge_scores
-from gnnsearch.graphs import LabeledDataset, generate_multigraph, make_graph, make_mask
+from gnnsearch.graphs import Graph, LabeledDataset, generate_multigraph, make_graph, make_mask
 
 from conftest import check_grads
 
@@ -31,21 +29,47 @@ def _arch(text):
     return decode(text)
 
 
+def _layer_dims(model):
+    """(in_dim, out_dim) each layer of a built model uses."""
+    return [(step.key.in_dim, step.out_dim) for step in model.plan]
+
+
+def _pair_score(kind, h_i, h_j, d_i, d_j, params=None):
+    """Score the edge j -> i of a two-node stub graph whose in-degrees are
+    d_i and d_j; returns [heads].
+
+    ``h_i`` is the aggregating node, ``h_j`` the neighbor, both given as
+    per-head transformed features [heads, width] (or [width] for one head).
+    """
+    h_i, h_j = np.atleast_2d(h_i), np.atleast_2d(h_j)
+    heads, width = h_i.shape
+    stub = Graph(
+        node_count=2,
+        edges=np.array([[1, 0]], dtype=np.int64),
+        features=np.zeros((2, 1)),
+        degrees=np.array([d_i, d_j], dtype=np.int64),
+    )
+    if params is None:  # const and gcn own no scoring tensors
+        params = LayerParams(kind, "sum", 1, heads, width, {"w_t": Tensor(np.zeros((1, heads * width)))})
+    scores = _edge_scores(kind, Tensor(np.stack([h_i, h_j])), stub, params)
+    return ad.reshape(scores, (heads,))
+
+
 # ---------------------------------------------------------------------------
 # attention scores
 
 
 def test_const_score_is_one(rng):
     h = rng.standard_normal((2, 3))
-    out = attention_score("const", h, h + 1.0, 5, 2)
+    out = _pair_score("const", h, h + 1.0, 5, 2)
     assert np.allclose(out.data, [1.0, 1.0])
 
 
 def test_gcn_score_uses_degrees(rng):
     h = rng.standard_normal(4)
-    out = attention_score("gcn", h, h, 4, 1)
+    out = _pair_score("gcn", h, h, 4, 1)
     assert np.allclose(out.data, [0.5])  # 1/sqrt(4*1)
-    out = attention_score("gcn", h, h, 3, 12)
+    out = _pair_score("gcn", h, h, 3, 12)
     assert np.allclose(out.data, [1.0 / 6.0])
 
 
@@ -53,7 +77,7 @@ def test_gat_score_matches_hand_formula(rng):
     params = init_layer_params(rng, "gat", "sum", in_dim=1, heads=2, hidden=3)
     h_i = rng.standard_normal((2, 3))
     h_j = rng.standard_normal((2, 3))
-    out = attention_score("gat", h_i, h_j, 2, 2, params).data
+    out = _pair_score("gat", h_i, h_j, 2, 2, params).data
     a_l, a_r = params.tensors["a_l"].data, params.tensors["a_r"].data
     pre = (a_l * h_i).sum(axis=1) + (a_r * h_j).sum(axis=1)
     expected = np.where(pre > 0, pre, 0.2 * pre)
@@ -64,9 +88,9 @@ def test_sym_gat_is_sum_of_both_directions(rng):
     params = init_layer_params(rng, "sym-gat", "sum", in_dim=1, heads=2, hidden=4)
     h_i = rng.standard_normal((2, 4))
     h_j = rng.standard_normal((2, 4))
-    sym = attention_score("sym-gat", h_i, h_j, 3, 3, params).data
-    fwd = attention_score("gat", h_i, h_j, 3, 3, params).data
-    rev = attention_score("gat", h_j, h_i, 3, 3, params).data
+    sym = _pair_score("sym-gat", h_i, h_j, 3, 3, params).data
+    fwd = _pair_score("gat", h_i, h_j, 3, 3, params).data
+    rev = _pair_score("gat", h_j, h_i, 3, 3, params).data
     assert np.allclose(sym, fwd + rev)
 
 
@@ -74,7 +98,7 @@ def test_cos_score_matches_hand_formula(rng):
     params = init_layer_params(rng, "cos", "sum", in_dim=1, heads=2, hidden=3)
     h_i = rng.standard_normal((2, 3))
     h_j = rng.standard_normal((2, 3))
-    out = attention_score("cos", h_i, h_j, 1, 1, params).data
+    out = _pair_score("cos", h_i, h_j, 1, 1, params).data
     w_l, w_r = params.tensors["w_l"].data, params.tensors["w_r"].data
     expected = [
         (h_i[k] @ w_l[k]) @ (h_j[k] @ w_r[k]) for k in range(2)
@@ -85,8 +109,8 @@ def test_cos_score_matches_hand_formula(rng):
 def test_linear_score_ignores_the_aggregating_node(rng):
     params = init_layer_params(rng, "linear", "sum", in_dim=1, heads=1, hidden=4)
     h_j = rng.standard_normal((1, 4))
-    a = attention_score("linear", rng.standard_normal((1, 4)), h_j, 2, 2, params).data
-    b = attention_score("linear", rng.standard_normal((1, 4)), h_j, 2, 2, params).data
+    a = _pair_score("linear", rng.standard_normal((1, 4)), h_j, 2, 2, params).data
+    b = _pair_score("linear", rng.standard_normal((1, 4)), h_j, 2, 2, params).data
     assert np.allclose(a, b)
     expected = np.tanh((params.tensors["a_l"].data * h_j).sum(axis=1))
     assert np.allclose(a, expected)
@@ -96,19 +120,13 @@ def test_gene_linear_score_matches_hand_formula(rng):
     params = init_layer_params(rng, "gene-linear", "sum", in_dim=1, heads=2, hidden=3)
     h_i = rng.standard_normal((2, 3))
     h_j = rng.standard_normal((2, 3))
-    out = attention_score("gene-linear", h_i, h_j, 1, 1, params).data
+    out = _pair_score("gene-linear", h_i, h_j, 1, 1, params).data
     t = params.tensors
     expected = [
         t["w_a"].data[k] @ np.tanh(h_i[k] @ t["w_l"].data[k] + h_j[k] @ t["w_r"].data[k])
         for k in range(2)
     ]
     assert np.allclose(out, expected)
-
-
-def test_parameterized_kind_requires_params(rng):
-    h = rng.standard_normal((1, 3))
-    with pytest.raises(ParameterError, match="needs parameters"):
-        attention_score("gat", h, h, 1, 1)
 
 
 @pytest.mark.parametrize("kind", ["gat", "sym-gat", "cos", "linear", "gene-linear"])
@@ -120,7 +138,7 @@ def test_attention_param_gradients(rng, kind):
     tensors = [t for name, t in params.named().items() if name != "w_t"]
 
     def build():
-        return ad.reduce_sum(ad.mul(attention_score(kind, h_i, h_j, 2, 3, params), weights))
+        return ad.reduce_sum(ad.mul(_pair_score(kind, h_i, h_j, 2, 3, params), weights))
 
     check_grads(build, tensors)
 
@@ -170,7 +188,7 @@ def test_hand_counted_param_total(rng):
     model = build_model(arch, in_dim=16, out_classes=3, rng=rng)
     # layer 0: w_t is 16 x (1*8) = 128; layer 1 maps 8 -> 3 classes = 24.
     assert model.param_count() == 152
-    assert model.layer_dims == [(16, 8), (8, 3)]
+    assert _layer_dims(model) == [(16, 8), (8, 3)]
 
 
 def test_output_width_is_class_count(tiny_graph, rng):
@@ -179,7 +197,7 @@ def test_output_width_is_class_count(tiny_graph, rng):
     logits = forward(model, tiny_graph)
     assert logits.shape == (6, 3)
     # Hidden layer concatenates 4 heads of width 8; the last layer averages.
-    assert model.layer_dims == [(5, 32), (32, 3)]
+    assert _layer_dims(model) == [(5, 32), (32, 3)]
 
 
 def test_skip_wiring_add_and_concat(rng):
@@ -189,7 +207,7 @@ def test_skip_wiring_add_and_concat(rng):
     )
     model = build_model(concat, in_dim=5, out_classes=3, rng=rng)
     # Hidden layer: 2 heads x 8 plus the 5 raw features appended.
-    assert model.layer_dims == [(5, 21), (21, 3)]
+    assert _layer_dims(model) == [(5, 21), (21, 3)]
     # Final layer cannot concatenate without changing the class count, so
     # it falls back to additive merge through a projection.
     assert "w_res" in model.layers[1].tensors
@@ -199,7 +217,7 @@ def test_skip_wiring_add_and_concat(rng):
         "first-order,const,sum,relu,2,8,0,add\nfirst-order,const,sum,relu,2,8,1,add", space
     )
     model = build_model(add, in_dim=16, out_classes=16, rng=rng)
-    assert model.layer_dims == [(16, 16), (16, 16)]
+    assert _layer_dims(model) == [(16, 16), (16, 16)]
     # 2 heads x 8 matches the 16-d skip source exactly on both layers.
     assert "w_res" not in model.layers[0].tensors
     assert "w_res" not in model.layers[1].tensors
@@ -216,7 +234,7 @@ def test_skip_add_mismatched_dims_gets_projection(rng):
 
 def test_layer_signatures_follow_effective_dims(rng):
     arch = _arch("first-order,gat,mlp,relu,2,8;first-order,cos,sum,tanh,4,16")
-    sigs = layer_signatures(arch, in_dim=10, out_classes=3)
+    sigs = [step.key for step in build_model(arch, in_dim=10, out_classes=3, rng=rng).plan]
     assert sigs[0] == ShareKey(
         layer_index=0, attention="gat", aggregation="mlp",
         in_dim=10, heads=2, hidden=8,
@@ -297,6 +315,8 @@ def test_dropout_only_active_in_training(tiny_graph, rng):
     [
         "first-order,gat,mlp,softplus,2,4;first-order,cos,sum,tanh,2,4",
         "first-order,gene-linear,max-pooling,sigmoid,2,4;first-order,linear,mean-pooling,elu,2,4",
+        # concat is honoured only on a hidden layer
+        "first-order,gat,sum,relu,2,4,0,concat;first-order,gcn,mean-pooling,tanh,1,4,1,add",
     ],
 )
 def test_full_model_gradients(tiny_graph, rng, arch_text):
@@ -325,13 +345,13 @@ def test_micro_f1_against_counting_oracle(rng):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     expected = 2 * precision * recall / (precision + recall)
-    assert micro_f1(pred, actual) == pytest.approx(expected, rel=1e-12)
+    assert node_metric("multi", pred, actual) == pytest.approx(expected, rel=1e-12)
 
 
 def test_micro_f1_edge_cases():
-    assert micro_f1(np.zeros((3, 2)), np.eye(3, 2)) == 0.0
-    assert micro_f1(np.ones((3, 2)), np.ones((3, 2))) == 1.0
-    assert micro_f1(np.zeros((3, 2)), np.zeros((3, 2))) == 1.0
+    assert node_metric("multi", np.zeros((3, 2)), np.eye(3, 2)) == 0.0
+    assert node_metric("multi", np.ones((3, 2)), np.ones((3, 2))) == 1.0
+    assert node_metric("multi", np.zeros((3, 2)), np.zeros((3, 2))) == 1.0
 
 
 def test_evaluate_accuracy_matches_argmax_count(easy_sbm, rng):

@@ -206,6 +206,8 @@ def test_episode_record_round_trip():
 def test_episode_record_rejects_bad_lines():
     with pytest.raises(ParameterError, match="expected 6"):
         EpisodeRecord.from_line("1\tarch\t0.5")
+    with pytest.raises(ParameterError, match=r"column 1 \(episode\) is not a number: '1.0'"):
+        EpisodeRecord.from_line("1.0\tarch\t0.5\t0\t0\t0")
 
 
 def test_top_k_ties_keep_episode_order():
