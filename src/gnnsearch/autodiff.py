@@ -1,15 +1,16 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
-Everything runs on float64 numpy arrays. Forward operations record a
-TapeNode per primitive; ``Tensor.backward`` replays the tape in reverse
-topological order and accumulates gradients on every leaf tensor that
-requires them. A tape is single-use: the backward frees it as it goes.
-Each node gives up its inputs and its backward rule (and so the arrays
-the rule saved) once it has run, and each intermediate gradient is
-dropped once its node has consumed it, so only the leaves and the root
-keep a ``.grad``. A second backward through a consumed tape raises
-``ParameterError``. An op computes no gradient for an operand that
-needs none.
+Everything runs on float64 numpy arrays. A primitive whose inputs need
+a gradient stores them and its backward rule on its output tensor, so
+every recorded output is a tape node; ``Tensor.backward`` replays the
+tape in reverse topological order and accumulates gradients on every
+leaf tensor that requires them. A tape is single-use: the backward
+frees it as it goes. Each node gives up its inputs and its backward rule
+(and so the arrays the rule saved) once it has run, and each
+intermediate gradient is dropped once its node has consumed it, so only
+the leaves and the root keep a ``.grad``. A second backward through a
+consumed tape raises ``ParameterError``. An op computes no gradient for
+an operand that needs none.
 
 No operation and no optimizer step writes into an existing array: an
 op's output is a new array or a view of its input (``reshape``,
@@ -22,7 +23,6 @@ which lets ``gnn.train_child`` reuse it.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,15 +32,22 @@ from .errors import ParameterError, ShapeError
 
 
 class Tensor:
-    """A dense float64 array plus optional gradient bookkeeping."""
+    """A dense float64 array plus optional gradient bookkeeping.
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
+    An op's output that needs a gradient is its own tape node: ``inputs``
+    holds the operands and ``grad_fn`` maps the output's gradient to one
+    gradient (or None) per operand. Leaves and constants keep both None.
+    A node that a backward has run keeps no inputs and a rule that raises.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "inputs", "grad_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.node: TapeNode | None = None
+        self.inputs: tuple | None = None
+        self.grad_fn = None
 
     @property
     def shape(self):
@@ -72,17 +79,14 @@ class Tensor:
             raise ShapeError(f"seed gradient shape {grad.shape} != {self.data.shape}")
         nodes = Tape.trace(self).nodes  # raises, changing nothing, on a consumed tape
         self.grad = grad if self.grad is None else self.grad + grad
-        # Nodes hold their outputs weakly; detaching a consumer may drop
-        # the last other reference to an output whose node is still ahead.
-        outs = [node.out for node in nodes]
         while nodes:
-            node, out = nodes.pop(), outs.pop()
-            out_grad = out.grad
-            if out is not self:
-                out.grad = None
-            del out  # do not keep its array alive while the rule runs
+            node = nodes.pop()
+            out_grad = node.grad
+            if node is not self:
+                node.grad = None
             inputs, grad_fn = node.inputs, node.grad_fn
-            node.inputs = node.grad_fn = None
+            node.inputs, node.grad_fn = None, _consumed
+            del node  # do not keep its array alive while the rule runs
             if out_grad is None:
                 continue
             for tensor, contribution in zip(inputs, grad_fn(out_grad)):
@@ -98,33 +102,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-class TapeNode:
-    """One recorded primitive: output, inputs, and its backward rule.
-
-    A node serves one backward. The backward sets ``inputs`` and
-    ``grad_fn`` to None once the node has run, which frees the arrays
-    the rule saved; the output keeps the detached node, so a later
-    trace through it raises instead of giving partial gradients.
-
-    The node refers to its output weakly. A strong reference would make
-    every recorded op a reference cycle (output -> node -> output), so a
-    dropped tape and all its arrays would wait for the cyclic garbage
-    collector instead of being freed at once; on a sharing search those
-    waiting tapes set the process's peak memory. The output is alive
-    whenever the node is reached from a live root, because tracing only
-    follows the strong ``inputs`` references.
-    """
-
-    __slots__ = ("_out", "inputs", "grad_fn")
-
-    def __init__(self, out: Tensor, inputs: tuple, grad_fn):
-        self._out = weakref.ref(out)
-        self.inputs = inputs
-        self.grad_fn = grad_fn
-
-    @property
-    def out(self) -> Tensor:
-        return self._out()
+def _consumed(_grad=None):
+    """The backward rule of a node an earlier backward already ran."""
+    raise ParameterError("this tape was consumed by an earlier backward()")
 
 
 class Tape:
@@ -136,24 +116,23 @@ class Tape:
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
         # Iterative postorder: inputs always precede their consumer.
-        nodes: list[TapeNode] = []
+        nodes: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
             tensor, expanded = stack.pop()
-            node = tensor.node
-            if node is None:
+            if tensor.grad_fn is None:
                 continue
             if expanded:
-                nodes.append(node)
+                nodes.append(tensor)
                 continue
-            if id(node) in seen:
+            if id(tensor) in seen:
                 continue
-            if node.inputs is None:
-                raise ParameterError("this tape was consumed by an earlier backward()")
-            seen.add(id(node))
+            if tensor.grad_fn is _consumed:
+                _consumed()
+            seen.add(id(tensor))
             stack.append((tensor, True))
-            for parent in node.inputs:
+            for parent in tensor.inputs:
                 stack.append((parent, False))
         return cls(nodes)
 
@@ -171,7 +150,7 @@ def _make(data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node = TapeNode(out, inputs, grad_fn)
+        out.inputs, out.grad_fn = inputs, grad_fn
     return out
 
 

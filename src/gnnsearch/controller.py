@@ -264,6 +264,14 @@ def reinforce_step(controller: Controller, episodes: list, state: ad.AdamState) 
 # checkpointing
 
 
+def open_npz(path) -> np.lib.npyio.NpzFile:
+    """Open an ``np.savez`` archive; any other file raises ``ValueError``."""
+    bundle = np.load(path)
+    if not isinstance(bundle, np.lib.npyio.NpzFile):
+        raise ValueError("it holds one array, not an .npz archive")
+    return bundle
+
+
 def save_controller(controller: Controller, path) -> None:
     """Write parameters plus enough metadata to rebuild the controller."""
     meta = {
@@ -283,29 +291,38 @@ def load_controller(path) -> Controller:
     A file that is not one raises ``ParameterError`` naming the path.
     """
     try:
-        with np.load(path) as bundle:
+        with open_npz(path) as bundle:
             stored = {name: bundle[name] for name in bundle.files}
         meta = json.loads(bytes(stored.pop("__meta__")).decode())
     except KeyError:
         raise ParameterError(f"controller checkpoint {path} has no __meta__ entry") from None
     except (OSError, ValueError, zipfile.BadZipFile) as err:
         raise ParameterError(f"controller checkpoint {path} is unreadable: {err}") from None
+    if not isinstance(meta, dict):
+        raise ParameterError(f"controller checkpoint {path} has a __meta__ that is not a JSON object")
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise ParameterError(
-            f"checkpoint format {meta.get('format_version')!r} is not version {CHECKPOINT_VERSION}"
+            f"controller checkpoint {path} has format {meta.get('format_version')!r}, not version {CHECKPOINT_VERSION}"
         )
-    controller = Controller(
-        ActionSpace(**meta["space"]),
-        rng=np.random.default_rng(0),
-        hidden_size=meta["hidden_size"],
-        temperature=meta["temperature"],
-        logit_clip=meta["logit_clip"],
-    )
+    try:
+        controller = Controller(
+            ActionSpace(**meta["space"]),
+            rng=np.random.default_rng(0),
+            hidden_size=meta["hidden_size"],
+            temperature=meta["temperature"],
+            logit_clip=meta["logit_clip"],
+        )
+    except KeyError as err:
+        raise ParameterError(f"controller checkpoint {path} has no __meta__ field {err}") from None
+    except (TypeError, ParameterError) as err:
+        raise ParameterError(f"controller checkpoint {path} has a bad __meta__: {err}") from None
     for name, tensor in controller.named_parameters().items():
         entry = stored.get(name.replace(".", "__"))
         if entry is None:
             raise ParameterError(f"controller checkpoint {path} has no entry {name}")
         if entry.shape != tensor.data.shape:
-            raise ShapeError(f"checkpoint entry {name}: shape {entry.shape} != {tensor.data.shape}")
+            raise ShapeError(f"controller checkpoint {path} entry {name}: shape {entry.shape} != {tensor.data.shape}")
+        if entry.dtype.kind not in "biuf":
+            raise ParameterError(f"controller checkpoint {path} entry {name} holds {entry.dtype} values, not numbers")
         tensor.data = entry.astype(np.float64)
     return controller

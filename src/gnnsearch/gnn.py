@@ -43,6 +43,8 @@ class TrainHyperparams:
             raise ParameterError("max_epochs must be at least 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ParameterError("patience must lie in [0, max_epochs]")
+        if self.seed < 0:
+            raise ParameterError("seed must be non-negative")
 
 
 # Deterministic parameter ordering within a layer.

@@ -187,6 +187,8 @@ def generate_sbm(
         raise ParameterError("feature_dim must be at least 1")
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ParameterError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     n = block_count * nodes_per_block
     labels = np.repeat(np.arange(block_count), nodes_per_block)
@@ -249,6 +251,8 @@ def generate_multigraph(
         raise ParameterError("nodes_per_graph, feature_dim, label_count must be positive")
     if avg_degree < 0:
         raise ParameterError("avg_degree must be non-negative")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     rule = rng.standard_normal((feature_dim, label_count))
 

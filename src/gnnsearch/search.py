@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .arch import ActionSpace, ArchDescription, default_space, encode, random_arch
 from .autodiff import Tensor
-from .controller import Baseline, Controller, Episode, reinforce_step, shape_reward
+from .controller import Baseline, Controller, Episode, open_npz, reinforce_step, shape_reward
 from .errors import ConfigError, ParameterError, ShapeError, TrainingError
 from .gnn import (
     ChildModel,
@@ -104,7 +104,7 @@ def load_store(path) -> SharedParamStore:
     """Read a ``save_store`` file; one that is not raises ``ParameterError`` naming the path."""
     store = SharedParamStore()
     try:
-        with np.load(path) as bundle:
+        with open_npz(path) as bundle:
             for full_name in bundle.files:
                 prefix, name = full_name.split("::")
                 layer, attention, aggregation, in_dim, heads, hidden = prefix.split("|")
@@ -166,6 +166,8 @@ class SearchConfig:
                 raise ConfigError(f"{name}: must be at least 1, got {value}")
         if self.episodes < 0:
             raise ConfigError(f"episodes: must be non-negative, got {self.episodes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         if self.exploration_epochs < 0:
             raise ConfigError("exploration_epochs: must be non-negative")
         if self.exploration_epochs > 0 and not (self.strategy == "graphnas" and self.param_sharing):
@@ -220,6 +222,8 @@ class EpisodeRecord:
                 name = fields(cls)[column].name
                 raise ParameterError(f"log column {column + 1} ({name}) is not a number: {parts[column]!r}") from None
 
+        if not any(parts[1].split(";")):
+            raise ParameterError(f"log column 2 (arch) holds no layer text: {parts[1]!r}")
         return cls(
             episode=number(0, int),
             arch=parts[1],

@@ -451,8 +451,8 @@ def test_tape_topological_order_and_unique_visits(rng):
     position = {node_id: i for i, node_id in enumerate(ids)}
     for i, node in enumerate(tape.nodes):
         for parent in node.inputs:
-            if parent.node is not None:
-                assert position[id(parent.node)] < i
+            if parent.grad_fn is not None:
+                assert position[id(parent)] < i
 
 
 def test_backward_requires_scalar_or_seed(rng):
@@ -470,7 +470,7 @@ def test_no_tape_for_constant_inputs(rng):
     a = Tensor(rng.standard_normal(3))
     b = Tensor(rng.standard_normal(3))
     out = ad.add(a, b)
-    assert out.node is None and not out.requires_grad
+    assert out.grad_fn is None and not out.requires_grad
 
 
 def test_finite_diff_helper_self_check(rng):
@@ -481,11 +481,11 @@ def test_finite_diff_helper_self_check(rng):
 
 
 def test_dropped_tape_is_freed_without_cyclic_gc(rng):
-    # Nodes hold their outputs weakly, so reference counting alone frees a
+    # A tape holds no reference cycle, so reference counting alone frees a
     # tape and its arrays once the root is dropped.
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     y = ad.tanh(ad.mul(x, x))
-    inner = weakref.ref(y.node.inputs[0])
+    inner = weakref.ref(y.inputs[0])
     assert inner() is not None
     gc.disable()
     try:

@@ -172,6 +172,17 @@ def test_malformed_option_lists_exit_cleanly(tmp_path, capsys, key, value, messa
     assert f"option list {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra,flags",
+    [({}, ["--seed", "-1"]), ({"data_seed": -3}, []), ({"dataset": "multigraph", "data_seed": -3}, [])],
+    ids=["search-seed", "sbm-data-seed", "multigraph-data-seed"],
+)
+def test_negative_seeds_exit_cleanly(tmp_path, capsys, extra, flags):
+    cfg = write_cfg(tmp_path, **extra)
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_default_config_is_the_search_config_default():
     assert build_search_config(load_config(None)) == SearchConfig()
 
@@ -259,8 +270,43 @@ def _controller_without_a_parameter(out):
     np.savez(out / "controller.npz", **arrays)
 
 
+def _controller_meta(out, edit):
+    with np.load(out / "controller.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    arrays["__meta__"] = np.frombuffer(json.dumps(edit(meta)).encode(), dtype=np.uint8)
+    np.savez(out / "controller.npz", **arrays)
+
+
+def _controller_meta_without_hidden_size(out):
+    _controller_meta(out, lambda meta: {k: v for k, v in meta.items() if k != "hidden_size"})
+
+
+def _controller_meta_not_an_object(out):
+    _controller_meta(out, lambda meta: [meta])
+
+
+def _controller_space_with_unknown_key(out):
+    _controller_meta(out, lambda meta: {**meta, "space": {**meta["space"], "depth": 3}})
+
+
+def _controller_with_a_text_parameter(out):
+    with np.load(out / "controller.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    arrays["slot0__emb"] = np.full(arrays["slot0__emb"].shape, "x")
+    np.savez(out / "controller.npz", **arrays)
+
+
 def _store_entry_without_separator(out):
     np.savez(out / "store.npz", noseparator=np.zeros(2))
+
+
+def _single_array(name):
+    """A file holding one ``np.save`` array under the archive's name."""
+    def corrupt(out):
+        with open(out / name, "wb") as fh:
+            np.save(fh, np.zeros(2))
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -269,13 +315,25 @@ def _store_entry_without_separator(out):
         (_garbage_controller, "controller.npz", "is unreadable"),
         (_controller_without_meta, "controller.npz", "has no __meta__ entry"),
         (_controller_without_a_parameter, "controller.npz", "has no entry slot0.emb"),
+        (_single_array("controller.npz"), "controller.npz", "is unreadable: it holds one array"),
+        (_controller_meta_without_hidden_size, "controller.npz", "has no __meta__ field 'hidden_size'"),
+        (_controller_meta_not_an_object, "controller.npz", "has a __meta__ that is not a JSON object"),
+        (_controller_space_with_unknown_key, "controller.npz", "has a bad __meta__"),
+        (_controller_with_a_text_parameter, "controller.npz", "entry slot0.emb holds <U1 values, not numbers"),
         (_store_entry_without_separator, "store.npz", "is unreadable"),
+        (_single_array("store.npz"), "store.npz", "is unreadable: it holds one array"),
     ],
     ids=[
         "garbage-controller",
         "controller-without-meta",
         "controller-without-a-parameter",
+        "single-array-controller",
+        "controller-meta-without-hidden-size",
+        "controller-meta-not-an-object",
+        "controller-space-with-unknown-key",
+        "controller-with-a-text-parameter",
         "store-entry-without-separator",
+        "single-array-store",
     ],
 )
 def test_derive_rejects_bad_checkpoints(tmp_path, capsys, corrupt, name, reason):

@@ -175,7 +175,7 @@ def test_batch_and_single_sampling_are_one_rule(space):
 def test_batch_scoring_records_no_tape():
     ctrl = small_controller()
     _, log_prob, _ = ctrl._walk(lambda s, probs: 0, count=3, params=ctrl._detached())
-    assert log_prob.node is None and not log_prob.requires_grad
+    assert log_prob.grad_fn is None and not log_prob.requires_grad
     assert all(p.grad is None for p in ctrl.parameters())
 
 

@@ -171,6 +171,8 @@ def test_config_validation_messages():
         tiny_config(child_epochs=0)
     with pytest.raises(ConfigError, match="episodes"):
         tiny_config(episodes=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_config(seed=-1)
     with pytest.raises(ConfigError, match="exploration"):
         tiny_config(exploration_epochs=5)  # sharing disabled
     with pytest.raises(ConfigError, match="exploration"):
@@ -208,6 +210,8 @@ def test_episode_record_rejects_bad_lines():
         EpisodeRecord.from_line("1\tarch\t0.5")
     with pytest.raises(ParameterError, match=r"column 1 \(episode\) is not a number: '1.0'"):
         EpisodeRecord.from_line("1.0\tarch\t0.5\t0\t0\t0")
+    with pytest.raises(ParameterError, match=r"column 2 \(arch\) holds no layer text"):
+        EpisodeRecord.from_line("0\t\t0.5\t0.5\t0.5\t1.0")
 
 
 def test_top_k_ties_keep_episode_order():
@@ -481,7 +485,7 @@ def test_minibatch_metric_scores_from_the_best_epoch_logits(easy_sbm, kind, drop
     for g in val_graphs:
         fresh = forward(model, dataset.graphs[g], training=False)
         assert trained.best_logits[g].data.tobytes() == fresh.data.tobytes()
-        assert trained.best_logits[g].node is None
+        assert trained.best_logits[g].grad_fn is None
     cached = dict(trained.best_logits)
     expected = [_minibatch_metric(model, dataset, np.random.default_rng(seed), size=8) for seed in range(3)]
 

@@ -22,7 +22,7 @@ def _keep_everything_backward(root: Tensor) -> None:
     inputs and rule, and every intermediate keeps its gradient."""
     root.grad = np.ones_like(root.data) if root.grad is None else root.grad + np.ones_like(root.data)
     for node in reversed(ad.Tape.trace(root).nodes):
-        out_grad = node.out.grad
+        out_grad = node.grad
         if out_grad is None:
             continue
         for tensor, contribution in zip(node.inputs, node.grad_fn(out_grad)):
@@ -96,7 +96,7 @@ def test_reinforce_gradients_are_bitwise_those_of_the_keep_everything_loop(monke
     assert [g.tobytes() for g in seen[0]] == expected
     for episode in episodes:  # consumed intermediates keep no gradient
         assert episode.log_prob_node.grad is None
-        assert episode.log_prob_node.node.inputs is None
+        assert episode.log_prob_node.inputs is None
 
 
 def test_backward_frees_every_intermediate_while_the_root_lives(small_sbm):
@@ -106,7 +106,7 @@ def test_backward_frees_every_intermediate_while_the_root_lives(small_sbm):
     logits, objective = _child_loss(model, small_sbm, seed=2)
     nodes = ad.Tape.trace(objective).nodes
     held = {id(objective), id(logits)}
-    intermediates = [weakref.ref(node.out) for node in nodes if id(node.out) not in held]
+    intermediates = [weakref.ref(node) for node in nodes if id(node) not in held]
     rules = [weakref.ref(node.grad_fn) for node in nodes]
     assert len(intermediates) > 50
     del nodes
@@ -119,7 +119,7 @@ def test_backward_frees_every_intermediate_while_the_root_lives(small_sbm):
     finally:
         gc.enable()
     assert objective.grad is not None
-    assert logits.grad is None and logits.node.inputs is None  # held by the caller, consumed
+    assert logits.grad is None and logits.inputs is None  # held by the caller, consumed
     assert all(p.grad is not None for p in params)  # leaves keep theirs
 
 
@@ -165,7 +165,7 @@ def test_no_gradient_for_a_constant_operand(op, constant, rng):
     values = _operands(op, rng)
     tensors = [Tensor(v, requires_grad=(i != constant)) for i, v in enumerate(values)]
     out = op(*tensors)
-    grads = out.node.grad_fn(np.ones(out.data.shape))
+    grads = out.grad_fn(np.ones(out.data.shape))
     assert grads[constant] is None
     variable = 1 - constant
     assert grads[variable].shape == values[variable].shape
