@@ -4,11 +4,13 @@ A layer is described by six choices (neighbor sampling, attention
 function, aggregation, activation, head count, hidden width) plus, when
 skip connections are enabled, a skip source and a merge kind. Indices
 into the option lists are the canonical representation; the controller
-emits them slot by slot in the fixed order below.
+emits them slot by slot in the order ``slot_specs`` gives, and every
+function here walks that same slot sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,11 +27,12 @@ HIDDEN = (4, 8, 16, 32, 64, 128, 256)
 MERGE = ("add", "concat")
 
 SLOT_ORDER = ("sampling", "attention", "aggregation", "activation", "heads", "hidden")
+TABLES = dict(zip(SLOT_ORDER, (SAMPLING, ATTENTION, AGGREGATION, ACTIVATION, HEADS, HIDDEN)))
 
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Option lists plus the layer count they apply to."""
+    """Option lists plus the layer count they apply to; frozen and hashable."""
 
     sampling: tuple = SAMPLING
     attention: tuple = ATTENTION
@@ -41,14 +44,7 @@ class ActionSpace:
     skip_enabled: bool = False
 
     def __post_init__(self):
-        for name, table in (
-            ("sampling", SAMPLING),
-            ("attention", ATTENTION),
-            ("aggregation", AGGREGATION),
-            ("activation", ACTIVATION),
-            ("heads", HEADS),
-            ("hidden", HIDDEN),
-        ):
+        for name, table in TABLES.items():
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)
             if not values:
@@ -64,13 +60,15 @@ class ActionSpace:
             bad = [v for v in values if v not in table]
             if bad:
                 raise ParameterError(f"option list {name!r} holds unknown values {bad}")
-        if self.layer_count < 1:
-            raise ParameterError("layer_count must be at least 1")
+        # An int, for the same reason: 2.0 would share 2's cached slots.
+        if isinstance(self.layer_count, bool) or not isinstance(self.layer_count, int) or self.layer_count < 1:
+            raise ParameterError(f"layer_count must be an integer of at least 1, got {self.layer_count!r}")
 
     def options(self, name: str):
         return getattr(self, name)
 
 
+@functools.cache
 def default_space(layer_count: int = 2, skip_enabled: bool = False) -> ActionSpace:
     return ActionSpace(layer_count=layer_count, skip_enabled=skip_enabled)
 
@@ -84,16 +82,23 @@ class SlotSpec:
     options: tuple
 
 
-def slot_specs(space: ActionSpace) -> list:
+@functools.cache
+def slot_specs(space: ActionSpace) -> tuple:
     """The full ordered slot sequence the controller walks through."""
     slots = []
     for layer in range(space.layer_count):
-        for name in SLOT_ORDER:
-            slots.append(SlotSpec(layer=layer, name=name, options=space.options(name)))
+        slots += [SlotSpec(layer, name, space.options(name)) for name in SLOT_ORDER]
         if space.skip_enabled:
-            slots.append(SlotSpec(layer=layer, name="skip_from", options=tuple(range(layer + 1))))
-            slots.append(SlotSpec(layer=layer, name="merge", options=MERGE))
-    return slots
+            slots += [SlotSpec(layer, "skip_from", tuple(range(layer + 1))), SlotSpec(layer, "merge", MERGE)]
+    return tuple(slots)
+
+
+@functools.cache
+def _layer_slots(space: ActionSpace) -> tuple:
+    """``slot_specs`` cut into one slice per layer."""
+    slots = slot_specs(space)
+    width = len(slots) // space.layer_count
+    return tuple(slots[start : start + width] for start in range(0, len(slots), width))
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ class ResolvedLayer:
     activation: str
     heads: int
     hidden: int
-    skip_from: int | None
-    merge: str | None
+    skip_from: int | None = None
+    merge: str | None = None
 
 
 @dataclass(frozen=True)
@@ -134,43 +139,24 @@ class ArchDescription:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) != self.space.layer_count:
-            raise ValidationError(
-                f"{len(self.layers)} layers but the space declares {self.space.layer_count}"
-            )
-        for i, layer in enumerate(self.layers):
-            for name in SLOT_ORDER:
-                index = getattr(layer, name)
-                limit = len(self.space.options(name))
-                if not 0 <= index < limit:
-                    raise ValidationError(f"layer {i}, {name} slot: index {index} out of range {limit}")
-            if self.space.skip_enabled:
-                if layer.skip_from is None or layer.merge is None:
-                    raise ValidationError(f"layer {i}: skip slots required when skips are enabled")
-                if not 0 <= layer.skip_from <= i:
-                    raise ValidationError(
-                        f"layer {i}, skip_from slot: {layer.skip_from} not in 0..{i}"
-                    )
-                if not 0 <= layer.merge < len(MERGE):
-                    raise ValidationError(f"layer {i}, merge slot: index {layer.merge} out of range")
-            elif layer.skip_from is not None or layer.merge is not None:
+            raise ValidationError(f"{len(self.layers)} layers but the space declares {self.space.layer_count}")
+        for i, (layer, slots) in enumerate(zip(self.layers, _layer_slots(self.space))):
+            if not self.space.skip_enabled and (layer.skip_from, layer.merge) != (None, None):
                 raise ValidationError(f"layer {i}: skip slots present but skips are disabled")
+            for slot in slots:
+                index = getattr(layer, slot.name)
+                if index is None:
+                    raise ValidationError(f"layer {i}: skip slots required when skips are enabled")
+                if not 0 <= index < len(slot.options):
+                    raise ValidationError(
+                        f"layer {i}, {slot.name} slot: index {index} out of range {len(slot.options)}"
+                    )
 
     def resolved(self) -> tuple:
-        out = []
-        for layer in self.layers:
-            out.append(
-                ResolvedLayer(
-                    sampling=self.space.sampling[layer.sampling],
-                    attention=self.space.attention[layer.attention],
-                    aggregation=self.space.aggregation[layer.aggregation],
-                    activation=self.space.activation[layer.activation],
-                    heads=self.space.heads[layer.heads],
-                    hidden=self.space.hidden[layer.hidden],
-                    skip_from=layer.skip_from,
-                    merge=None if layer.merge is None else MERGE[layer.merge],
-                )
-            )
-        return tuple(out)
+        return tuple(
+            ResolvedLayer(**{slot.name: slot.options[getattr(layer, slot.name)] for slot in slots})
+            for layer, slots in zip(self.layers, _layer_slots(self.space))
+        )
 
     @property
     def depth(self) -> int:
@@ -183,13 +169,8 @@ def arch_from_tokens(space: ActionSpace, token_indices) -> ArchDescription:
     tokens = list(token_indices)
     if len(tokens) != len(slots):
         raise ValidationError(f"{len(tokens)} tokens but the space has {len(slots)} slots")
-    layers = []
-    fields: dict = {}
-    for slot, token in zip(slots, tokens):
-        fields[slot.name] = int(token)
-        if slot.name == ("merge" if space.skip_enabled else "hidden"):
-            layers.append(LayerSpec(**fields))
-            fields = {}
+    indices = iter(tokens)
+    layers = [LayerSpec(**{slot.name: int(next(indices)) for slot in layer}) for layer in _layer_slots(space)]
     return ArchDescription(space=space, layers=tuple(layers))
 
 
@@ -214,38 +195,24 @@ def enumerate_archs(space: ActionSpace, cap: int = 1_000_000):
     slots = slot_specs(space)
     ranges = [range(len(slot.options)) for slot in slots]
 
-    def generate():
-        for combo in itertools.product(*ranges):
-            yield arch_from_tokens(space, combo)
-
-    return generate()
+    return (arch_from_tokens(space, combo) for combo in itertools.product(*ranges))
 
 
 def encode(arch: ArchDescription, sep: str = "\n") -> str:
     """Render as one comma-joined token line per layer."""
-    lines = []
-    for layer in arch.resolved():
-        tokens = [
-            layer.sampling,
-            layer.attention,
-            layer.aggregation,
-            layer.activation,
-            str(layer.heads),
-            str(layer.hidden),
-        ]
-        if arch.space.skip_enabled:
-            tokens.append(str(layer.skip_from))
-            tokens.append(layer.merge)
-        lines.append(",".join(tokens))
-    return sep.join(lines)
+    return sep.join(
+        ",".join([str(slot.options[getattr(layer, slot.name)]) for slot in slots])
+        for layer, slots in zip(arch.layers, _layer_slots(arch.space))
+    )
 
 
 def decode(text: str, space: ActionSpace | None = None) -> ArchDescription:
     """Parse the token format back into a description.
 
-    Accepts newline or semicolon between layers. Without an explicit
-    space, a default one matching the line count (and the presence of
-    skip tokens) is used.
+    Accepts newline or semicolon between layers, and whitespace around
+    tokens; each token must be spelled as ``encode`` writes it. Without an
+    explicit space, a default one matching the line count (and the
+    presence of skip tokens) is used.
     """
     lines = [line.strip() for line in text.replace(";", "\n").splitlines() if line.strip()]
     if not lines:
@@ -254,39 +221,18 @@ def decode(text: str, space: ActionSpace | None = None) -> ArchDescription:
     if space is None:
         if len({len(row) for row in rows}) != 1:
             raise ValidationError("layers disagree on token count")
-        skip_enabled = len(rows[0]) == 8
-        space = default_space(layer_count=len(rows), skip_enabled=skip_enabled)
+        space = default_space(layer_count=len(rows), skip_enabled=len(rows[0]) == len(SLOT_ORDER) + 2)
     if len(rows) != space.layer_count:
         raise ValidationError(f"{len(rows)} layers but the space declares {space.layer_count}")
 
-    want = 8 if space.skip_enabled else 6
     tokens: list[int] = []
-    for i, row in enumerate(rows):
-        if len(row) != want:
-            raise ValidationError(f"layer {i}: expected {want} tokens, got {len(row)}")
-        for name, token in zip(SLOT_ORDER, row):
+    for i, (row, slots) in enumerate(zip(rows, _layer_slots(space))):
+        if len(row) != len(slots):
+            raise ValidationError(f"layer {i}: expected {len(slots)} tokens, got {len(row)}")
+        for slot, token in zip(slots, row):
             token = token.strip()
-            options = space.options(name)
-            if name in ("heads", "hidden"):
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ValidationError(f"layer {i}, {name} slot: {token!r} is not an integer") from None
-            else:
-                value = token
-            if value not in options:
-                raise ValidationError(f"layer {i}, {name} slot: {token!r} not in {options}")
-            tokens.append(options.index(value))
-        if space.skip_enabled:
-            skip_token, merge_token = row[6].strip(), row[7].strip()
-            try:
-                skip_from = int(skip_token)
-            except ValueError:
-                raise ValidationError(f"layer {i}, skip_from slot: {skip_token!r} is not an integer") from None
-            if not 0 <= skip_from <= i:
-                raise ValidationError(f"layer {i}, skip_from slot: {skip_from} not in 0..{i}")
-            if merge_token not in MERGE:
-                raise ValidationError(f"layer {i}, merge slot: {merge_token!r} not in {MERGE}")
-            tokens.append(skip_from)
-            tokens.append(MERGE.index(merge_token))
+            spellings = [str(option) for option in slot.options]
+            if token not in spellings:
+                raise ValidationError(f"layer {i}, {slot.name} slot: {token!r} not in {slot.options}")
+            tokens.append(spellings.index(token))
     return arch_from_tokens(space, tokens)

@@ -23,7 +23,7 @@ from .arch import (
     ATTENTION,
     HEADS,
     HIDDEN,
-    SAMPLING,
+    SLOT_ORDER,
     ActionSpace,
     decode,
     encode,
@@ -33,6 +33,7 @@ from .errors import ConfigError, GnnSearchError, ParameterError
 from .gnn import TrainHyperparams, build_model, train_child
 from .graphs import LabeledDataset, generate_multigraph, generate_sbm, load_citation
 from .search import (
+    STRATEGIES,
     EpisodeRecord,
     SearchConfig,
     derive,
@@ -68,8 +69,8 @@ _SCHEMA = {
     # TrainHyperparams fields; hp.seed is the "seed" key
     **_field_rows(SearchConfig, skip="hp"),
     **_field_rows(TrainHyperparams, skip="seed"),
-    # space restriction (defaults are the full option tables)
-    "sampling_options": (list, list(SAMPLING)),
+    # space restriction (defaults are the full option tables; sampling
+    # has a single option, so it has no key)
     "attention_options": (list, list(ATTENTION)),
     "aggregation_options": (list, list(AGGREGATION)),
     "activation_options": (list, list(ACTIVATION)),
@@ -133,7 +134,6 @@ def _checked(key: str, value):
 def build_space(cfg: dict) -> ActionSpace:
     try:
         return ActionSpace(
-            sampling=tuple(cfg["sampling_options"]),
             attention=tuple(cfg["attention_options"]),
             aggregation=tuple(cfg["aggregation_options"]),
             activation=tuple(cfg["activation_options"]),
@@ -276,6 +276,7 @@ def _report_row(name: str, depth: int, params: int, seconds: list, metrics: list
 def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
     if not log_paths:
         raise ConfigError("report needs at least one search log")
+    top_k = build_search_config(cfg).top_k
     dataset = make_dataset(cfg)
     space = build_space(cfg)
     threshold = cfg["threshold"]
@@ -296,9 +297,11 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
                     raise ConfigError(f"log file {path}, line {lineno}: {err}") from None
         if not records:
             raise ConfigError(f"log file {path} is empty")
-        stem = Path(path).stem
-        if stem in used_stems:
-            stem = f"{stem}_{len(used_stems)}"
+        stem = base = Path(path).stem
+        suffix = len(used_stems)
+        while stem in used_stems:
+            stem = f"{base}_{suffix}"
+            suffix += 1
         used_stems.add(stem)
 
         best = max(records, key=lambda r: r.raw_reward)
@@ -308,15 +311,13 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
         log_space = replace(
             space,
             layer_count=len(layer_texts),
-            skip_enabled=len(layer_texts[0].split(",")) == 8,
+            skip_enabled=len(layer_texts[0].split(",")) == len(SLOT_ORDER) + 2,
         )
         arch = decode(best.arch, log_space)
         model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
-        top = sorted(records, key=lambda r: -r.raw_reward)[: cfg["top_k"]]
+        top = [reward for _arch, reward in top_k_report(records, top_k)]
         wall = [r.wall_ms / 1000.0 for r in records[1:]] or [records[0].wall_ms / 1000.0]
-        rows.append(
-            _report_row(stem, arch.depth, model.param_count(), [float(np.median(wall))], [r.raw_reward for r in top])
-        )
+        rows.append(_report_row(stem, arch.depth, model.param_count(), [float(np.median(wall))], top))
 
         best_so_far = -np.inf
         above = 0
@@ -351,7 +352,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run an architecture search")
     common(p_search)
-    p_search.add_argument("--strategy", choices=["graphnas", "random", "nas-like", "enas-like"])
+    p_search.add_argument("--strategy", choices=STRATEGIES)
 
     p_random = sub.add_parser("random", help="random-search baseline (strategy forced to random)")
     common(p_random)

@@ -18,6 +18,7 @@ study and fully deterministic.
 
 from __future__ import annotations
 
+import math
 import time
 import zipfile
 from dataclasses import dataclass, field, fields, replace
@@ -216,11 +217,15 @@ class EpisodeRecord:
             raise ParameterError(f"log line has {len(parts)} columns, expected 6")
 
         def number(column: int, kind):
+            where = f"log column {column + 1} ({fields(cls)[column].name})"
             try:
-                return kind(parts[column])
+                value = kind(parts[column])
             except ValueError:
-                name = fields(cls)[column].name
-                raise ParameterError(f"log column {column + 1} ({name}) is not a number: {parts[column]!r}") from None
+                raise ParameterError(f"{where} is not a number: {parts[column]!r}") from None
+            # Search never writes nan or inf, so either marks a damaged line.
+            if not math.isfinite(value):
+                raise ParameterError(f"{where} is not finite: {parts[column]!r}")
+            return value
 
         if not any(parts[1].split(";")):
             raise ParameterError(f"log column 2 (arch) holds no layer text: {parts[1]!r}")

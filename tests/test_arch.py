@@ -79,6 +79,9 @@ def test_action_space_validation():
         ActionSpace(attention=("const", "bilinear"))
     with pytest.raises(ParameterError, match="layer_count"):
         ActionSpace(layer_count=0)
+    # 2.0 equals 2, so it would share the cached slot sequence of a 2-layer space.
+    with pytest.raises(ParameterError, match="layer_count must be an integer"):
+        ActionSpace(layer_count=2.0)
 
 
 def test_arch_validation_names_layer_and_slot():
@@ -141,10 +144,26 @@ def test_decode_errors_name_layer_and_slot():
         decode("first-order,gat,sum,relu,8")
     with pytest.raises(ValidationError, match="empty"):
         decode("   \n  ")
-    with pytest.raises(ValidationError, match="layer 1, skip_from slot: 2"):
+    with pytest.raises(ValidationError, match="layer 1, skip_from slot: '2'"):
         decode("first-order,gat,sum,relu,8,64,0,add\nfirst-order,gat,sum,relu,8,64,2,add")
     with pytest.raises(ValidationError, match="merge slot"):
         decode("first-order,gat,sum,relu,8,64,0,splice")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("first-order,gat,sum,relu,08,64", "layer 0, heads slot: '08'"),
+        ("first-order,gat,sum,relu,+8,64", r"layer 0, heads slot: '\+8'"),
+        ("first-order,gat,sum,relu,8,1_6", "layer 0, hidden slot: '1_6'"),
+        ("first-order,gat,sum,relu,8,08", "layer 0, hidden slot: '08'"),
+        ("first-order,gat,sum,relu,8,64,00,add", "layer 0, skip_from slot: '00'"),
+    ],
+)
+def test_decode_accepts_only_the_spellings_encode_writes(text, where):
+    # int() would read each of these tokens as an option value.
+    with pytest.raises(ValidationError, match=where):
+        decode(text)
 
 
 def test_decode_infers_skip_space_from_token_count():

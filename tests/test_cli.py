@@ -124,6 +124,13 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert "unknown config key 'episodess'" in capsys.readouterr().err
 
 
+def test_sampling_options_is_not_a_key(tmp_path, capsys):
+    # Sampling has one option, so the key could only restate its default.
+    cfg = write_cfg(tmp_path, sampling_options=["first-order"])
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config key 'sampling_options'" in capsys.readouterr().err
+
+
 def test_invalid_json_is_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")
@@ -416,6 +423,19 @@ def test_report_disambiguates_stem_collisions(tmp_path, capsys):
     assert (report_dir / "curve_search.csv").exists()
     assert (report_dir / "curve_search_1.csv").exists()
 
+    # A raised suffix must not land on a stem another log already has.
+    paths = []
+    for folder, name in (("d1", "x"), ("d2", "x_2"), ("d3", "x")):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / f"{name}.log")
+        shutil.copy(out / "search.log", paths[-1])
+    rc = main(["report", "--config", str(cfg), "--out", str(report_dir), *map(str, paths)])
+    assert rc == 0
+    assert "3 curve file(s)" in capsys.readouterr().out
+    names = [row[0] for row in read_csv(report_dir / "report.csv")[1:]]
+    assert names == ["x", "x_2", "x_3"]
+    assert all((report_dir / f"curve_{name}.csv").exists() for name in names)
+
 
 def test_report_missing_log(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
@@ -428,6 +448,16 @@ def test_report_needs_at_least_one_log(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_report_rejects_top_k_below_one(tmp_path, capsys, top_k):
+    cfg = write_cfg(tmp_path, top_k=top_k)
+    log = tmp_path / "one.log"
+    log.write_text("0\tfirst-order,gcn,sum,relu,1,4\t0.5\t0.1\t0.4\t1.0\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r"), str(log)]) == 2
+    assert f"top_k: must be at least 1, got {top_k}" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.csv").exists()
 
 
 def test_report_names_the_bad_log_line(tmp_path, capsys):

@@ -210,6 +210,10 @@ def test_episode_record_rejects_bad_lines():
         EpisodeRecord.from_line("1\tarch\t0.5")
     with pytest.raises(ParameterError, match=r"column 1 \(episode\) is not a number: '1.0'"):
         EpisodeRecord.from_line("1.0\tarch\t0.5\t0\t0\t0")
+    with pytest.raises(ParameterError, match=r"column 3 \(raw_reward\) is not finite: 'nan'"):
+        EpisodeRecord.from_line("0\tarch\tnan\t0\t0\t0")
+    with pytest.raises(ParameterError, match=r"column 6 \(wall_ms\) is not finite: '-inf'"):
+        EpisodeRecord.from_line("0\tarch\t0.5\t0\t0\t-inf")
     with pytest.raises(ParameterError, match=r"column 2 \(arch\) holds no layer text"):
         EpisodeRecord.from_line("0\t\t0.5\t0.5\t0.5\t1.0")
 
