@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,30 +233,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
+def _heads(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[N, K, D] by [K, D, F] per head: one batched ``np.matmul``, so each
+    head is a BLAS gemm, returned as a transposed (not contiguous) view."""
+    return np.matmul(x.transpose(1, 0, 2), w).transpose(1, 0, 2)
+
+
+def _heads_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, need_x: bool, need_w: bool) -> tuple:
+    """The gradients of ``_heads(x, w)`` for an output gradient ``g``."""
+    g_heads = g.transpose(1, 0, 2)
+    gx = np.matmul(g_heads, w.transpose(0, 2, 1)).transpose(1, 0, 2) if need_x else None
+    gw = np.matmul(x.transpose(1, 2, 0), g_heads) if need_w else None
+    return gx, gw
+
+
 def head_matmul(x: Tensor, w: Tensor) -> Tensor:
     """Per-head matrix product: [N, K, D] with [K, D, E] -> [N, K, E].
 
-    One batched ``np.matmul`` over the head axis, so each head is a BLAS
-    gemm. The output is a transposed view of that product (not
+    The output is a transposed view of one batched BLAS product (not
     contiguous). It agrees with the per-head product up to BLAS rounding
-    in the last bits; it is the only message-passing kernel whose
-    results are not bitwise fixed.
+    in the last bits; BLAS products are the only message-passing kernels
+    whose results are not bitwise fixed.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"head_matmul expects 3-d operands, got {x.data.shape} and {w.data.shape}")
     if x.data.shape[1] != w.data.shape[0] or x.data.shape[2] != w.data.shape[1]:
         raise ShapeError(f"head_matmul dims differ: {x.data.shape} with {w.data.shape}")
     x_val, w_val = x.data, w.data
-    data = np.matmul(x_val.transpose(1, 0, 2), w_val).transpose(1, 0, 2)
     need_x, need_w = x.requires_grad, w.requires_grad
-
-    def grad_fn(g):
-        g_heads = g.transpose(1, 0, 2)
-        gx = np.matmul(g_heads, w_val.transpose(0, 2, 1)).transpose(1, 0, 2) if need_x else None
-        gw = np.matmul(x_val.transpose(1, 2, 0), g_heads) if need_w else None
-        return (gx, gw)
-
-    return _make(data, (x, w), grad_fn)
+    return _make(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
 def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
@@ -279,8 +285,8 @@ class IndexPlan:
 
     What the sorted kernels need from the ids (rows per id, a stable row
     order grouped by id, and where each id's rows begin) is worked out on
-    first use and kept. A graph builds one plan for its edge sources and
-    one for its destinations (``Graph.plan``), so message passing checks,
+    first use and kept. A graph's ``EdgePlan`` holds one plan for its
+    edge sources and one for its destinations, so message passing checks,
     counts and sorts them once per graph. Given raw ids, ``gather_rows``
     and the segment ops build a plan for that call.
     """
@@ -303,16 +309,104 @@ class IndexPlan:
         return counts
 
     @cached_property
-    def grouping(self) -> tuple:
-        """(order, starts): rows grouped by id, keeping index order inside
-        each group, and the position where each id's group begins.
+    def order(self) -> np.ndarray:
+        """Row positions grouped by id, keeping index order inside each group.
 
         Sorting a narrow unsigned copy of the ids lets numpy use radix
         sort (up to 65536 ids).
         """
+        return np.argsort(self.ids.astype(np.min_scalar_type(self.n - 1)), kind="stable")
+
+    @cached_property
+    def grouping(self) -> tuple:
+        """(order, starts): ``order``, and the position where each id's
+        group begins in it."""
         counts = self.counts
-        order = np.argsort(self.ids.astype(np.min_scalar_type(self.n - 1)), kind="stable")
-        return order, np.cumsum(counts) - counts
+        return self.order, np.cumsum(counts) - counts
+
+
+# Bytes of one [C, K, D] float64 temporary of the fused edge ops: they walk
+# a graph's edges in chunks of C = EDGE_CHUNK_BYTES // (8 K D) edges.
+EDGE_CHUNK_BYTES = 8 * 2**20
+
+
+class EdgeChunk(NamedTuple):
+    """A run of edges grouped by destination: positions ``span`` of
+    ``EdgePlan.order``."""
+
+    span: slice
+    src: np.ndarray
+    dst: np.ndarray  # non-decreasing
+    starts: np.ndarray  # where each destination's edges begin in the chunk
+
+
+class EdgePlan:
+    """What message passing needs from a graph's edges, worked out once.
+
+    ``src`` and ``dst`` are range-checked ``IndexPlan``s over the ``n``
+    nodes; ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per edge, from the
+    given in-degrees. ``order`` lists the edges stably grouped by
+    destination and ``rank`` is its inverse; ``chunks`` cuts that order
+    into runs for the fused edge ops. Canonical edges are sorted by
+    (src, dst), so the grouped walk keeps each destination's edges and
+    each source's edges in edge order, and a chunked sum into either end
+    adds in the order ``np.add.at`` does.
+    """
+
+    def __init__(self, src, dst, n: int, degrees):
+        self.src = IndexPlan(src, n)
+        self.dst = IndexPlan(dst, n)
+        if self.src.ids.shape != self.dst.ids.shape:
+            raise ShapeError(f"{self.src.ids.shape[0]} sources for {self.dst.ids.shape[0]} destinations")
+        self.n = n
+        self._degrees = degrees
+        self._chunks: dict = {}
+
+    @property
+    def edge_count(self) -> int:
+        return self.src.ids.shape[0]
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.dst.order
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(self.order.size)
+        return rank
+
+    @cached_property
+    def gcn_norm(self) -> np.ndarray:
+        deg = np.asarray(self._degrees, dtype=np.float64)
+        return 1.0 / np.sqrt(deg[self.dst.ids] * deg[self.src.ids])
+
+    def chunks(self, width: int) -> list:
+        """The grouped edges as ``EdgeChunk``s for temporaries of ``width``
+        floats per edge, kept per chunk length. A graph without edges has
+        one empty chunk."""
+        size = max(1, EDGE_CHUNK_BYTES // (8 * width))
+        found = self._chunks.get(size)
+        if found is None:
+            src, dst = self.src.ids.take(self.order), self.dst.ids.take(self.order)
+            found = []
+            for lo in range(0, max(self.edge_count, 1), size):
+                hi = min(lo + size, self.edge_count)
+                run = dst[lo:hi]
+                starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+                found.append(EdgeChunk(slice(lo, hi), src[lo:hi], run, starts))
+            self._chunks[size] = found
+        return found
+
+    def grouped(self, x: np.ndarray) -> np.ndarray:
+        """Per-edge rows of ``x`` in grouped order."""
+        return x.take(self.order, axis=0)
+
+    def in_edge_order(self, parts: list) -> np.ndarray:
+        """Per-edge rows given in grouped order, chunk by chunk, back in
+        edge order."""
+        grouped = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return grouped.take(self.rank, axis=0)
 
 
 def _plan(index, n: int) -> IndexPlan:
@@ -332,7 +426,7 @@ def gather_rows(x: Tensor, index) -> Tensor:
     """
     n_rows = x.data.shape[0]
     idx = _plan(index, n_rows).ids
-    data = x.data[idx]
+    data = x.data.take(idx, axis=0)
     return _make(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
 
 
@@ -484,7 +578,7 @@ def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     """
     seg = _segments(x, segment_ids, n_segments).ids
     data = _scatter_add(x.data, seg, n_segments)
-    return _make(data, (x,), lambda g: (g[seg],))
+    return _make(data, (x,), lambda g: (g.take(seg, axis=0),))
 
 
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -513,10 +607,10 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     width = flat.shape[1]
     order, starts = plan.grouping
     counts = plan.counts
-    out = np.maximum.reduceat(flat[order], starts, axis=0)
+    out = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
 
     def grad_fn(g):
-        hits = np.where(flat[order] == np.repeat(out, counts, axis=0), order[:, None], rows)
+        hits = np.where(flat.take(order, axis=0) == np.repeat(out, counts, axis=0), order[:, None], rows)
         winner = np.minimum.reduceat(hits, starts, axis=0)
         winner = np.where(winner == rows, order[starts][:, None], winner)
         gx = np.zeros((rows, width), dtype=np.float64)
@@ -527,20 +621,301 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 
 
 def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Softmax within each segment of rows, numerically stabilized.
+    """Softmax within each segment of rows, numerically stabilized; one
+    tape node.
 
     The per-segment max (as in ``segment_max``, bitwise exact) is
     subtracted as a constant; softmax is shift invariant so the gradient
-    is still exact. Non-finite scores give non-finite outputs.
+    is still exact. Values and gradients are those of the chain
+    exp(x - max) / gather(segment_sum(exp(x - max))), computed by the same
+    numpy calls. Non-finite scores give non-finite outputs.
     """
     plan = _segments(scores, segment_ids, n_segments)
+    ids = plan.ids
     flat = scores.data.reshape(scores.data.shape[0], -1)
     order, starts = plan.grouping
-    seg_max = np.maximum.reduceat(flat[order], starts, axis=0)
-    shift = _as_tensor(seg_max.reshape((n_segments,) + scores.data.shape[1:])[plan.ids])
-    exp_scores = exp(sub(scores, shift))
-    denom = segment_sum(exp_scores, plan, n_segments)
-    return div(exp_scores, gather_rows(denom, plan))
+    seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
+    exp_scores = np.exp(scores.data - seg_max.reshape((n_segments,) + scores.data.shape[1:]).take(ids, axis=0))
+    denom = _scatter_add(exp_scores, ids, n_segments).take(ids, axis=0)
+    data = exp_scores / denom
+
+    def grad_fn(g):
+        g_exp = g / denom + _scatter_add(-g * data / denom, ids, n_segments).take(ids, axis=0)
+        return (g_exp * exp_scores,)
+
+    return _make(data, (scores,), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused message passing: one op scores the edges, one aggregates them
+#
+# Both take node-side [N, K, D] tensors and an ``EdgePlan``, and walk the
+# edges in destination-grouped chunks of ``EDGE_CHUNK_BYTES``. No [E, K, D]
+# array outlives a chunk: the backward gathers each chunk's rows again.
+# Scores and the sum, mean and max aggregations compute their values with
+# the numpy calls of the per-kind op chains they replace, so they keep
+# those bits at any chunk length; gradients reduce over D with einsum and
+# agree with the chains' to rounding.
+
+
+def _add_rows(total: np.ndarray | None, values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """``total`` plus the rows of ``values`` added at ``index``, in order.
+
+    The first chunk (a None total) goes through ``_scatter_add``; later
+    ones add their rows one at a time into ``total``, which the caller
+    owns. Each cell sums its values in index order starting from 0.0
+    either way, so a sum built chunk by chunk is bitwise the one
+    ``_scatter_add`` gives over all rows at once.
+    """
+    if total is None:
+        return _scatter_add(values, index, n_rows)
+    for row, value in zip(index.tolist(), values):
+        total[row] += value
+    return total
+
+
+def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """``total + part``, where a None total means nothing yet; adds into
+    ``total``, which the caller owns."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def edge_scores(kind: str, z: Tensor, plan: EdgePlan, *weights: Tensor) -> Tensor:
+    """The attention score of every edge, [E, K] (a generalized SDDMM).
+
+    ``z`` holds the transformed node features [N, K, D]; the destination
+    is the node that aggregates (i in the usual e_ij notation). The
+    weights are the kind's own tensors, in this order:
+
+    - ``const`` (1) and ``gcn`` (1/sqrt(deg_i deg_j)): none; constants.
+    - ``gat``: a_l, a_r [K, D]; leaky_relu(a_l.z_i + a_r.z_j).
+    - ``sym-gat``: a_l, a_r; the gat score of j -> i plus that of i -> j.
+    - ``linear``: a_l; tanh(a_l.z_j).
+    - ``cos``: w_l, w_r [K, D, D]; (z_i w_l).(z_j w_r).
+    - ``gene-linear``: w_l, w_r, w_a [K, D]; w_a.tanh(z_i w_l + z_j w_r).
+
+    Values are bitwise those of the per-kind op chain (gather both ends,
+    combine, reduce over D).
+    """
+    e_count, heads = plan.edge_count, z.data.shape[1]
+    if kind == "const":
+        return Tensor(np.ones((e_count, heads)))
+    if kind == "gcn":
+        return Tensor(np.broadcast_to(plan.gcn_norm[:, None], (e_count, heads)))
+    if kind in ("gat", "sym-gat", "linear"):
+        return _projected_scores(kind, z, plan, weights)
+    if kind in ("cos", "gene-linear"):
+        return _paired_scores(kind, z, plan, weights)
+    raise ParameterError(f"unknown attention kind {kind!r}")
+
+
+def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
+    """gat, sym-gat and linear: each end is projected to one number per
+    head first, so no per-edge [K, D] value exists and nothing is chunked."""
+    z_val, n = z.data, plan.n
+    src, dst = plan.src.ids, plan.dst.ids
+    vectors = [w.data for w in weights]
+    proj = [(z_val * a).sum(axis=-1) for a in vectors]  # [N, K] per weight
+    if kind == "linear":
+        data = np.tanh(proj[0].take(src, axis=0))
+    else:
+        # (aggregating end, neighbour end) of each direction scored
+        ends = [(dst, src), (src, dst)] if kind == "sym-gat" else [(dst, src)]
+        pres = [proj[0].take(i, axis=0) + proj[1].take(j, axis=0) for i, j in ends]
+        data = None
+        for pre in pres:
+            data = _accumulate(data, np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre))
+    need_z = z.requires_grad
+
+    def grad_fn(g):
+        if kind == "linear":
+            g_proj = [_scatter_add(g * (1.0 - data * data), src, n)]
+        else:
+            g_proj = [None, None]
+            for (i, j), pre in zip(ends, pres):
+                g_pre = g * np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
+                g_proj[0] = _accumulate(g_proj[0], _scatter_add(g_pre, i, n))
+                g_proj[1] = _accumulate(g_proj[1], _scatter_add(g_pre, j, n))
+        gz, grads = None, []
+        for tensor, a, g_p in zip(weights, vectors, g_proj):
+            if need_z:
+                gz = _accumulate(gz, g_p[:, :, None] * a)
+            grads.append(np.einsum("nk,nkd->kd", g_p, z_val) if tensor.requires_grad else None)
+        return (gz, *grads)
+
+    return _make(data, (z, *weights), grad_fn)
+
+
+def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
+    """cos and gene-linear: per-edge [K, D] pairs of the two ends' head
+    products, built chunk by chunk and rebuilt in the backward."""
+    z_val, n = z.data, plan.n
+    w_l, w_r = weights[0].data, weights[1].data
+    w_a = weights[2].data if kind == "gene-linear" else None
+    # contiguous copies: rows gather faster from them than from the views
+    left = np.ascontiguousarray(_heads(z_val, w_l))
+    right = np.ascontiguousarray(_heads(z_val, w_r))
+    chunks = plan.chunks(left.shape[1] * left.shape[2])
+
+    def hidden(c):  # gene-linear's tanh(z_i w_l + z_j w_r) for a chunk
+        pre = left.take(c.dst, axis=0)
+        pre += right.take(c.src, axis=0)
+        return np.tanh(pre, out=pre)
+
+    parts = []
+    for c in chunks:
+        if w_a is None:
+            pair = left.take(c.dst, axis=0)
+            pair *= right.take(c.src, axis=0)
+        else:
+            pair = hidden(c)
+            pair *= w_a
+        parts.append(pair.sum(axis=-1))
+    data = plan.in_edge_order(parts)
+    need_z = z.requires_grad
+    need_l, need_r = weights[0].requires_grad, weights[1].requires_grad
+    need_a = w_a is not None and weights[2].requires_grad
+
+    def grad_fn(g):
+        g_grouped = plan.grouped(g)
+        g_left = g_right = g_a = None
+        for c in chunks:
+            spread = g_grouped[c.span, :, None]
+            if w_a is None:
+                g_left = _add_rows(g_left, spread * right.take(c.src, axis=0), c.dst, n)
+                g_right = _add_rows(g_right, spread * left.take(c.dst, axis=0), c.src, n)
+                continue
+            h = hidden(c)
+            if need_a:
+                g_a = _accumulate(g_a, np.einsum("ek,ekd->kd", g_grouped[c.span], h))
+            g_pre = spread * w_a
+            h *= h
+            g_pre *= np.subtract(1.0, h, out=h)
+            del h
+            g_left = _add_rows(g_left, g_pre, c.dst, n)
+            g_right = _add_rows(g_right, g_pre, c.src, n)
+            del g_pre
+        gz, g_wl = _heads_grad(g_left, z_val, w_l, need_z, need_l)
+        del g_left
+        gz_r, g_wr = _heads_grad(g_right, z_val, w_r, need_z, need_r)
+        if need_z:
+            gz += gz_r
+        return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, g_a)
+
+    return _make(data, (z, *weights), grad_fn)
+
+
+def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights: Tensor) -> Tensor:
+    """Aggregate the messages alpha[e] z[src e] into each destination,
+    [N, K, D] (a generalized SpMM).
+
+    ``alpha`` is [E, K] and ``z`` [N, K, D]. ``sum`` adds the messages in
+    edge order, bitwise as ``np.add.at``; ``mean-pooling`` scales that sum
+    by 1/in-degree; ``max-pooling`` takes the elementwise max, with the
+    gradient routed as ``segment_max`` routes it (the lowest edge
+    attaining the max; where the max is NaN, the destination's first
+    edge). ``mlp`` sums relu(m w1) w2 over the messages m, per head, with
+    weights mlp_w1, mlp_w2 [K, D, D]; it is computed as
+    (sum of relu(alpha[e] (z w1)[src e])) w2, so both products run on
+    node rows, and agrees with the per-message form up to rounding.
+    Mean and max need every node to have an in-edge.
+    """
+    if kind not in ("sum", "mean-pooling", "max-pooling", "mlp"):
+        raise ParameterError(f"unknown aggregation kind {kind!r}")
+    n, heads, width = z.data.shape
+    if alpha.data.shape != (plan.edge_count, heads):
+        raise ShapeError(f"alpha shape {alpha.data.shape} != {(plan.edge_count, heads)}")
+    a_grouped = plan.grouped(alpha.data)
+    chunks = plan.chunks(heads * width)
+    z_val = z.data
+    if kind == "mlp":
+        w1, w2 = (w.data for w in weights)
+        z_val = np.ascontiguousarray(_heads(z.data, w1))  # messages are alpha-scaled rows of it
+    inv = None
+    if kind == "mean-pooling":
+        inv = (1.0 / plan.dst.counts).reshape(n, 1, 1)
+    elif kind == "max-pooling":
+        plan.dst.counts  # raises on a node without in-edges
+
+    def messages(c):
+        m = a_grouped[c.span, :, None] * z_val.take(c.src, axis=0)
+        return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
+
+    if kind == "max-pooling":
+        top = np.empty((n, heads * width))
+        last = -1  # the destination the previous chunk ended on
+        for c in chunks:
+            rows = c.dst.take(c.starts)
+            part = np.maximum.reduceat(messages(c).reshape(len(c.dst), -1), c.starts, axis=0)
+            if rows[0] == last:
+                part[0] = np.maximum(top[last], part[0])
+            top[rows] = part
+            last = rows[-1]
+        data = top.reshape(n, heads, width)
+    else:
+        total = None
+        for c in chunks:
+            total = _add_rows(total, messages(c), c.dst, n)
+        data = total * inv if inv is not None else total
+        if kind == "mlp":
+            hidden, data = data, _heads(data, w2)
+    need_alpha, need_z = alpha.requires_grad, z.requires_grad
+    need_w = [w.requires_grad for w in weights]
+
+    def grad_fn(g):
+        g_w = [None] * len(weights)
+        if kind == "mlp":
+            g, g_w[1] = _heads_grad(g, hidden, w2, True, need_w[1])
+        elif inv is not None:
+            g = g * inv
+        if kind == "max-pooling":
+            routed = np.zeros(top.shape, dtype=bool) if len(chunks) > 1 else None
+            g_flat = g.reshape(top.shape)
+        g_alpha, g_rows = [], None
+        for c in chunks:
+            a_c = a_grouped[c.span, :, None]
+            # sum and mean need the neighbour rows only for alpha's gradient
+            z_c = z_val.take(c.src, axis=0) if need_alpha or kind in ("max-pooling", "mlp") else None
+            if kind == "max-pooling":
+                g_m = _max_routes(a_c * z_c, c, top, g_flat, routed)
+            else:
+                g_m = g.take(c.dst, axis=0)
+                if kind == "mlp":
+                    g_m *= a_c * z_c > 0.0  # relu's gradient
+            if need_alpha:
+                g_alpha.append(np.einsum("ekd,ekd->ek", g_m, z_c))
+            g_m *= a_c
+            g_rows = _add_rows(g_rows, g_m, c.src, n)
+            del a_c, z_c, g_m  # before the next chunk allocates its own
+        if kind == "mlp":
+            g_rows, g_w[0] = _heads_grad(g_rows, z.data, w1, need_z, need_w[0])
+        return (plan.in_edge_order(g_alpha) if need_alpha else None, g_rows if need_z else None, *g_w)
+
+    return _make(data, (alpha, z, *weights), grad_fn)
+
+
+def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, routed: np.ndarray | None) -> np.ndarray:
+    """The max-pooling gradient of one chunk's messages ``m`` [C, K, D].
+
+    Each (destination, column) sends its gradient to its first edge whose
+    message equals the max ``top``, or, where the max is NaN, to its
+    first edge. ``routed``, when the edges span several chunks, marks the
+    pairs an earlier chunk has served.
+    """
+    size, cols = len(c.dst), top.shape[1]
+    rows = c.dst.take(c.starts)
+    hit = m.reshape(size, cols) == top.take(c.dst, axis=0)
+    hit[c.starts] |= np.isnan(top.take(rows, axis=0))
+    first = np.minimum.reduceat(np.where(hit, np.arange(size)[:, None], size), c.starts, axis=0)
+    if routed is not None:
+        first[routed.take(rows, axis=0)] = size
+        routed[rows] |= first < size
+    g_m = np.zeros((size + 1, cols))  # row ``size`` takes what no edge here wins
+    g_m[first, np.arange(cols)] = g.take(rows, axis=0)
+    return g_m[:size].reshape(m.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
 
     with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["name", "depth", "params", "sec_per_epoch", "metric_mean", "metric_std"])
+        writer.writerow(["name", "depth", "params", "sec_per_episode", "metric_mean", "metric_std"])
         writer.writerows(rows)
     print(f"wrote {out_dir / 'report.csv'} and {len(log_paths)} curve file(s)")
     return 0

@@ -10,7 +10,7 @@ applies an optional residual, then the activation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .arch import ArchDescription
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError, TrainingError
 from .graphs import Graph, LabeledDataset
-
-LEAKY_SLOPE = 0.2
-
 
 @dataclass
 class TrainHyperparams:
@@ -47,8 +44,11 @@ class TrainHyperparams:
             raise ParameterError("seed must be non-negative")
 
 
-# Deterministic parameter ordering within a layer.
-_PARAM_ORDER = ("w_t", "a_l", "a_r", "w_l", "w_r", "w_a", "mlp_w1", "mlp_w2", "w_res")
+# Deterministic parameter ordering within a layer. A kind's scoring and
+# aggregation tensors go to the fused edge ops in this order.
+_SCORE_PARAMS = ("a_l", "a_r", "w_l", "w_r", "w_a")
+_MLP_PARAMS = ("mlp_w1", "mlp_w2")
+_PARAM_ORDER = ("w_t", *_SCORE_PARAMS, *_MLP_PARAMS, "w_res")
 
 
 class LayerParams:
@@ -65,8 +65,9 @@ class LayerParams:
         if tensors["w_t"].shape != expected:
             raise ShapeError(f"w_t shape {tensors['w_t'].shape} != {expected}")
 
-    def named(self) -> dict:
-        return {name: self.tensors[name] for name in _PARAM_ORDER if name in self.tensors}
+    def named(self, names=_PARAM_ORDER) -> dict:
+        """This layer's tensors among ``names``, in that order."""
+        return {name: self.tensors[name] for name in names if name in self.tensors}
 
     def ordered(self) -> list:
         return list(self.named().values())
@@ -129,6 +130,16 @@ class ChildModel:
         for layer, stored in zip(self.layers, snapshot):
             for name, value in stored.items():
                 layer.tensors[name].data = value.copy()
+
+    def detached(self) -> "ChildModel":
+        """This model on copies of the parameters that need no gradient,
+        so a forward through it records no tape."""
+        layers = [
+            LayerParams(layer.attention, layer.aggregation, layer.in_dim, layer.heads, layer.hidden,
+                        {name: Tensor(t.data) for name, t in layer.tensors.items()})
+            for layer in self.layers
+        ]
+        return replace(self, layers=layers)
 
 
 @dataclass(frozen=True)
@@ -208,59 +219,13 @@ def build_model(
 
 
 # ---------------------------------------------------------------------------
-# attention scoring
+# message passing
 
 
 def _edge_scores(kind: str, z: Tensor, graph: Graph, params: LayerParams) -> Tensor:
     """Scores for every directed edge, [E, heads]. The destination is the
     node doing the aggregating (index i in the usual e_ij notation)."""
-    plan = graph.plan
-    src, dst = plan.src, plan.dst
-    e_count, k = graph.edge_count, z.shape[1]
-    t = params.tensors
-    if kind == "const":
-        return Tensor(np.ones((e_count, k)))
-    if kind == "gcn":
-        return Tensor(np.broadcast_to(plan.gcn_norm[:, None], (e_count, k)))
-    if kind in ("gat", "sym-gat"):
-        s_l = ad.reduce_sum(ad.mul(z, t["a_l"]), axis=-1)
-        s_r = ad.reduce_sum(ad.mul(z, t["a_r"]), axis=-1)
-        forward_scores = ad.leaky_relu(
-            ad.add(ad.gather_rows(s_l, dst), ad.gather_rows(s_r, src)), LEAKY_SLOPE
-        )
-        if kind == "gat":
-            return forward_scores
-        reverse_scores = ad.leaky_relu(
-            ad.add(ad.gather_rows(s_l, src), ad.gather_rows(s_r, dst)), LEAKY_SLOPE
-        )
-        return ad.add(forward_scores, reverse_scores)
-    if kind == "cos":
-        left = ad.head_matmul(z, t["w_l"])
-        right = ad.head_matmul(z, t["w_r"])
-        return ad.reduce_sum(ad.mul(ad.gather_rows(left, dst), ad.gather_rows(right, src)), axis=-1)
-    if kind == "linear":
-        s = ad.reduce_sum(ad.mul(z, t["a_l"]), axis=-1)
-        return ad.tanh(ad.gather_rows(s, src))
-    if kind == "gene-linear":
-        left = ad.head_matmul(z, t["w_l"])
-        right = ad.head_matmul(z, t["w_r"])
-        hidden = ad.tanh(ad.add(ad.gather_rows(left, dst), ad.gather_rows(right, src)))
-        return ad.reduce_sum(ad.mul(hidden, t["w_a"]), axis=-1)
-    raise ParameterError(f"unknown attention kind {kind!r}")
-
-
-def _aggregate(kind: str, messages: Tensor, dst, n_nodes: int, params: LayerParams) -> Tensor:
-    if kind == "sum":
-        return ad.segment_sum(messages, dst, n_nodes)
-    if kind == "mean-pooling":
-        return ad.segment_mean(messages, dst, n_nodes)
-    if kind == "max-pooling":
-        return ad.segment_max(messages, dst, n_nodes)
-    if kind == "mlp":
-        t = params.tensors
-        inner = ad.relu(ad.head_matmul(messages, t["mlp_w1"]))
-        return ad.segment_sum(ad.head_matmul(inner, t["mlp_w2"]), dst, n_nodes)
-    raise ParameterError(f"unknown aggregation kind {kind!r}")
+    return ad.edge_scores(kind, z, graph.plan, *params.named(_SCORE_PARAMS).values())
 
 
 def forward(
@@ -283,8 +248,7 @@ def forward(
         scores = _edge_scores(step.key.attention, z, graph, params)
         alpha = ad.segment_softmax(scores, plan.dst, n)
         alpha = ad.dropout(alpha, dropout_p, rng, training)
-        messages = ad.mul(ad.reshape(alpha, (graph.edge_count, heads, 1)), ad.gather_rows(z, plan.src))
-        agg = _aggregate(step.key.aggregation, messages, plan.dst, n, params)
+        agg = ad.edge_aggregate(step.key.aggregation, alpha, z, plan, *params.named(_MLP_PARAMS).values())
         if step.last:
             combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / heads))
         else:
@@ -328,18 +292,24 @@ def pooled_metric(model: ChildModel, dataset: LabeledDataset, nodes: list, logit
 
     ``logits``, when given, maps a graph index to the evaluation logits
     at the model's current parameters: an entry is used in place of a
-    forward, and each forward run here is added. An added entry keeps
-    its tape only when its graph has training nodes, because the next
-    training step may take it over (``train_child``); other graphs keep
-    only the values.
+    forward, and each forward run here is added. A forward records a
+    tape only when its entry is added for a graph with training nodes,
+    because the next training step may take it over (``train_child``);
+    every other forward runs on ``model.detached()`` and records none.
     """
     picked, labels = [], []
+    frozen = None
     for g, idx in nodes:
         out = None if logits is None else logits.get(g)
         if out is None:
-            out = forward(model, dataset.graphs[g], training=False)
+            if logits is not None and dataset.masks[g].train.size:
+                out = forward(model, dataset.graphs[g], training=False)
+            else:
+                if frozen is None:
+                    frozen = model.detached()
+                out = forward(frozen, dataset.graphs[g], training=False)
             if logits is not None:
-                logits[g] = out if dataset.masks[g].train.size else Tensor(out.data)
+                logits[g] = out
         picked.append(out.data[idx])
         labels.append(dataset.labels[g][idx])
     return node_metric(dataset.task_kind, np.concatenate(picked), np.concatenate(labels))
@@ -423,7 +393,9 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
             del logits, objective  # free the tape and its gradients before the next forward
             ad.adam_step(state, params, [p.grad for p in params])
         epochs_ran = epoch + 1
-        val_metric = evaluate(model, dataset, "val", current)
+        # With dropout no training step takes a validation forward over, so
+        # none needs a tape.
+        val_metric = evaluate(model if reuse else model.detached(), dataset, "val", current)
         epoch_seconds.append(time.perf_counter() - started)
         if val_metric > best_metric:
             best_metric = val_metric

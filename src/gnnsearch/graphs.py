@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import IndexPlan
+from .autodiff import EdgePlan
 from .errors import IngestionError, ParameterError
 
 TASK_KINDS = ("single", "multi")
@@ -46,29 +46,9 @@ class Graph:
         return self.edges[:, 1]
 
     @cached_property
-    def plan(self) -> "GraphPlan":
+    def plan(self) -> EdgePlan:
         """The edge plan, built on first use and kept with the graph."""
-        return GraphPlan(self)
-
-
-class GraphPlan:
-    """What message passing needs from a graph's edges, worked out once.
-
-    ``src`` and ``dst`` are range-checked ``IndexPlan``s over the nodes;
-    the destination counts and stable order come on first use of a
-    segment op and stay. ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per
-    edge, computed on first use.
-    """
-
-    def __init__(self, graph: Graph):
-        self.src = IndexPlan(graph.src, graph.node_count)
-        self.dst = IndexPlan(graph.dst, graph.node_count)
-        self._degrees = graph.degrees
-
-    @cached_property
-    def gcn_norm(self) -> np.ndarray:
-        deg = self._degrees.astype(np.float64)
-        return 1.0 / np.sqrt(deg[self.dst.ids] * deg[self.src.ids])
+        return EdgePlan(self.src, self.dst, self.node_count, self.degrees)
 
 
 def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Shared fixtures and numeric oracles for the test suite."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,33 @@ def check_grads(build, tensors, tol=1e-4, h=1e-4):
         numeric = finite_diff(lambda: build().data, tensor, h)
         err = rel_err(analytic, numeric)
         assert err < tol, f"gradient mismatch {err:.3g} on tensor of shape {tensor.data.shape}"
+
+
+class MemoryProbe:
+    """tracemalloc readings in bytes above the level where tracing began."""
+
+    def __init__(self):
+        self.base = tracemalloc.get_traced_memory()[0]
+
+    def current(self) -> int:
+        return tracemalloc.get_traced_memory()[0] - self.base
+
+    def peak(self) -> int:
+        """The highest level since tracing began or the last ``reset_peak``."""
+        return tracemalloc.get_traced_memory()[1] - self.base
+
+    def reset_peak(self) -> None:
+        tracemalloc.reset_peak()
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace Python and numpy allocations inside the block; yields a ``MemoryProbe``."""
+    tracemalloc.start()
+    try:
+        yield MemoryProbe()
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -388,6 +388,19 @@ def test_report_over_two_logs(tmp_path, capsys):
     assert (report_dir / "curve_beta.csv").exists()
 
 
+def test_report_gives_seconds_per_episode(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    report_dir = tmp_path / "report"
+    assert main(["report", "--config", str(cfg), "--out", str(report_dir), str(out / "search.log")]) == 0
+    rows = read_csv(report_dir / "report.csv")
+    assert rows[0] == ["name", "depth", "params", "sec_per_episode", "metric_mean", "metric_std"]
+    # the first episode pays warm-up costs and is left out
+    wall = [float(line.split("\t")[5]) / 1000.0 for line in (out / "search.log").read_text().splitlines()[1:]]
+    assert rows[1][3] == f"{float(np.median(wall)):.10g}"
+
+
 def test_report_without_config_infers_depth_from_log(tmp_path, capsys):
     # The log's arch strings carry their own layer structure, so report
     # must not need the search config (whose default depth differs).

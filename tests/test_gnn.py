@@ -517,6 +517,59 @@ def test_training_equals_the_forward_every_time_loop(easy_sbm, case):
         assert mine.data.tobytes() == theirs.data.tobytes()
 
 
+def test_forwards_for_graphs_without_training_nodes_record_no_tape(monkeypatch):
+    dataset = generate_multigraph(6, 15, 4.0, 5, 3, seed=8)
+    no_train = [g for g, mask in zip(dataset.graphs, dataset.masks) if not mask.train.size]
+    arch = _arch("first-order,gat,max-pooling,relu,2,4;first-order,cos,mlp,linear,1,4")
+    hp = TrainHyperparams(lr=0.02, l2_lambda=0.0, dropout=0.0, max_epochs=4, patience=4, seed=3)
+
+    def train(record_everything):
+        if record_everything:  # the old evaluation: every forward on the live parameters
+            monkeypatch.setattr(gnn_module.ChildModel, "detached", lambda self: self)
+        seen = []
+
+        def recorded(model, graph, *args, **kwargs):
+            out = forward(model, graph, *args, **kwargs)
+            seen.append((model, graph, out))
+            return out
+
+        monkeypatch.setattr(gnn_module, "forward", recorded)
+        model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(6))
+        result = train_child(model, dataset, hp)
+        monkeypatch.undo()
+        return result, [entry for entry in seen if any(entry[1] is g for g in no_train)]
+
+    result, evals = train(record_everything=False)
+    assert evals and all(out.grad_fn is None for _, _, out in evals)
+    for model, graph, out in evals:
+        live = model.detached()
+        for layer in live.layers:
+            for t in layer.tensors.values():
+                t.requires_grad = True
+        taped = forward(live, graph)
+        assert taped.grad_fn is not None and taped.data.tobytes() == out.data.tobytes()
+    reference, _ = train(record_everything=True)
+    fields = ("best_val_metric", "test_metric", "epochs_ran", "best_epoch", "opt_steps")
+    assert [getattr(result, f) for f in fields] == [getattr(reference, f) for f in fields]
+    for mine, theirs in zip(result.model.parameters(), reference.model.parameters()):
+        assert mine.data.tobytes() == theirs.data.tobytes()
+
+
+def test_validation_forwards_record_no_tape_under_dropout(easy_sbm, monkeypatch):
+    taped = []
+
+    def recorded(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        taped.append((kwargs.get("training", False), out.grad_fn is not None))
+        return out
+
+    monkeypatch.setattr(gnn_module, "forward", recorded)
+    model = build_model(_arch("first-order,gat,sum,relu,2,8;first-order,gcn,sum,linear,1,8"),
+                        easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(0))
+    train_child(model, easy_sbm, TrainHyperparams(lr=0.01, dropout=0.5, max_epochs=3, patience=3, seed=0))
+    assert taped == [(True, True), (False, False)] * 3
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_each_parameter_state_is_forwarded_once(easy_sbm, monkeypatch, dropout):
     calls = []
