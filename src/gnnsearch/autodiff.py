@@ -147,7 +147,14 @@ def _as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
+def record(data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
+    """The output ``data`` of an op on ``inputs``, recorded as a tape node
+    with backward rule ``grad_fn`` if any input needs a gradient.
+
+    ``grad_fn`` maps the output's gradient to one gradient (or None) per
+    input. Every op in this module records through here, and so does a
+    composite op written elsewhere (``Controller``'s walk).
+    """
     out = Tensor(data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -177,7 +184,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (_unbroadcast(g, a_shape) if need_a else None, _unbroadcast(g, b_shape) if need_b else None)
 
-    return _make(data, (a, b), grad_fn)
+    return record(data, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -188,7 +195,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (_unbroadcast(g, a_shape) if need_a else None, _unbroadcast(-g, b_shape) if need_b else None)
 
-    return _make(data, (a, b), grad_fn)
+    return record(data, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -202,7 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a_val, b_val.shape) if need_b else None,
         )
 
-    return _make(data, (a, b), grad_fn)
+    return record(data, (a, b), grad_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -215,7 +222,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(-g * out_val / b_val, b_val.shape) if need_b else None
         return (ga, gb)
 
-    return _make(data, (a, b), grad_fn)
+    return record(data, (a, b), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -230,7 +237,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (g @ b_val.T if need_a else None, a_val.T @ g if need_b else None)
 
-    return _make(data, (a, b), grad_fn)
+    return record(data, (a, b), grad_fn)
 
 
 def _heads(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -261,7 +268,7 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"head_matmul dims differ: {x.data.shape} with {w.data.shape}")
     x_val, w_val = x.data, w.data
     need_x, need_w = x.requires_grad, w.requires_grad
-    return _make(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
+    return record(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
 def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
@@ -427,7 +434,7 @@ def gather_rows(x: Tensor, index) -> Tensor:
     n_rows = x.data.shape[0]
     idx = _plan(index, n_rows).ids
     data = x.data.take(idx, axis=0)
-    return _make(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
+    return record(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
@@ -440,13 +447,13 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
     def grad_fn(g):
         return tuple(np.split(g, bounds, axis=axis))
 
-    return _make(data, tuple(tensors), grad_fn)
+    return record(data, tuple(tensors), grad_fn)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     data = x.data.reshape(shape)
     old = x.data.shape
-    return _make(data, (x,), lambda g: (g.reshape(old),))
+    return record(data, (x,), lambda g: (g.reshape(old),))
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -461,18 +468,18 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, shape).copy(),)
 
-    return _make(data, (x,), grad_fn)
+    return record(data, (x,), grad_fn)
 
 
 def exp(x: Tensor) -> Tensor:
     data = np.exp(x.data)
-    return _make(data, (x,), lambda g: (g * data,))
+    return record(data, (x,), lambda g: (g * data,))
 
 
 def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
     x_val = x.data
-    return _make(data, (x,), lambda g: (g / x_val,))
+    return record(data, (x,), lambda g: (g / x_val,))
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +490,16 @@ _LEAKY_SLOPE = 0.2
 
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
-    return _make(data, (x,), lambda g: (g * (1.0 - data * data),))
+    return record(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid_stable(x.data)
-    return _make(data, (x,), lambda g: (g * data * (1.0 - data),))
+    data = stable_sigmoid(x.data)
+    return record(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, without overflow for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -503,34 +511,34 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
     mask = x.data > 0.0
-    return _make(data, (x,), lambda g: (g * mask,))
+    return record(data, (x,), lambda g: (g * mask,))
 
 
 def leaky_relu(x: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
     data = np.where(x.data > 0.0, x.data, slope * x.data)
     scale = np.where(x.data > 0.0, 1.0, slope)
-    return _make(data, (x,), lambda g: (g * scale,))
+    return record(data, (x,), lambda g: (g * scale,))
 
 
 def relu6(x: Tensor) -> Tensor:
     data = np.clip(x.data, 0.0, 6.0)
     # Left subgradient at both kinks: 0 at x=0, 1 at x=6.
     mask = (x.data > 0.0) & (x.data <= 6.0)
-    return _make(data, (x,), lambda g: (g * mask,))
+    return record(data, (x,), lambda g: (g * mask,))
 
 
 def elu(x: Tensor) -> Tensor:
     neg = np.minimum(x.data, 0.0)  # keeps exp off the positive tail
     data = np.where(x.data > 0.0, x.data, np.expm1(neg))
     scale = np.where(x.data > 0.0, 1.0, np.exp(neg))
-    return _make(data, (x,), lambda g: (g * scale,))
+    return record(data, (x,), lambda g: (g * scale,))
 
 
 def softplus(x: Tensor) -> Tensor:
     # max(x, 0) + log1p(exp(-|x|)) avoids overflow on both tails.
     data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
     x_val = x.data
-    return _make(data, (x,), lambda g: (g * _sigmoid_stable(x_val),))
+    return record(data, (x,), lambda g: (g * stable_sigmoid(x_val),))
 
 
 def identity(x: Tensor) -> Tensor:
@@ -578,7 +586,7 @@ def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     """
     seg = _segments(x, segment_ids, n_segments).ids
     data = _scatter_add(x.data, seg, n_segments)
-    return _make(data, (x,), lambda g: (g.take(seg, axis=0),))
+    return record(data, (x,), lambda g: (g.take(seg, axis=0),))
 
 
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -617,7 +625,7 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
         gx[winner, np.arange(width)] = g.reshape(n_segments, width)
         return (gx.reshape((rows,) + rest),)
 
-    return _make(out.reshape((n_segments,) + rest), (x,), grad_fn)
+    return record(out.reshape((n_segments,) + rest), (x,), grad_fn)
 
 
 def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -643,7 +651,7 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
         g_exp = g / denom + _scatter_add(-g * data / denom, ids, n_segments).take(ids, axis=0)
         return (g_exp * exp_scores,)
 
-    return _make(data, (scores,), grad_fn)
+    return record(data, (scores,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +754,7 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
             grads.append(np.einsum("nk,nkd->kd", g_p, z_val) if tensor.requires_grad else None)
         return (gz, *grads)
 
-    return _make(data, (z, *weights), grad_fn)
+    return record(data, (z, *weights), grad_fn)
 
 
 def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
@@ -805,7 +813,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
             gz += gz_r
         return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, g_a)
 
-    return _make(data, (z, *weights), grad_fn)
+    return record(data, (z, *weights), grad_fn)
 
 
 def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights: Tensor) -> Tensor:
@@ -894,7 +902,7 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             g_rows, g_w[0] = _heads_grad(g_rows, z.data, w1, need_z, need_w[0])
         return (plan.in_edge_order(g_alpha) if need_alpha else None, g_rows if need_z else None, *g_w)
 
-    return _make(data, (alpha, z, *weights), grad_fn)
+    return record(data, (alpha, z, *weights), grad_fn)
 
 
 def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, routed: np.ndarray | None) -> np.ndarray:

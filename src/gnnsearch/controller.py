@@ -6,14 +6,24 @@ an embedding table that feeds the sampled token back in as the next
 input. Logits are softened by a temperature then squashed to
 ``clip * tanh(logits / temperature)``, which bounds every logit and
 caps how deterministic the policy can become.
+
+One walk serves sampling, teacher forcing and batch scoring. It runs in
+plain numpy. A live walk (``sample``, ``teacher_force``) records its
+log-prob as a single tape node whose backward is hand-written
+backpropagation through time over the slots; batched walks record
+nothing. The forward does the arithmetic of the per-op tape chain it
+replaced, and the backward adds every gradient in the order that chain's
+tape added it, so log-probs and gradients are bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +36,23 @@ INIT_BOUND = 0.1
 CHECKPOINT_VERSION = 1
 
 _GATES = ("i", "f", "g", "o")
+# The order in which the per-op chain's tape summed the gates' gradients.
+_BACKWARD_GATES = ("o", "f", "i", "g")
+
+
+class _Step(NamedTuple):
+    """What one slot of a live walk keeps for its backward."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    c_prev: np.ndarray
+    gates: dict
+    tanh_c: np.ndarray
+    h: np.ndarray
+    squashed: np.ndarray
+    weights: np.ndarray
+    norm: np.ndarray
+    token: int
 
 
 @dataclass
@@ -41,6 +68,9 @@ class Episode:
     log_prob_node: Tensor | None = None
 
     def __post_init__(self):
+        for name in ("log_prob_sum", "entropy_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.log_prob_sum > 1e-12:
             raise ParameterError(f"log_prob_sum must be <= 0, got {self.log_prob_sum}")
         if self.entropy_sum < -1e-12:
@@ -95,56 +125,119 @@ class Controller:
 
     # -- the LSTM walk -----------------------------------------------------
 
-    def _step(self, p: dict, x: Tensor, h: Tensor, c: Tensor):
-        gates = {}
-        for gate in _GATES:
-            pre = ad.add(ad.add(ad.matmul(x, p[f"w_x{gate}"]), ad.matmul(h, p[f"w_h{gate}"])), p[f"b_{gate}"])
-            gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
-        c_next = ad.add(ad.mul(gates["f"], c), ad.mul(gates["i"], gates["g"]))
-        h_next = ad.mul(gates["o"], ad.tanh(c_next))
-        return h_next, c_next
-
-    def _slot_logits(self, p: dict, h: Tensor, s: int) -> Tensor:
-        raw = ad.add(ad.matmul(h, p[f"slot{s}.proj_w"]), p[f"slot{s}.proj_b"])
-        scaled = ad.mul(raw, Tensor(1.0 / self.temperature))
-        return ad.mul(ad.tanh(scaled), Tensor(self.logit_clip))
-
-    def _walk(self, pick, count: int = 1, params: dict | None = None):
-        """Run the slot sequence for ``count`` independent rows.
+    def _walk(self, pick, count: int | None = None):
+        """Run the slot sequence in plain numpy.
 
         ``pick(slot_index, probs)`` chooses the tokens of one slot from the
-        [count, options] probabilities. ``params`` defaults to the live
-        parameters, which record a tape; detached copies record none.
-        Returns (tokens [count, slots], log-prob node [count], entropy [count]).
+        [rows, options] probabilities. With a ``count`` the walk scores
+        ``count`` independent rows and records nothing. Without one it is
+        live: one row, whose log-prob is a scalar tape node with ``_bptt``
+        as its backward. Returns (tokens [rows, slots], log-prob, entropy
+        [rows]).
         """
-        p = self._params if params is None else params
-        h = Tensor(np.zeros((count, self.hidden_size)))
-        c = Tensor(np.zeros((count, self.hidden_size)))
+        rows = 1 if count is None else count
+        p = {name: t.data for name, t in self._params.items()}
+        h = np.zeros((rows, self.hidden_size))
+        c = np.zeros((rows, self.hidden_size))
         x = p["start"]
-        rows = np.arange(count)
-        log_prob_total = None
-        entropy_total = np.zeros(count)
-        tokens = np.empty((count, len(self.slots)), dtype=np.int64)
-        for s, slot in enumerate(self.slots):
-            h, c = self._step(p, x, h, c)
-            adjusted = self._slot_logits(p, h, s)
+        picked_rows = np.arange(rows)
+        log_prob = None
+        entropy = np.zeros(rows)
+        tokens = np.empty((rows, len(self.slots)), dtype=np.int64)
+        steps = []
+        for s in range(len(self.slots)):
+            gates = {}
+            for gate in _GATES:
+                pre = x @ p[f"w_x{gate}"] + h @ p[f"w_h{gate}"] + p[f"b_{gate}"]
+                gates[gate] = np.tanh(pre) if gate == "g" else ad.stable_sigmoid(pre)
+            h_prev, c_prev = h, c
+            c = gates["f"] * c + gates["i"] * gates["g"]
+            tanh_c = np.tanh(c)
+            h = gates["o"] * tanh_c
+            squashed = np.tanh((h @ p[f"slot{s}.proj_w"] + p[f"slot{s}.proj_b"]) * (1.0 / self.temperature))
+            adjusted = squashed * self.logit_clip
             # Logits are bounded by the clip, so plain softmax is safe.
-            weights = np.exp(adjusted.data)
-            probs = weights / weights.sum(axis=1, keepdims=True)
+            weights = np.exp(adjusted)
+            norm = weights.sum(axis=1)
+            probs = weights / norm[:, None]
             tokens[:, s] = pick(s, probs)
-            entropy_total += -np.sum(probs * np.log(probs), axis=1)
-            onehot = np.zeros((count, len(slot.options)))
-            onehot[rows, tokens[:, s]] = 1.0
-            picked = ad.reduce_sum(ad.mul(adjusted, Tensor(onehot)), axis=1)
-            log_norm = ad.log(ad.reduce_sum(ad.exp(adjusted), axis=1))
-            term = ad.sub(picked, log_norm)
-            log_prob_total = term if log_prob_total is None else ad.add(log_prob_total, term)
-            x = ad.gather_rows(p[f"slot{s}.emb"], tokens[:, s])
-        return tokens, log_prob_total, entropy_total
+            entropy += -np.sum(probs * np.log(probs), axis=1)
+            # The chain summed adjusted * onehot; the entries it added to the
+            # picked one were zeros, so reading that entry gives the same term.
+            term = adjusted[picked_rows, tokens[:, s]] - np.log(norm)
+            log_prob = term if log_prob is None else log_prob + term
+            if count is None:
+                steps.append(_Step(x, h_prev, c_prev, gates, tanh_c, h, squashed, weights, norm, tokens[0, s]))
+            if s + 1 < len(self.slots):
+                x = p[f"slot{s}.emb"].take(tokens[:, s], axis=0)
+        if count is not None:
+            return tokens, Tensor(log_prob), entropy
+        node = ad.record(log_prob.reshape(()), tuple(self._params.values()), lambda g: self._bptt(g, p, steps))
+        return tokens, node, entropy
 
-    def _detached(self) -> dict:
-        """Copies of the parameters that need no gradient, so a walk on them records no tape."""
-        return {name: Tensor(t.data) for name, t in self._params.items()}
+    def _bptt(self, g: np.ndarray, p: dict, steps: list) -> tuple:
+        """Gradients of a live walk's log-prob, one per parameter.
+
+        Each step replays the backward rules of the per-op chain (matmul,
+        add, sigmoid, tanh, mul, exp, log, gather) on the same numpy calls,
+        and every sum adds in the order that chain's tape added it: a weight
+        sums its per-step terms last slot first, h takes its own slot's
+        projection and then the next step's gates o, f, i, g, and x and
+        ``start`` take gates o, f, i, g. So the gradients are bitwise those
+        of the chain. The last slot's embedding gets None: no step reads it.
+        """
+        g = g.reshape((1,))
+        grads = {}
+        xs, h_prevs, d_pres = [], [], {gate: [] for gate in _GATES}  # last slot first
+        dh_next = ()  # step s+1's gate terms for h_s, in the order o, f, i, g
+        dc_next = None
+        for s in reversed(range(len(steps))):
+            st = steps[s]
+            onehot = np.zeros_like(st.weights)
+            onehot[0, st.token] = 1.0
+            d_adjusted = g[:, None] * onehot + ((-g) / st.norm)[:, None] * st.weights
+            d_raw = d_adjusted * self.logit_clip * (1.0 - st.squashed * st.squashed) * (1.0 / self.temperature)
+            grads[f"slot{s}.proj_w"] = st.h.T @ d_raw
+            grads[f"slot{s}.proj_b"] = d_raw
+            dh = d_raw @ p[f"slot{s}.proj_w"].T
+            for term in dh_next:
+                dh = dh + term
+            gates = st.gates
+            dc = dh * gates["o"] * (1.0 - st.tanh_c * st.tanh_c)
+            if dc_next is not None:
+                dc = dc_next + dc
+            d_pre = {
+                "o": dh * st.tanh_c * gates["o"] * (1.0 - gates["o"]),
+                "f": dc * st.c_prev * gates["f"] * (1.0 - gates["f"]),
+                "i": dc * gates["g"] * gates["i"] * (1.0 - gates["i"]),
+                "g": dc * gates["i"] * (1.0 - gates["g"] * gates["g"]),
+            }
+            xs.append(st.x)
+            h_prevs.append(st.h_prev)
+            dx = None
+            for gate in _BACKWARD_GATES:
+                d_pres[gate].append(d_pre[gate])
+                term = d_pre[gate] @ p[f"w_x{gate}"].T
+                dx = term if dx is None else dx + term
+            if s == 0:
+                grads["start"] = dx
+            else:
+                emb = np.zeros_like(p[f"slot{s - 1}.emb"])
+                emb[steps[s - 1].token] += dx[0]  # 0.0 + dx, as gather_rows' scatter adds it
+                grads[f"slot{s - 1}.emb"] = emb
+                dh_next = [d_pre[gate] @ p[f"w_h{gate}"].T for gate in _BACKWARD_GATES]
+                dc_next = dc * gates["f"]
+        # One reduce over the stacked per-step terms adds them one step at a
+        # time, as the tape's running sum did, with far fewer numpy calls.
+        # A term is an outer product: each entry is a single rounded product,
+        # however it is computed, and einsum computes them fastest.
+        inputs = {"w_x": np.concatenate(xs), "w_h": np.concatenate(h_prevs)}
+        for gate, terms in d_pres.items():
+            d_pre = np.concatenate(terms)
+            grads[f"b_{gate}"] = np.add.reduce(d_pre, axis=0, keepdims=True)
+            for kind, rows in inputs.items():
+                grads[f"{kind}{gate}"] = np.add.reduce(np.einsum("ti,tj->tij", rows, d_pre), axis=0)
+        return tuple(grads.get(name) for name in self._params)
 
     def _token_rows(self, tokens) -> np.ndarray:
         given = np.asarray(tokens)
@@ -164,8 +257,7 @@ class Controller:
 
     def sample(self, rng: np.random.Generator) -> Episode:
         """Draw one architecture; records log-prob (with graph) and entropy."""
-        tokens, log_prob, entropy = self._walk(lambda _s, probs: _draw(probs, rng))
-        log_prob_node = ad.reshape(log_prob, ())
+        tokens, log_prob_node, entropy = self._walk(lambda _s, probs: _draw(probs, rng))
         return Episode(
             arch=arch_from_tokens(self.space, tokens[0]),
             tokens=tuple(tokens[0].tolist()),
@@ -178,7 +270,7 @@ class Controller:
         """Log-prob (with graph) and entropy of a fixed token sequence."""
         rows = self._token_rows([list(tokens)])
         _, log_prob, entropy = self._walk(lambda s, _p: rows[:, s])
-        return ad.reshape(log_prob, ()), float(entropy[0])
+        return log_prob, float(entropy[0])
 
     def arch_log_prob(self, arch_tokens) -> float:
         node, _ = self.teacher_force(arch_tokens)
@@ -188,13 +280,13 @@ class Controller:
         """Sample many token sequences at once; rows are independent draws."""
         if count < 1:
             raise ParameterError("count must be positive")
-        tokens, _, _ = self._walk(lambda _s, probs: _draw(probs, rng), count, self._detached())
+        tokens, _, _ = self._walk(lambda _s, probs: _draw(probs, rng), count)
         return tokens
 
     def log_prob_batch(self, tokens) -> np.ndarray:
         """Joint log-probability of each row of token sequences."""
         rows = self._token_rows(tokens)
-        _, log_prob, _ = self._walk(lambda s, _p: rows[:, s], rows.shape[0], self._detached())
+        _, log_prob, _ = self._walk(lambda s, _p: rows[:, s], rows.shape[0])
         return log_prob.data
 
 
@@ -252,6 +344,8 @@ def reinforce_step(controller: Controller, episodes: list, state: ad.AdamState) 
     for episode in episodes:
         if episode.shaped_reward is None or episode.log_prob_node is None:
             raise ParameterError("episode is missing shaped_reward or its log-prob node")
+        if not math.isfinite(episode.shaped_reward):
+            raise ParameterError(f"shaped_reward must be finite, got {episode.shaped_reward}")
         term = ad.mul(episode.log_prob_node, Tensor(-episode.shaped_reward / len(episodes)))
         objective = term if objective is None else ad.add(objective, term)
     ad.zero_grads(params)
@@ -324,5 +418,7 @@ def load_controller(path) -> Controller:
             raise ShapeError(f"controller checkpoint {path} entry {name}: shape {entry.shape} != {tensor.data.shape}")
         if entry.dtype.kind not in "biuf":
             raise ParameterError(f"controller checkpoint {path} entry {name} holds {entry.dtype} values, not numbers")
+        if not np.isfinite(entry).all():
+            raise ParameterError(f"controller checkpoint {path} entry {name} holds a value that is not finite")
         tensor.data = entry.astype(np.float64)
     return controller

@@ -426,6 +426,8 @@ def search(
             if key not in reward_table:
                 raise ConfigError(f"reward_table: no entry for architecture {key!r}")
             raw, model = float(reward_table[key]), None
+            if not math.isfinite(raw):
+                raise ConfigError(f"reward_table: the reward of architecture {key!r} is not finite: {raw}")
         else:
             raw, model = runner.reward(arch, rng)
 

@@ -174,7 +174,7 @@ def test_batch_and_single_sampling_are_one_rule(space):
 
 def test_batch_scoring_records_no_tape():
     ctrl = small_controller()
-    _, log_prob, _ = ctrl._walk(lambda s, probs: 0, count=3, params=ctrl._detached())
+    _, log_prob, _ = ctrl._walk(lambda s, probs: 0, count=3)
     assert log_prob.grad_fn is None and not log_prob.requires_grad
     assert all(p.grad is None for p in ctrl.parameters())
 
@@ -185,6 +185,15 @@ def test_episode_validation():
         Episode(arch=arch, tokens=(0,) * 6, log_prob_sum=0.5, entropy_sum=1.0)
     with pytest.raises(ParameterError, match="entropy_sum"):
         Episode(arch=arch, tokens=(0,) * 6, log_prob_sum=-1.0, entropy_sum=-0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_episode_rejects_sums_that_are_not_finite(bad):
+    arch = arch_from_tokens(SMALL, [0, 0, 0, 0, 0, 0])
+    with pytest.raises(ParameterError, match="log_prob_sum must be finite"):
+        Episode(arch=arch, tokens=(0,) * 6, log_prob_sum=bad, entropy_sum=1.0)
+    with pytest.raises(ParameterError, match="entropy_sum must be finite"):
+        Episode(arch=arch, tokens=(0,) * 6, log_prob_sum=-1.0, entropy_sum=bad)
 
 
 def test_log_prob_gradients_match_finite_differences():
@@ -285,6 +294,18 @@ def test_reinforce_step_validation():
         reinforce_step(ctrl, [ep], state)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_reinforce_step_rejects_a_reward_that_is_not_finite(bad):
+    ctrl = small_controller()
+    state = ad.AdamState.init(ctrl.parameters(), lr=0.01)
+    before = ctrl.checksum()
+    ep = ctrl.sample(np.random.default_rng(0))
+    ep.shaped_reward = bad
+    with pytest.raises(ParameterError, match="shaped_reward must be finite"):
+        reinforce_step(ctrl, [ep], state)
+    assert ctrl.checksum() == before and state.step == 0
+
+
 def test_batch_of_episodes_averages_gradients():
     # Two episodes with opposite rewards on the same tokens cancel exactly.
     ctrl = small_controller(seed=16)
@@ -341,4 +362,16 @@ def test_checkpoint_shape_mismatch(tmp_path):
     arrays["slot0__emb"] = arrays["slot0__emb"][:, :2]
     np.savez(path, **arrays)
     with pytest.raises(ShapeError, match="slot0.emb"):
+        load_controller(path)
+
+
+def test_checkpoint_rejects_values_that_are_not_finite(tmp_path):
+    ctrl = small_controller()
+    path = tmp_path / "controller.npz"
+    save_controller(ctrl, path)
+    with np.load(path) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    arrays["w_xi"] = np.full_like(arrays["w_xi"], np.nan)
+    np.savez(path, **arrays)
+    with pytest.raises(ParameterError, match=f"{re.escape(str(path))} entry w_xi holds a value that is not finite"):
         load_controller(path)

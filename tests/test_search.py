@@ -266,6 +266,13 @@ def test_surrogate_requires_complete_table():
         search(tiny_config(episodes=1), space=TINY, reward_table={})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_surrogate_rejects_a_reward_that_is_not_finite(bad):
+    table = {key: (bad if "gcn" in key else value) for key, value in full_table(TINY).items()}
+    with pytest.raises(ConfigError, match=r"reward_table: the reward of architecture '[^']*gcn[^']*' is not finite"):
+        search(tiny_config(episodes=40), space=TINY, reward_table=table)
+
+
 def test_search_needs_exactly_one_reward_source(easy_sbm):
     with pytest.raises(ConfigError, match="exactly one"):
         search(tiny_config())
