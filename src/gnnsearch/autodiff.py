@@ -500,12 +500,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function of an array, without overflow for large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|): never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -1016,26 +1012,23 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
     return mul(x, _as_tensor(mask))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @classmethod
-    def init(cls, params: list, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def init(cls, params: list, lr: float) -> "AdamState":
         if lr <= 0:
             raise ParameterError("learning rate must be positive")
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        return state
+        return cls(lr=lr, m=[np.zeros_like(p.data) for p in params], v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(state: AdamState, params: list, grads: list) -> list:
@@ -1048,12 +1041,12 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
         # Assign a fresh array: closures from earlier forwards may hold the old one.
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 

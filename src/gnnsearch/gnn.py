@@ -44,33 +44,44 @@ class TrainHyperparams:
             raise ParameterError("seed must be non-negative")
 
 
-# Deterministic parameter ordering within a layer. A kind's scoring and
-# aggregation tensors go to the fused edge ops in this order.
-_SCORE_PARAMS = ("a_l", "a_r", "w_l", "w_r", "w_a")
-_MLP_PARAMS = ("mlp_w1", "mlp_w2")
-_PARAM_ORDER = ("w_t", *_SCORE_PARAMS, *_MLP_PARAMS, "w_res")
+# What each kind adds to a layer's transform w_t [in_dim, K*D], in draw
+# order: per-head vectors [K, D] ("KD") or per-head matrices [K, D, D]
+# ("KDD"). The fused edge ops take a kind's tensors in this order.
+LAYER_TENSORS = {
+    "attention": {
+        "const": {}, "gcn": {},
+        "gat": {"a_l": "KD", "a_r": "KD"},
+        "sym-gat": {"a_l": "KD", "a_r": "KD"},
+        "linear": {"a_l": "KD"},
+        "cos": {"w_l": "KDD", "w_r": "KDD"},
+        "gene-linear": {"w_l": "KDD", "w_r": "KDD", "w_a": "KD"},
+    },
+    "aggregation": {
+        "sum": {}, "mean-pooling": {}, "max-pooling": {},
+        "mlp": {"mlp_w1": "KDD", "mlp_w2": "KDD"},
+    },
+}
 
 
+def layer_shapes(attention: str, aggregation: str, in_dim: int, heads: int, hidden: int) -> dict:
+    """Name -> shape of every tensor a layer of these kinds owns, in draw
+    order: w_t, then the attention's, then the aggregation's. A residual
+    projection ``w_res`` is not among them."""
+    forms = {"KD": (heads, hidden), "KDD": (heads, hidden, hidden)}
+    shapes = {"w_t": (in_dim, heads * hidden)}
+    for role, kind in (("attention", attention), ("aggregation", aggregation)):
+        if kind not in LAYER_TENSORS[role]:
+            raise ParameterError(f"unknown {role} kind {kind!r}")
+        shapes.update((name, forms[form]) for name, form in LAYER_TENSORS[role][kind].items())
+    return shapes
+
+
+@dataclass
 class LayerParams:
-    """The tensors one layer owns; which exist depends on the kinds."""
+    """The tensors one layer owns: those of ``layer_shapes`` in its order,
+    then ``w_res`` when the layer has a residual projection."""
 
-    def __init__(self, attention: str, aggregation: str, in_dim: int, heads: int, hidden: int, tensors: dict):
-        self.attention = attention
-        self.aggregation = aggregation
-        self.in_dim = in_dim
-        self.heads = heads
-        self.hidden = hidden
-        self.tensors = tensors
-        expected = (in_dim, heads * hidden)
-        if tensors["w_t"].shape != expected:
-            raise ShapeError(f"w_t shape {tensors['w_t'].shape} != {expected}")
-
-    def named(self, names=_PARAM_ORDER) -> dict:
-        """This layer's tensors among ``names``, in that order."""
-        return {name: self.tensors[name] for name in names if name in self.tensors}
-
-    def ordered(self) -> list:
-        return list(self.named().values())
+    tensors: dict
 
 
 def init_layer_params(
@@ -81,50 +92,28 @@ def init_layer_params(
     heads: int,
     hidden: int,
 ) -> LayerParams:
-    """Fresh Glorot-initialized tensors for one layer (no residual)."""
-    tensors = {"w_t": ad.glorot(rng, in_dim, heads * hidden)}
-    k, d = heads, hidden
-    if attention in ("gat", "sym-gat"):
-        tensors["a_l"] = ad.glorot(rng, d, 1, shape=(k, d))
-        tensors["a_r"] = ad.glorot(rng, d, 1, shape=(k, d))
-    elif attention == "cos":
-        tensors["w_l"] = ad.glorot(rng, d, d, shape=(k, d, d))
-        tensors["w_r"] = ad.glorot(rng, d, d, shape=(k, d, d))
-    elif attention == "linear":
-        tensors["a_l"] = ad.glorot(rng, d, 1, shape=(k, d))
-    elif attention == "gene-linear":
-        tensors["w_l"] = ad.glorot(rng, d, d, shape=(k, d, d))
-        tensors["w_r"] = ad.glorot(rng, d, d, shape=(k, d, d))
-        tensors["w_a"] = ad.glorot(rng, d, 1, shape=(k, d))
-    elif attention not in ("const", "gcn"):
-        raise ParameterError(f"unknown attention kind {attention!r}")
-    if aggregation == "mlp":
-        tensors["mlp_w1"] = ad.glorot(rng, d, d, shape=(k, d, d))
-        tensors["mlp_w2"] = ad.glorot(rng, d, d, shape=(k, d, d))
-    elif aggregation not in ("sum", "mean-pooling", "max-pooling"):
-        raise ParameterError(f"unknown aggregation kind {aggregation!r}")
-    return LayerParams(attention, aggregation, in_dim, heads, hidden, tensors)
+    """Fresh Glorot-initialized tensors for one layer (no residual);
+    per head, a vector's fans are (D, 1) and a matrix's (D, D)."""
+    tensors = {}
+    for name, shape in layer_shapes(attention, aggregation, in_dim, heads, hidden).items():
+        fans = shape if name == "w_t" else (hidden, hidden if len(shape) == 3 else 1)
+        tensors[name] = ad.glorot(rng, *fans, shape=shape)
+    return LayerParams(tensors)
 
 
 @dataclass
 class ChildModel:
-    arch: ArchDescription
-    in_dim: int
-    out_classes: int
-    layers: list
+    layers: list  # one LayerParams per layer
     plan: list  # one LayerPlan per layer
 
     def parameters(self) -> list:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.ordered())
-        return out
+        return [t for layer in self.layers for t in layer.tensors.values()]
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
     def snapshot(self) -> list:
-        return [{name: t.data.copy() for name, t in layer.named().items()} for layer in self.layers]
+        return [{name: t.data.copy() for name, t in layer.tensors.items()} for layer in self.layers]
 
     def restore(self, snapshot: list) -> None:
         for layer, stored in zip(self.layers, snapshot):
@@ -134,11 +123,7 @@ class ChildModel:
     def detached(self) -> "ChildModel":
         """This model on copies of the parameters that need no gradient,
         so a forward through it records no tape."""
-        layers = [
-            LayerParams(layer.attention, layer.aggregation, layer.in_dim, layer.heads, layer.hidden,
-                        {name: Tensor(t.data) for name, t in layer.tensors.items()})
-            for layer in self.layers
-        ]
+        layers = [LayerParams({name: Tensor(t.data) for name, t in layer.tensors.items()}) for layer in self.layers]
         return replace(self, layers=layers)
 
 
@@ -215,7 +200,7 @@ def build_model(
         if step.skip_from is not None and not step.concat and step.skip_dim != step.base_out:
             params.tensors["w_res"] = ad.glorot(rng, step.skip_dim, step.base_out)
         layers.append(params)
-    return ChildModel(arch=arch, in_dim=in_dim, out_classes=out_classes, layers=layers, plan=plan)
+    return ChildModel(layers=layers, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +210,7 @@ def build_model(
 def _edge_scores(kind: str, z: Tensor, graph: Graph, params: LayerParams) -> Tensor:
     """Scores for every directed edge, [E, heads]. The destination is the
     node doing the aggregating (index i in the usual e_ij notation)."""
-    return ad.edge_scores(kind, z, graph.plan, *params.named(_SCORE_PARAMS).values())
+    return ad.edge_scores(kind, z, graph.plan, *(params.tensors[name] for name in LAYER_TENSORS["attention"][kind]))
 
 
 def forward(
@@ -236,8 +221,9 @@ def forward(
     dropout_p: float = 0.0,
 ) -> Tensor:
     """Run the whole model; returns [node_count, out_classes]."""
-    if graph.feature_dim != model.in_dim:
-        raise ShapeError(f"graph features {graph.feature_dim}-d, model expects {model.in_dim}")
+    in_dim = model.plan[0].key.in_dim
+    if graph.feature_dim != in_dim:
+        raise ShapeError(f"graph features {graph.feature_dim}-d, model expects {in_dim}")
     outputs = [Tensor(graph.features)]
     n = graph.node_count
     plan = graph.plan
@@ -248,7 +234,9 @@ def forward(
         scores = _edge_scores(step.key.attention, z, graph, params)
         alpha = ad.segment_softmax(scores, plan.dst, n)
         alpha = ad.dropout(alpha, dropout_p, rng, training)
-        agg = ad.edge_aggregate(step.key.aggregation, alpha, z, plan, *params.named(_MLP_PARAMS).values())
+        aggregation = step.key.aggregation
+        weights = [params.tensors[name] for name in LAYER_TENSORS["aggregation"][aggregation]]
+        agg = ad.edge_aggregate(aggregation, alpha, z, plan, *weights)
         if step.last:
             combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / heads))
         else:

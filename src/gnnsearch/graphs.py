@@ -177,7 +177,7 @@ def generate_sbm(
     draw = rng.random((n, n))
     upper = np.triu(draw < prob, k=1)
     src, dst = np.nonzero(upper)
-    edges = np.concatenate([np.stack([src, dst], axis=1), np.stack([dst, src], axis=1)])
+    edges = np.stack([src, dst], axis=1)  # make_graph adds the reverses
 
     means = rng.standard_normal((block_count, feature_dim))
     features = signal_strength * means[labels] + rng.standard_normal((n, feature_dim))
@@ -244,7 +244,7 @@ def generate_multigraph(
         draw = rng.random((n, n))
         upper = np.triu(draw < p, k=1)
         src, dst = np.nonzero(upper)
-        edges = np.concatenate([np.stack([src, dst], axis=1), np.stack([dst, src], axis=1)])
+        edges = np.stack([src, dst], axis=1)  # make_graph adds the reverses
         features = rng.standard_normal((n, feature_dim))
         graph = make_graph(n, edges, features, symmetrize=True)
 

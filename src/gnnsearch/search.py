@@ -38,6 +38,7 @@ from .gnn import (
     build_model,
     evaluate,
     init_layer_params,
+    layer_shapes,
     pooled_metric,
     train_child,
 )
@@ -69,24 +70,31 @@ class SharedParamStore:
             self.misses += 1
             return init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
         self.hits += 1
-        tensors = {name: Tensor(value.copy(), requires_grad=True) for name, value in stored.items()}
-        return LayerParams(key.attention, key.aggregation, key.in_dim, key.heads, key.hidden, tensors)
+        return LayerParams({name: Tensor(value.copy(), requires_grad=True) for name, value in stored.items()})
 
 
 fetch_copy = SharedParamStore.layer_params  # fetch_copy(store, key, rng)
 
 
+def _checked_entry(key: ShareKey, arrays: dict) -> dict:
+    """``arrays`` in the order of the key's ``layer_shapes``. Raises
+    ``ParameterError`` unless it has exactly their names, ``ShapeError``
+    unless it has their shapes."""
+    shapes = layer_shapes(key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
+    if arrays.keys() != shapes.keys():
+        raise ParameterError(f"entry {key} holds {sorted(arrays)}, its kinds own {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ShapeError(f"entry {key} has {name} of shape {arrays[name].shape}, not {shape}")
+    return {name: arrays[name] for name in shapes}
+
+
 def merge_if_positive(store: SharedParamStore, key: ShareKey, params: LayerParams, shaped_reward: float) -> bool:
     """Overwrite the store entry when the shaped reward is strictly positive."""
-    if params.attention != key.attention or params.aggregation != key.aggregation:
-        raise ParameterError(f"params kinds do not match key {key}")
-    if (params.in_dim, params.heads, params.hidden) != (key.in_dim, key.heads, key.hidden):
-        raise ShapeError(f"params dims do not match key {key}")
+    entry = _checked_entry(key, {name: t.data for name, t in params.tensors.items() if name != "w_res"})
     if shaped_reward <= 0.0:
         return False
-    store.entries[key] = {
-        name: tensor.data.copy() for name, tensor in params.named().items() if name != "w_res"
-    }
+    store.entries[key] = {name: value.copy() for name, value in entry.items()}
     return True
 
 
@@ -102,7 +110,9 @@ def save_store(store: SharedParamStore, path) -> None:
 
 
 def load_store(path) -> SharedParamStore:
-    """Read a ``save_store`` file; one that is not raises ``ParameterError`` naming the path."""
+    """Read a ``save_store`` file. One that is unreadable, or whose entry
+    does not match its key's ``layer_shapes`` or holds a non-finite
+    value, raises ``ParameterError`` naming the path."""
     store = SharedParamStore()
     try:
         with open_npz(path) as bundle:
@@ -113,6 +123,13 @@ def load_store(path) -> SharedParamStore:
                 store.entries.setdefault(key, {})[name] = bundle[full_name].astype(np.float64)
     except (OSError, ValueError, zipfile.BadZipFile) as err:
         raise ParameterError(f"sharing store {path} is unreadable: {err}") from None
+    for key, entry in store.entries.items():
+        try:
+            store.entries[key] = _checked_entry(key, entry)
+            if not all(np.isfinite(value).all() for value in entry.values()):
+                raise ParameterError(f"entry {key} holds non-finite values")
+        except (ParameterError, ShapeError) as err:
+            raise ParameterError(f"sharing store {path}: {err}") from None
     return store
 
 

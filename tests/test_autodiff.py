@@ -373,6 +373,26 @@ def test_dropout_validation(rng):
         ad.dropout(x, 0.5, None, training=True)
 
 
+def _masked_sigmoid(x):
+    """The logistic function with one mask per sign: a reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_is_bitwise_the_masked_form(rng):
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 710.0, -710.0, 1e308, -1e308]
+    x = np.concatenate([special, rng.standard_normal(1000) * 0.1, rng.standard_normal(989) * 1000])
+    with np.errstate(all="raise", under="ignore"):  # neither form overflows
+        fast = ad.stable_sigmoid(x)
+        reference = _masked_sigmoid(x)
+    assert fast.tobytes() == reference.tobytes()
+    assert ad.stable_sigmoid(x.reshape(4, -1)).tobytes() == reference.tobytes()
+
+
 def test_adam_zero_gradient_leaves_params():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = ad.AdamState.init([p], lr=0.1)

@@ -353,6 +353,44 @@ def test_derive_rejects_bad_checkpoints(tmp_path, capsys, corrupt, name, reason)
     assert f"{out / name} {reason}" in capsys.readouterr().err
 
 
+def _without_a_r(arrays):
+    del arrays[next(name for name in arrays if name.endswith("::a_r"))]
+
+
+def _square_a_l(arrays):
+    arrays[next(name for name in arrays if name.endswith("::a_l"))] = np.zeros((3, 3))
+
+
+def _nan_w_t(arrays):
+    name = next(name for name in arrays if name.endswith("::w_t"))
+    arrays[name] = np.full(arrays[name].shape, np.nan)
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (_without_a_r, "holds ['a_l', 'w_t'], its kinds own ['a_l', 'a_r', 'w_t']"),
+        (_square_a_l, "has a_l of shape (3, 3), not (1, "),
+        (_nan_w_t, "holds non-finite values"),
+    ],
+    ids=["entry-without-a_r", "entry-with-a-square-a_l", "entry-with-a-nan-w_t"],
+)
+def test_derive_rejects_a_store_entry_unlike_its_kinds(tmp_path, capsys, edit, reason):
+    cfg = write_cfg(tmp_path, param_sharing=True, exploration_epochs=2, attention_options=["gat"])
+    out = tmp_path / "out"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with np.load(out / "store.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    assert all("|gat|" in name for name in arrays)
+    edit(arrays)
+    np.savez(out / "store.npz", **arrays)
+    assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sharing store {out / 'store.npz'}: entry ShareKey(")
+    assert reason in err
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -112,7 +112,7 @@ def _run_layer(attention, aggregation, graph, params, z, keep, weight, fused):
         agg = _chain_aggregate(aggregation, alpha, z, graph, t)
     scores_data, agg_data = scores.data, agg.data
     ad.reduce_sum(ad.mul(agg, weight)).backward()
-    grads = {"z": z.grad, **{name: p.grad for name, p in params.named().items() if name != "w_t"}}
+    grads = {"z": z.grad, **{name: p.grad for name, p in t.items() if name != "w_t"}}
     return scores_data, agg_data, grads
 
 

@@ -1,11 +1,13 @@
 """Child models: attention functions, layer wiring, training, metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import gnnsearch.gnn as gnn_module
 from gnnsearch import autodiff as ad
-from gnnsearch.arch import ATTENTION, decode, default_space
+from gnnsearch.arch import AGGREGATION, ATTENTION, decode, default_space
 from gnnsearch.autodiff import Tensor
 from gnnsearch.errors import ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import (
@@ -16,6 +18,7 @@ from gnnsearch.gnn import (
     evaluate,
     forward,
     init_layer_params,
+    layer_shapes,
     node_metric,
     train_child,
 )
@@ -50,7 +53,7 @@ def _pair_score(kind, h_i, h_j, d_i, d_j, params=None):
         degrees=np.array([d_i, d_j], dtype=np.int64),
     )
     if params is None:  # const and gcn own no scoring tensors
-        params = LayerParams(kind, "sum", 1, heads, width, {"w_t": Tensor(np.zeros((1, heads * width)))})
+        params = LayerParams({"w_t": Tensor(np.zeros((1, heads * width)))})
     scores = _edge_scores(kind, Tensor(np.stack([h_i, h_j])), stub, params)
     return ad.reshape(scores, (heads,))
 
@@ -135,7 +138,7 @@ def test_attention_param_gradients(rng, kind):
     h_i = rng.standard_normal((2, 3))
     h_j = rng.standard_normal((2, 3))
     weights = Tensor(rng.standard_normal(2))
-    tensors = [t for name, t in params.named().items() if name != "w_t"]
+    tensors = [t for name, t in params.tensors.items() if name != "w_t"]
 
     def build():
         return ad.reduce_sum(ad.mul(_pair_score(kind, h_i, h_j, 2, 3, params), weights))
@@ -160,27 +163,55 @@ def test_every_kind_normalizes_to_one_per_neighborhood(tiny_graph, rng):
 
 def test_const_sum_layer_owns_only_transform(rng):
     params = init_layer_params(rng, "const", "sum", in_dim=7, heads=2, hidden=4)
-    assert list(params.named()) == ["w_t"]
+    assert list(params.tensors) == ["w_t"]
     assert params.tensors["w_t"].shape == (7, 8)
 
 
 def test_param_inventories_per_kind(rng):
     gat = init_layer_params(rng, "gat", "mean-pooling", 5, 2, 3)
-    assert list(gat.named()) == ["w_t", "a_l", "a_r"]
+    assert list(gat.tensors) == ["w_t", "a_l", "a_r"]
     cos = init_layer_params(rng, "cos", "sum", 5, 2, 3)
-    assert list(cos.named()) == ["w_t", "w_l", "w_r"]
+    assert list(cos.tensors) == ["w_t", "w_l", "w_r"]
     assert cos.tensors["w_l"].shape == (2, 3, 3)
     gene = init_layer_params(rng, "gene-linear", "mlp", 5, 2, 3)
-    assert list(gene.named()) == ["w_t", "w_l", "w_r", "w_a", "mlp_w1", "mlp_w2"]
+    assert list(gene.tensors) == ["w_t", "w_l", "w_r", "w_a", "mlp_w1", "mlp_w2"]
     with pytest.raises(ParameterError, match="attention"):
         init_layer_params(rng, "dot", "sum", 5, 2, 3)
     with pytest.raises(ParameterError, match="aggregation"):
         init_layer_params(rng, "const", "median", 5, 2, 3)
 
 
-def test_layer_params_shape_check(rng):
-    with pytest.raises(ShapeError, match="w_t"):
-        LayerParams("const", "sum", 5, 2, 3, {"w_t": Tensor(np.zeros((5, 5)))})
+def _if_elif_init(rng, attention, aggregation, in_dim, heads, hidden):
+    """The per-kind draws written out one kind at a time: a reference."""
+    tensors = {"w_t": ad.glorot(rng, in_dim, heads * hidden)}
+    k, d = heads, hidden
+    if attention in ("gat", "sym-gat"):
+        tensors["a_l"] = ad.glorot(rng, d, 1, shape=(k, d))
+        tensors["a_r"] = ad.glorot(rng, d, 1, shape=(k, d))
+    elif attention == "cos":
+        tensors["w_l"] = ad.glorot(rng, d, d, shape=(k, d, d))
+        tensors["w_r"] = ad.glorot(rng, d, d, shape=(k, d, d))
+    elif attention == "linear":
+        tensors["a_l"] = ad.glorot(rng, d, 1, shape=(k, d))
+    elif attention == "gene-linear":
+        tensors["w_l"] = ad.glorot(rng, d, d, shape=(k, d, d))
+        tensors["w_r"] = ad.glorot(rng, d, d, shape=(k, d, d))
+        tensors["w_a"] = ad.glorot(rng, d, 1, shape=(k, d))
+    if aggregation == "mlp":
+        tensors["mlp_w1"] = ad.glorot(rng, d, d, shape=(k, d, d))
+        tensors["mlp_w2"] = ad.glorot(rng, d, d, shape=(k, d, d))
+    return tensors
+
+
+@pytest.mark.parametrize("attention,aggregation", list(itertools.product(ATTENTION, AGGREGATION)))
+def test_init_draws_the_table_tensors_in_table_order(attention, aggregation):
+    shapes = layer_shapes(attention, aggregation, 5, 3, 4)
+    params = init_layer_params(np.random.default_rng(11), attention, aggregation, 5, 3, 4)
+    assert [(name, t.shape) for name, t in params.tensors.items()] == list(shapes.items())
+    reference = _if_elif_init(np.random.default_rng(11), attention, aggregation, 5, 3, 4)
+    assert list(reference) == list(params.tensors)
+    for name, tensor in reference.items():
+        assert params.tensors[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 def test_hand_counted_param_total(rng):

@@ -1,5 +1,7 @@
 """Graph containers, generators, and the text dataset format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,32 @@ def test_multigraph_labels_match_add_at_reference():
         np.add.at(neighbor_sum, graph.dst, graph.features[graph.src])
         context = 0.5 * (graph.features + neighbor_sum / graph.degrees[:, None])
         assert np.array_equal(labels, (context @ rule > 0.0).astype(np.int64))
+
+
+def _dataset_digest(dataset):
+    h = hashlib.sha256()
+    for graph, labels, mask in zip(dataset.graphs, dataset.labels, dataset.masks):
+        for arr in (graph.edges, graph.features, graph.degrees, labels, mask.train, mask.val, mask.test):
+            h.update(f"{arr.dtype}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# The dataset settings of the sbm-share and multigraph-share benchmark
+# workloads; 1000001 is the first seed of their fixed panel.
+@pytest.mark.parametrize(
+    "build,seed,digest",
+    [
+        (lambda s: generate_sbm(4, 100, 0.06, 0.02, 16, 0.3, s), 1,
+         "293a8103bab658e32502f1bf50b6793efb42c05e2cd1e33bf36b53f87ec406e0"),
+        (lambda s: generate_sbm(4, 100, 0.06, 0.02, 16, 0.3, s), 1000001,
+         "3597614f97fb16e9dfb37646c88e40d5c51c350300a72a978e3e76dc2b62afc0"),
+        (lambda s: generate_multigraph(20, 60, 8.0, 16, 6, s), 1,
+         "5fb53f6544b088f43a06167a48bffc0697c7e5543497ad7a041fe8fde322e0f7"),
+        (lambda s: generate_multigraph(20, 60, 8.0, 16, 6, s), 1000001,
+         "4cfd9bada389152535ec204ea2063f50c1c06faa12542c3ed58853416c4e627a"),
+    ],
+    ids=["sbm-1", "sbm-1000001", "multigraph-1", "multigraph-1000001"],
+)
+def test_benchmark_datasets_keep_their_bytes(build, seed, digest):
+    assert _dataset_digest(build(seed)) == digest

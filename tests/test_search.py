@@ -1,6 +1,7 @@
 """Search loops, the shared store, reward plumbing, and derivation."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ import importlib
 search_module = importlib.import_module("gnnsearch.search")
 
 from gnnsearch import autodiff as ad
-from gnnsearch.arch import ActionSpace, encode, enumerate_archs
+from gnnsearch.arch import AGGREGATION, ATTENTION, ActionSpace, decode, default_space, encode, enumerate_archs
 from gnnsearch.controller import Baseline, Controller
 from gnnsearch.errors import ConfigError, ParameterError, ShapeError, TrainingError
-from gnnsearch.gnn import TrainHyperparams, init_layer_params
+from gnnsearch.gnn import TrainHyperparams, build_model, init_layer_params
 from gnnsearch.graphs import make_graph
 from gnnsearch.search import (
     EpisodeRecord,
@@ -69,7 +70,7 @@ def test_fetch_miss_draws_fresh_params(rng):
     key = ShareKey(0, "gat", "sum", 5, 2, 4)
     params = fetch_copy(store, key, rng)
     assert store.misses == 1 and store.hits == 0
-    assert params.attention == "gat"
+    assert list(params.tensors) == ["w_t", "a_l", "a_r"]
     assert params.tensors["w_t"].shape == (5, 8)
     assert len(store) == 0  # lookups never write
 
@@ -142,6 +143,50 @@ def test_keys_differing_in_any_field_are_distinct_entries(rng):
         assert other not in store.entries
         fetch_copy(store, other, rng)
     assert store.misses == len(variants)
+
+
+PARAMETER_ORDER = ("w_t", "a_l", "a_r", "w_l", "w_r", "w_a", "mlp_w1", "mlp_w2", "w_res")
+
+
+@pytest.mark.parametrize("attention,aggregation", list(itertools.product(ATTENTION, AGGREGATION)))
+@pytest.mark.parametrize("skip", [False, True])
+def test_parameters_keep_the_name_order_on_draws_and_store_hits(tmp_path, attention, aggregation, skip):
+    # With skip, each layer adds a 4-wide residual to a source of another
+    # width, so both layers own a w_res.
+    space = default_space(layer_count=2, skip_enabled=skip)
+    tail = (",0,add", ",1,add") if skip else ("", "")
+    arch = decode(
+        f"first-order,{attention},{aggregation},relu,2,4{tail[0]}\n"
+        f"first-order,{attention},{aggregation},relu,2,4{tail[1]}",
+        space,
+    )
+    store = SharedParamStore()
+    fresh = build_model(arch, 5, 3, np.random.default_rng(0), store=store)
+    for step, params in zip(fresh.plan, fresh.layers):
+        merge_if_positive(store, step.key, params, 1.0)
+    save_store(store, tmp_path / "store.npz")
+    hit = build_model(arch, 5, 3, np.random.default_rng(1), store=store)
+    loaded = build_model(arch, 5, 3, np.random.default_rng(1), store=load_store(tmp_path / "store.npz"))
+    for model in (fresh, hit, loaded):
+        assert all(("w_res" in layer.tensors) == skip for layer in model.layers)
+        expected = [layer.tensors[name] for layer in model.layers for name in PARAMETER_ORDER if name in layer.tensors]
+        assert [id(t) for t in model.parameters()] == [id(t) for t in expected]
+    for mine, theirs in zip(hit.parameters(), loaded.parameters()):
+        assert mine.data.tobytes() == theirs.data.tobytes()
+
+
+def test_merge_checks_the_entry_against_the_kind_table(rng):
+    store = SharedParamStore()
+    key = ShareKey(0, "gene-linear", "mlp", 5, 2, 4)
+    params = init_layer_params(rng, "gene-linear", "mlp", 5, 2, 4)
+    del params.tensors["w_a"]
+    with pytest.raises(ParameterError, match="w_a"):
+        merge_if_positive(store, key, params, 1.0)
+    params = init_layer_params(rng, "gene-linear", "mlp", 5, 2, 4)
+    params.tensors["w_a"] = ad.glorot(rng, 4, 4, shape=(2, 4, 4))
+    with pytest.raises(ShapeError, match="w_a"):
+        merge_if_positive(store, key, params, 1.0)
+    assert len(store) == 0
 
 
 def test_store_round_trip(tmp_path, rng):
@@ -528,8 +573,8 @@ def test_built_child_hits_the_keys_its_merge_wrote(easy_sbm):
     rebuilt = build_model(arch, easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(1), store=store)
     assert store.hits == hits_before + 2
     for merged, again in zip(model.layers, rebuilt.layers):
-        assert merged.named().keys() == again.named().keys()
-        for name, tensor in merged.named().items():
+        assert merged.tensors.keys() == again.tensors.keys()
+        for name, tensor in merged.tensors.items():
             assert np.array_equal(again.tensors[name].data, tensor.data)
 
 
