@@ -12,18 +12,21 @@ the leaves and the root keep a ``.grad``. A second backward through a
 consumed tape raises ``ParameterError``. An op computes no gradient for
 an operand that needs none.
 
-No operation and no optimizer step writes into an existing array: an
-op's output is a new array or a view of its input (``reshape``,
-``head_matmul``), and ``adam_step`` assigns new arrays to the
-parameters. So values captured by backward closures stay valid, and a
-forward's output keeps describing the parameters it was computed from,
-which lets ``gnn.train_child`` reuse it.
+No op writes into an existing array: an op's output is a new array or
+a view of its input (``reshape``, ``head_matmul``), so values captured
+by backward closures stay valid. ``adam_step`` is the one writer: it
+updates the parameters in place, in the flat buffer ``AdamState.init``
+moved them into. So every tape over a parameter set must be consumed or
+dropped before its step, and a forward's output describes the
+parameters it was computed from only until the next step;
+``gnn.train_child`` reuses one only before that step. A snapshot of
+parameter values is a copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -1017,36 +1020,82 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter.
+
+    ``init`` copies the parameters into one flat buffer and points each
+    parameter's ``data`` at its slice of it (``views``, reshaped), so a
+    step is a few whole-buffer ufunc calls; ``m`` and ``v`` are flat
+    arrays of the same length.
+    """
 
     lr: float
+    flat: np.ndarray
+    views: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     @classmethod
     def init(cls, params: list, lr: float) -> "AdamState":
-        if lr <= 0:
-            raise ParameterError("learning rate must be positive")
-        return cls(lr=lr, m=[np.zeros_like(p.data) for p in params], v=[np.zeros_like(p.data) for p in params])
+        if not (math.isfinite(lr) and lr > 0):
+            raise ParameterError(f"learning rate must be finite and positive, got {lr}")
+        buffers = np.zeros((3, sum(p.data.size for p in params)))
+        flat = buffers[0]
+        views = []
+        start = 0
+        for p in params:
+            view = flat[start:start + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            views.append(view)
+            start += view.size
+        return cls(lr=lr, flat=flat, views=views, m=buffers[1], v=buffers[2])
 
 
 def adam_step(state: AdamState, params: list, grads: list) -> list:
-    """One Adam update with bias correction. Returns the updated params."""
-    if len(params) != len(state.m) or len(grads) != len(params):
+    """One Adam update with bias correction, written into the parameters'
+    arrays in place. Returns the params.
+
+    A parameter whose ``data`` was rebound since ``init`` or the last step
+    has its values copied back into its slot and is pointed at it again.
+    A step refused for a length or shape mismatch changes nothing.
+    """
+    views = state.views
+    if len(params) != len(views) or len(grads) != len(params):
         raise ParameterError("adam_step: params/grads length does not match state")
+    rebound = []
+    for p, g, view in zip(params, grads, views):
+        if np.shape(g) != view.shape:
+            raise ShapeError(f"grad shape {np.shape(g)} != param shape {view.shape}")
+        if p.data is not view:
+            if p.data.shape != view.shape:
+                raise ShapeError(f"param shape {p.data.shape} != its optimizer slot's {view.shape}")
+            rebound.append((p, view))
+    g = np.concatenate(grads, axis=None, dtype=np.float64)
+    for p, view in rebound:
+        view[...] = p.data
+        p.data = view
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        # Assign a fresh array: closures from earlier forwards may hold the old one.
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    # The per-array expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+    # and p = p - (lr*(m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps), one
+    # correctly rounded op at a time in the same order, so values keep
+    # their bits. Two temporaries: the flat gradient and one scratch.
+    scratch = np.multiply(1.0 - ADAM_BETA1, g)
+    np.multiply(ADAM_BETA1, m, out=m)
+    np.add(m, scratch, out=m)
+    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+    np.multiply(scratch, g, out=scratch)
+    np.multiply(ADAM_BETA2, v, out=v)
+    np.add(v, scratch, out=v)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, ADAM_EPS, out=scratch)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
+    np.multiply(state.lr, g, out=g)
+    np.divide(g, scratch, out=g)
+    np.subtract(state.flat, g, out=state.flat)
     return params
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -121,7 +122,13 @@ def _checked(key: str, value):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+        return number
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")

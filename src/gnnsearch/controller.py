@@ -90,8 +90,9 @@ class Controller:
     ):
         if hidden_size < 1:
             raise ParameterError("hidden_size must be positive")
-        if temperature <= 0 or logit_clip <= 0:
-            raise ParameterError("temperature and logit_clip must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (temperature, logit_clip)):
+            raise ParameterError(f"temperature and logit_clip must be finite and positive, got {temperature}, "
+                                 f"{logit_clip}")
         self.space = space
         self.slots = slot_specs(space)
         self.hidden_size = hidden_size

@@ -9,6 +9,7 @@ applies an optional residual, then the activation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -30,10 +31,10 @@ class TrainHyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError("lr must be positive")
-        if self.l2_lambda < 0:
-            raise ParameterError("l2_lambda must be non-negative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ParameterError(f"l2_lambda must be finite and non-negative, got {self.l2_lambda}")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must lie in [0, 1)")
         if self.max_epochs < 1:
@@ -123,7 +124,8 @@ class ChildModel:
     def detached(self) -> "ChildModel":
         """This model on copies of the parameters that need no gradient,
         so a forward through it records no tape."""
-        layers = [LayerParams({name: Tensor(t.data) for name, t in layer.tensors.items()}) for layer in self.layers]
+        layers = [LayerParams({name: Tensor(t.data.copy()) for name, t in layer.tensors.items()})
+                  for layer in self.layers]
         return replace(self, layers=layers)
 
 

@@ -56,12 +56,14 @@ def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarr
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= node_count):
         raise ParameterError(f"edge endpoint out of range for {node_count} nodes")
-    pairs = {(int(s), int(d)) for s, d in arr}
+    src, dst = arr[:, 0], arr[:, 1]
+    loops = np.arange(node_count, dtype=np.int64)
+    parts = [src * node_count + dst, loops * (node_count + 1)]
     if symmetrize:
-        pairs |= {(d, s) for s, d in pairs}
-    pairs |= {(i, i) for i in range(node_count)}
-    out = np.array(sorted(pairs), dtype=np.int64)
-    return out
+        parts.append(dst * node_count + src)
+    # A pair's code src * n + dst sorts as the (src, dst) tuple does.
+    codes = np.unique(np.concatenate(parts))
+    return np.stack([codes // node_count, codes % node_count], axis=1)
 
 
 def make_graph(node_count: int, edges, features, symmetrize: bool = True) -> Graph:

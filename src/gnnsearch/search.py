@@ -192,10 +192,12 @@ class SearchConfig:
             raise ConfigError(
                 "exploration_epochs: exploration only applies to the graphnas strategy with sharing"
             )
-        if self.controller_lr <= 0 or self.temperature <= 0 or self.logit_clip <= 0:
-            raise ConfigError("controller_lr, temperature, logit_clip: must be positive")
-        if self.entropy_weight < 0:
-            raise ConfigError("entropy_weight: must be non-negative")
+        for name in ("controller_lr", "temperature", "logit_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name}: must be finite and positive, got {value}")
+        if not (math.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
+            raise ConfigError(f"entropy_weight: must be finite and non-negative, got {self.entropy_weight}")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ConfigError("baseline_decay: must lie in [0, 1)")
 

@@ -427,7 +427,9 @@ def test_adam_shape_mismatch():
 
 
 def test_adam_preserves_captured_forward_values(rng):
-    # Closures from a forward pass must keep seeing pre-update data.
+    # AdamState.init copies the parameters into its buffer, so a tape
+    # recorded before it keeps the values it was recorded at. (A tape
+    # recorded after it must be consumed first: the step writes in place.)
     p = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     out = ad.reduce_sum(ad.mul(p, p))
     before = p.data

@@ -190,6 +190,27 @@ def test_negative_seeds_exit_cleanly(tmp_path, capsys, extra, flags):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["lr", "controller_lr", "temperature"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"])
+def test_non_finite_numbers_in_the_file_exit_cleanly(tmp_path, capsys, key, value):
+    # json reads NaN and Infinity, which pass every "<= 0" check, and an
+    # integer too large for a float.
+    cfg = write_cfg(tmp_path, **{key: value})
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
+def test_non_finite_number_flags_exit_cleanly(tmp_path, capsys, flag):
+    log = tmp_path / "run.log"
+    log.write_text("", encoding="utf-8")
+    cfg = write_cfg(tmp_path)
+    rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "report"), f"--threshold={flag}", str(log)])
+    assert rc == 2
+    assert "config key 'threshold' must be a finite number" in capsys.readouterr().err
+
+
 def test_default_config_is_the_search_config_default():
     assert build_search_config(load_config(None)) == SearchConfig()
 

@@ -68,6 +68,13 @@ def test_constructor_validation():
         Controller(SMALL, rng, logit_clip=-1.0)
 
 
+@pytest.mark.parametrize("key", ["temperature", "logit_clip"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_constructor_refuses_numbers_that_are_not_finite(key, value):
+    with pytest.raises(ParameterError, match="must be finite and positive"):
+        Controller(SMALL, np.random.default_rng(0), **{key: value})
+
+
 # ---------------------------------------------------------------------------
 # sampling and scoring
 

@@ -654,6 +654,13 @@ def test_hyperparam_validation():
         TrainHyperparams(patience=300, max_epochs=200)
 
 
+@pytest.mark.parametrize("key", ["lr", "l2_lambda"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_hyperparams_refuse_numbers_that_are_not_finite(key, value):
+    with pytest.raises(ParameterError, match=f"^{key} must be finite"):
+        TrainHyperparams(**{key: value})
+
+
 @pytest.mark.parametrize("attention", ["gat", "sym-gat", "cos", "gene-linear"])
 def test_overflowing_max_pooling_child_raises_training_error(easy_sbm, attention):
     # Overflow turns messages into inf/NaN; they must reach the loss check

@@ -33,6 +33,27 @@ def test_canonical_edges_directed_mode_keeps_direction():
     assert out.tolist() == [[0, 0], [0, 1], [1, 1], [2, 2]]
 
 
+def _tuple_set_edges(node_count, edges, symmetrize):
+    """The set-of-tuples form canonical_edges replaced."""
+    pairs = {(int(s), int(d)) for s, d in np.asarray(edges, dtype=np.int64).reshape(-1, 2)}
+    if symmetrize:
+        pairs |= {(d, s) for s, d in pairs}
+    pairs |= {(i, i) for i in range(node_count)}
+    return np.array(sorted(pairs), dtype=np.int64)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_canonical_edges_equal_the_tuple_set_form(symmetrize):
+    rng = np.random.default_rng(9)
+    for node_count in (1, 2, 7, 300):
+        for edge_count in (0, 1, 40, 2000):  # draws repeat pairs and self-loops
+            edges = rng.integers(0, node_count, size=(edge_count, 2))
+            out = canonical_edges(node_count, edges, symmetrize=symmetrize)
+            expected = _tuple_set_edges(node_count, edges, symmetrize)
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
+
+
 def test_canonical_edges_endpoint_out_of_range():
     with pytest.raises(ParameterError, match="out of range"):
         canonical_edges(3, [[0, 3]])

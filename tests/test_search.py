@@ -230,6 +230,19 @@ def test_config_validation_messages():
     tiny_config(param_sharing=True, exploration_epochs=5)
 
 
+@pytest.mark.parametrize("key", ["controller_lr", "temperature", "logit_clip"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
+def test_config_refuses_controller_numbers_that_are_not_finite_and_positive(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite and positive"):
+        tiny_config(**{key: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_config_refuses_an_entropy_weight_that_is_not_finite(value):
+    with pytest.raises(ConfigError, match="^entropy_weight: must be finite"):
+        tiny_config(entropy_weight=value)
+
+
 def test_config_reward_source_routing():
     assert tiny_config(strategy="random").uses_controller() is False
     assert tiny_config().uses_controller() is True
