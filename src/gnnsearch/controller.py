@@ -8,12 +8,15 @@ input. Logits are softened by a temperature then squashed to
 caps how deterministic the policy can become.
 
 One walk serves sampling, teacher forcing and batch scoring. It runs in
-plain numpy. A live walk (``sample``, ``teacher_force``) records its
-log-prob as a single tape node whose backward is hand-written
-backpropagation through time over the slots; batched walks record
-nothing. The forward does the arithmetic of the per-op tape chain it
-replaced, and the backward adds every gradient in the order that chain's
-tape added it, so log-probs and gradients are bitwise unchanged.
+plain numpy. The four gates' weights are stacked into [H, 4H] matrices
+once per walk, so each slot's pre-activations are one product per input.
+A live walk (``sample``, ``teacher_force``) records its log-prob as a
+single tape node whose backward is hand-written backpropagation through
+time over the slots; batched walks record nothing.
+
+Numerics version 2 (package 0.2.0): log-probs and gradients agree to
+rounding (within 1e-12 norm-relative) with the same LSTM recorded op by
+op on the tape, and same-seed runs are bitwise equal within a version.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from .errors import ParameterError, ShapeError
 INIT_BOUND = 0.1
 CHECKPOINT_VERSION = 1
 
-_GATES = ("i", "f", "g", "o")
-# The order in which the per-op chain's tape summed the gates' gradients.
-_BACKWARD_GATES = ("o", "f", "i", "g")
+_GATES = ("i", "f", "g", "o")  # the order their parameters are drawn in
+# The column order of the walk's stacked [H, 4H] gate weights: the three
+# sigmoid gates first, so one sigmoid covers 3H columns and one tanh the rest.
+_STACKED = ("i", "f", "o", "g")
 
 
 class _Step(NamedTuple):
@@ -46,7 +50,7 @@ class _Step(NamedTuple):
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    gates: dict
+    gates: np.ndarray  # [1, 4H] activations, in _STACKED order
     tanh_c: np.ndarray
     h: np.ndarray
     squashed: np.ndarray
@@ -137,9 +141,12 @@ class Controller:
         [rows]).
         """
         rows = 1 if count is None else count
+        size = self.hidden_size
         p = {name: t.data for name, t in self._params.items()}
-        h = np.zeros((rows, self.hidden_size))
-        c = np.zeros((rows, self.hidden_size))
+        w_x, w_h, b = (np.concatenate([p[f"{kind}{gate}"] for gate in _STACKED], axis=1)
+                       for kind in ("w_x", "w_h", "b_"))
+        h = np.zeros((rows, size))
+        c = np.zeros((rows, size))
         x = p["start"]
         picked_rows = np.arange(rows)
         log_prob = None
@@ -147,14 +154,13 @@ class Controller:
         tokens = np.empty((rows, len(self.slots)), dtype=np.int64)
         steps = []
         for s in range(len(self.slots)):
-            gates = {}
-            for gate in _GATES:
-                pre = x @ p[f"w_x{gate}"] + h @ p[f"w_h{gate}"] + p[f"b_{gate}"]
-                gates[gate] = np.tanh(pre) if gate == "g" else ad.stable_sigmoid(pre)
+            pre = x @ w_x + h @ w_h + b
+            gates = np.concatenate([ad.stable_sigmoid(pre[:, :3 * size]), np.tanh(pre[:, 3 * size:])], axis=1)
+            i, f, o, g = (gates[:, k * size:(k + 1) * size] for k in range(4))
             h_prev, c_prev = h, c
-            c = gates["f"] * c + gates["i"] * gates["g"]
+            c = f * c + i * g
             tanh_c = np.tanh(c)
-            h = gates["o"] * tanh_c
+            h = o * tanh_c
             squashed = np.tanh((h @ p[f"slot{s}.proj_w"] + p[f"slot{s}.proj_b"]) * (1.0 / self.temperature))
             adjusted = squashed * self.logit_clip
             # Logits are bounded by the clip, so plain softmax is safe.
@@ -163,8 +169,6 @@ class Controller:
             probs = weights / norm[:, None]
             tokens[:, s] = pick(s, probs)
             entropy += -np.sum(probs * np.log(probs), axis=1)
-            # The chain summed adjusted * onehot; the entries it added to the
-            # picked one were zeros, so reading that entry gives the same term.
             term = adjusted[picked_rows, tokens[:, s]] - np.log(norm)
             log_prob = term if log_prob is None else log_prob + term
             if count is None:
@@ -173,71 +177,57 @@ class Controller:
                 x = p[f"slot{s}.emb"].take(tokens[:, s], axis=0)
         if count is not None:
             return tokens, Tensor(log_prob), entropy
-        node = ad.record(log_prob.reshape(()), tuple(self._params.values()), lambda g: self._bptt(g, p, steps))
+        node = ad.record(log_prob.reshape(()), tuple(self._params.values()),
+                         lambda grad: self._bptt(grad, p, w_x, w_h, steps))
         return tokens, node, entropy
 
-    def _bptt(self, g: np.ndarray, p: dict, steps: list) -> tuple:
+    def _bptt(self, grad: np.ndarray, p: dict, w_x: np.ndarray, w_h: np.ndarray, steps: list) -> tuple:
         """Gradients of a live walk's log-prob, one per parameter.
 
-        Each step replays the backward rules of the per-op chain (matmul,
-        add, sigmoid, tanh, mul, exp, log, gather) on the same numpy calls,
-        and every sum adds in the order that chain's tape added it: a weight
-        sums its per-step terms last slot first, h takes its own slot's
-        projection and then the next step's gates o, f, i, g, and x and
-        ``start`` take gates o, f, i, g. So the gradients are bitwise those
-        of the chain. The last slot's embedding gets None: no step reads it.
+        ``w_x`` and ``w_h`` are the walk's stacked [H, 4H] gate weights.
+        Each step, last slot first, forms one [1, 4H] gate gradient and
+        takes the gradients of its input and of the previous h from it
+        with one product each; the eight gate weights then get theirs
+        from two [H, T] @ [T, 4H] products, and the four biases from one
+        column sum. The last slot's embedding gets None: no step reads it.
         """
-        g = g.reshape((1,))
+        size, scale = self.hidden_size, float(grad)
+        d_pres = np.empty((len(steps), 4 * size))
         grads = {}
-        xs, h_prevs, d_pres = [], [], {gate: [] for gate in _GATES}  # last slot first
-        dh_next = ()  # step s+1's gate terms for h_s, in the order o, f, i, g
-        dc_next = None
+        dh_next = dc_next = None
         for s in reversed(range(len(steps))):
             st = steps[s]
-            onehot = np.zeros_like(st.weights)
-            onehot[0, st.token] = 1.0
-            d_adjusted = g[:, None] * onehot + ((-g) / st.norm)[:, None] * st.weights
-            d_raw = d_adjusted * self.logit_clip * (1.0 - st.squashed * st.squashed) * (1.0 / self.temperature)
+            d_adjusted = st.weights * (-scale / st.norm)[:, None]
+            d_adjusted[0, st.token] += scale
+            d_raw = d_adjusted * (1.0 - st.squashed * st.squashed) * (self.logit_clip / self.temperature)
             grads[f"slot{s}.proj_w"] = st.h.T @ d_raw
             grads[f"slot{s}.proj_b"] = d_raw
             dh = d_raw @ p[f"slot{s}.proj_w"].T
-            for term in dh_next:
-                dh = dh + term
-            gates = st.gates
-            dc = dh * gates["o"] * (1.0 - st.tanh_c * st.tanh_c)
+            if dh_next is not None:
+                dh += dh_next
+            i, f, o, g = (st.gates[:, k * size:(k + 1) * size] for k in range(4))
+            dc = dh * o * (1.0 - st.tanh_c * st.tanh_c)
             if dc_next is not None:
-                dc = dc_next + dc
-            d_pre = {
-                "o": dh * st.tanh_c * gates["o"] * (1.0 - gates["o"]),
-                "f": dc * st.c_prev * gates["f"] * (1.0 - gates["f"]),
-                "i": dc * gates["g"] * gates["i"] * (1.0 - gates["i"]),
-                "g": dc * gates["i"] * (1.0 - gates["g"] * gates["g"]),
-            }
-            xs.append(st.x)
-            h_prevs.append(st.h_prev)
-            dx = None
-            for gate in _BACKWARD_GATES:
-                d_pres[gate].append(d_pre[gate])
-                term = d_pre[gate] @ p[f"w_x{gate}"].T
-                dx = term if dx is None else dx + term
+                dc += dc_next
+            d_pre = d_pres[s:s + 1]
+            sig = st.gates[:, :3 * size]
+            d_pre[:, :3 * size] = np.concatenate([dc * g, dc * st.c_prev, dh * st.tanh_c], axis=1) * sig * (1.0 - sig)
+            d_pre[:, 3 * size:] = dc * i * (1.0 - g * g)
+            dx = d_pre @ w_x.T
             if s == 0:
                 grads["start"] = dx
             else:
                 emb = np.zeros_like(p[f"slot{s - 1}.emb"])
-                emb[steps[s - 1].token] += dx[0]  # 0.0 + dx, as gather_rows' scatter adds it
+                emb[steps[s - 1].token] = dx[0]
                 grads[f"slot{s - 1}.emb"] = emb
-                dh_next = [d_pre[gate] @ p[f"w_h{gate}"].T for gate in _BACKWARD_GATES]
-                dc_next = dc * gates["f"]
-        # One reduce over the stacked per-step terms adds them one step at a
-        # time, as the tape's running sum did, with far fewer numpy calls.
-        # A term is an outer product: each entry is a single rounded product,
-        # however it is computed, and einsum computes them fastest.
-        inputs = {"w_x": np.concatenate(xs), "w_h": np.concatenate(h_prevs)}
-        for gate, terms in d_pres.items():
-            d_pre = np.concatenate(terms)
-            grads[f"b_{gate}"] = np.add.reduce(d_pre, axis=0, keepdims=True)
-            for kind, rows in inputs.items():
-                grads[f"{kind}{gate}"] = np.add.reduce(np.einsum("ti,tj->tij", rows, d_pre), axis=0)
+                dh_next = d_pre @ w_h.T
+                dc_next = dc * f
+        d_w = {"w_x": np.concatenate([st.x for st in steps]).T @ d_pres,
+               "w_h": np.concatenate([st.h_prev for st in steps]).T @ d_pres,
+               "b_": d_pres.sum(axis=0, keepdims=True)}
+        for kind, stacked in d_w.items():
+            for k, gate in enumerate(_STACKED):
+                grads[f"{kind}{gate}"] = stacked[:, k * size:(k + 1) * size]
         return tuple(grads.get(name) for name in self._params)
 
     def _token_rows(self, tokens) -> np.ndarray:
