@@ -274,14 +274,24 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
     return record(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
-def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``.
+def _scatter_add(values: np.ndarray, index, n_rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``,
+    bitwise as ``np.add.at`` into zeros.
 
+    ``index`` is an id array, or an ``IndexPlan`` that a graph keeps. Each
+    cell adds its rows in index order, starting from 0.0, on either path.
     ``np.bincount`` over the flattened (row, column) cell adds its weights
-    in input order, which is the order ``np.add.at`` adds rows in, so the
-    result is bitwise equal to ``np.add.at`` into zeros. ``np.add.reduceat``
-    over sorted rows is not: it sums in another order.
+    in input order. A plan's ``Levels`` add the k-th row of every id in
+    level k; they are used for inputs of ``LEVEL_MIN_CELLS`` cells per
+    level or more, where they beat the bincount and its cell index.
+    ``np.add.reduceat`` over sorted rows is not bitwise: it sums in
+    another order. (A NaN sum is NaN on every path, but its sign and
+    payload can differ: ``np.add.at`` and ``np.bincount`` disagree there.)
     """
+    if isinstance(index, IndexPlan):
+        if index.levels.fits(values):
+            return index.levels.sum(values, n_rows)
+        index = index.ids
     rest = values.shape[1:]
     width = math.prod(rest)
     cells = (index[:, None] * width + np.arange(width)).ravel()
@@ -290,19 +300,101 @@ def _scatter_add(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarr
     return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
 
 
+# Cells per level from which a reduction walks a plan's ``Levels`` instead
+# of calling np.bincount or ufunc.reduceat once: below it the per-level
+# calls cost more. Measured on the benchmark's 400-node SBM (24 levels)
+# and 60-node multigraph graphs (14-16 levels), for sums and maxima.
+LEVEL_MIN_CELLS = 1000
+
+
+class Levels:
+    """An exact reduction order for rows grouped by id.
+
+    Level k holds the k-th row, in index order, of each id with more than
+    k rows. Ids are ranked by row count, most first, so the ids of level k
+    are a prefix ``rows[:m]`` of one list and its rows a run
+    ``order[lo:lo + m]`` (``spans`` lists (lo, m) per level). A reduction
+    takes one level's rows at a time and combines them into the first m
+    accumulators with one ufunc call, the accumulator first. So every id
+    still combines its rows in index order: a sum is bitwise ``np.add.at``
+    into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
+    rows, signed zeros and infinities included; a NaN result is NaN, with
+    the sign and payload left to numpy. Building the plan costs about two
+    stable sorts of the ids, so only plans a graph keeps build one.
+    """
+
+    def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
+        counts = np.bincount(ids, minlength=n)
+        ranked = np.argsort(-counts, kind="stable")
+        place = np.empty_like(ranked)
+        place[ranked] = np.arange(n)
+        grouped = ids.take(order)
+        depth = np.arange(ids.size) - (np.cumsum(counts) - counts).take(grouped)  # each row's level
+        self.order = order.take(np.argsort(depth * n + place.take(grouped), kind="stable"))
+        sizes = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # ids with more than k rows
+        self.rows = ranked[:int(sizes[0]) if sizes.size else 0]
+        self.spans = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
+
+    def fits(self, values: np.ndarray) -> bool:
+        """Whether ``values`` has ``LEVEL_MIN_CELLS`` cells per level."""
+        return values.size >= LEVEL_MIN_CELLS * len(self.spans)
+
+    def _level(self, values: np.ndarray, span: tuple) -> np.ndarray:
+        lo, m = span
+        return values.take(self.order[lo:lo + m], axis=0)
+
+    def sum(self, values: np.ndarray, n_rows: int) -> np.ndarray:
+        """The rows of ``values`` summed into ``n_rows`` rows."""
+        values = np.ascontiguousarray(values)  # take copies a strided input whole
+        acc = values.take(self.order[:len(self.rows)], axis=0)
+        acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
+        for span in self.spans[1:]:
+            acc[:span[1]] += self._level(values, span)
+        out = np.zeros((n_rows,) + values.shape[1:])
+        out[self.rows] = acc
+        return out
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """The elementwise max of each id's rows, in ``rows`` order."""
+        values = np.ascontiguousarray(values)
+        acc = values.take(self.order[:len(self.rows)], axis=0)
+        for span in self.spans[1:]:
+            top = acc[:span[1]]
+            np.maximum(top, self._level(values, span), out=top)
+        return acc
+
+    def first(self, hit: np.ndarray) -> np.ndarray:
+        """Per id (in ``rows`` order) and column of the [rows, cols] ``hit``,
+        the first row where it is set; ``len(hit)`` where none is."""
+        first = np.full((len(self.rows), hit.shape[1]), hit.shape[0])
+        for lo, m in reversed(self.spans):  # level 0 writes last: the first row wins
+            rows = self.order[lo:lo + m]
+            np.copyto(first[:m], rows[:, None], where=hit.take(rows, axis=0))
+        return first
+
+
+def _ids(ids, what: str) -> np.ndarray:
+    """``ids`` as int64; a bool or float id is refused, not truncated."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ParameterError(f"{what} must hold integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 class IndexPlan:
     """Row ids into ``n`` rows, range-checked once, when built.
 
     What the sorted kernels need from the ids (rows per id, a stable row
-    order grouped by id, and where each id's rows begin) is worked out on
-    first use and kept. A graph's ``EdgePlan`` holds one plan for its
-    edge sources and one for its destinations, so message passing checks,
-    counts and sorts them once per graph. Given raw ids, ``gather_rows``
-    and the segment ops build a plan for that call.
+    order grouped by id, where each id's rows begin, and the ``Levels``)
+    is worked out on first use and kept. A graph's ``EdgePlan`` holds one
+    plan for its edge sources and one for its destinations, and each of
+    its chunks one per end, so message passing checks, counts and sorts
+    them once per graph. Given raw ids, ``gather_rows`` and the segment
+    ops build a plan for that call and never its levels.
     """
 
     def __init__(self, ids, n: int):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = _ids(ids, "index")
         if ids.ndim != 1:
             raise ShapeError(f"index must be 1-d, got shape {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -334,6 +426,10 @@ class IndexPlan:
         counts = self.counts
         return self.order, np.cumsum(counts) - counts
 
+    @cached_property
+    def levels(self) -> Levels:
+        return Levels(self.ids, self.n, self.order)
+
 
 # Bytes of one [C, K, D] float64 temporary of the fused edge ops: they walk
 # a graph's edges in chunks of C = EDGE_CHUNK_BYTES // (8 K D) edges.
@@ -342,11 +438,11 @@ EDGE_CHUNK_BYTES = 8 * 2**20
 
 class EdgeChunk(NamedTuple):
     """A run of edges grouped by destination: positions ``span`` of
-    ``EdgePlan.order``."""
+    ``EdgePlan.order``, with an ``IndexPlan`` over the nodes for each end."""
 
     span: slice
-    src: np.ndarray
-    dst: np.ndarray  # non-decreasing
+    src: IndexPlan
+    dst: IndexPlan  # ids non-decreasing
     starts: np.ndarray  # where each destination's edges begin in the chunk
 
 
@@ -393,9 +489,10 @@ class EdgePlan:
 
     def chunks(self, width: int) -> list:
         """The grouped edges as ``EdgeChunk``s for temporaries of ``width``
-        floats per edge, kept per chunk length. A graph without edges has
+        floats per edge, kept per chunk length, so every width that fits
+        all edges in one chunk shares one list. A graph without edges has
         one empty chunk."""
-        size = max(1, EDGE_CHUNK_BYTES // (8 * width))
+        size = min(max(1, EDGE_CHUNK_BYTES // (8 * width)), max(self.edge_count, 1))
         found = self._chunks.get(size)
         if found is None:
             src, dst = self.src.ids.take(self.order), self.dst.ids.take(self.order)
@@ -404,7 +501,7 @@ class EdgePlan:
                 hi = min(lo + size, self.edge_count)
                 run = dst[lo:hi]
                 starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
-                found.append(EdgeChunk(slice(lo, hi), src[lo:hi], run, starts))
+                found.append(EdgeChunk(slice(lo, hi), IndexPlan(src[lo:hi], self.n), IndexPlan(run, self.n), starts))
             self._chunks[size] = found
         return found
 
@@ -605,7 +702,9 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     segment's first row, and the NaN flows on to the loss check. Each
     (winner, column) pair is distinct, so the backward is a plain
     assignment. Winners are found in the backward, so a forward that is
-    only evaluated does not pay for them.
+    only evaluated does not pay for them. This op always reduces with
+    ``reduceat``; ``edge_aggregate``'s max-pooling takes the same maxima
+    and winners from a chunk's ``Levels`` where its messages are wide.
     """
     plan = _segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
@@ -639,15 +738,20 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     """
     plan = _segments(scores, segment_ids, n_segments)
     ids = plan.ids
+    by = plan if plan is segment_ids else ids  # a plan built for this call builds no levels
     flat = scores.data.reshape(scores.data.shape[0], -1)
     order, starts = plan.grouping
-    seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
+    if by is plan and plan.levels.fits(flat):
+        seg_max = np.empty((n_segments, flat.shape[1]))
+        seg_max[plan.levels.rows] = plan.levels.max(flat)
+    else:
+        seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
     exp_scores = np.exp(scores.data - seg_max.reshape((n_segments,) + scores.data.shape[1:]).take(ids, axis=0))
-    denom = _scatter_add(exp_scores, ids, n_segments).take(ids, axis=0)
+    denom = _scatter_add(exp_scores, by, n_segments).take(ids, axis=0)
     data = exp_scores / denom
 
     def grad_fn(g):
-        g_exp = g / denom + _scatter_add(-g * data / denom, ids, n_segments).take(ids, axis=0)
+        g_exp = g / denom + _scatter_add(-g * data / denom, by, n_segments).take(ids, axis=0)
         return (g_exp * exp_scores,)
 
     return record(data, (scores,), grad_fn)
@@ -659,24 +763,26 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # Both take node-side [N, K, D] tensors and an ``EdgePlan``, and walk the
 # edges in destination-grouped chunks of ``EDGE_CHUNK_BYTES``. No [E, K, D]
 # array outlives a chunk: the backward gathers each chunk's rows again.
-# Scores and the sum, mean and max aggregations compute their values with
-# the numpy calls of the per-kind op chains they replace, so they keep
-# those bits at any chunk length; gradients reduce over D with einsum and
-# agree with the chains' to rounding.
+# Scores and the sum, mean and max aggregations compute their values in
+# the order of the per-kind op chains they replace, so they keep those
+# bits at any chunk length; gradients reduce over D with einsum and agree
+# with the chains' to rounding.
 
 
-def _add_rows(total: np.ndarray | None, values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+def _add_rows(total: np.ndarray | None, values: np.ndarray, index: IndexPlan, n_rows: int) -> np.ndarray:
     """``total`` plus the rows of ``values`` added at ``index``, in order.
 
     The first chunk (a None total) goes through ``_scatter_add``; later
     ones add their rows one at a time into ``total``, which the caller
-    owns. Each cell sums its values in index order starting from 0.0
-    either way, so a sum built chunk by chunk is bitwise the one
-    ``_scatter_add`` gives over all rows at once.
+    owns: a level walk or bincount per later chunk would build and add a
+    whole [n_rows, ...] array for a few hundred rows. Each cell sums its
+    values in index order starting from 0.0 either way, so a sum built
+    chunk by chunk is bitwise the one ``_scatter_add`` gives over all rows
+    at once.
     """
     if total is None:
         return _scatter_add(values, index, n_rows)
-    for row, value in zip(index.tolist(), values):
+    for row, value in zip(index.ids.tolist(), values):
         total[row] += value
     return total
 
@@ -723,15 +829,15 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
     """gat, sym-gat and linear: each end is projected to one number per
     head first, so no per-edge [K, D] value exists and nothing is chunked."""
     z_val, n = z.data, plan.n
-    src, dst = plan.src.ids, plan.dst.ids
+    src, dst = plan.src, plan.dst
     vectors = [w.data for w in weights]
     proj = [(z_val * a).sum(axis=-1) for a in vectors]  # [N, K] per weight
     if kind == "linear":
-        data = np.tanh(proj[0].take(src, axis=0))
+        data = np.tanh(proj[0].take(src.ids, axis=0))
     else:
         # (aggregating end, neighbour end) of each direction scored
         ends = [(dst, src), (src, dst)] if kind == "sym-gat" else [(dst, src)]
-        pres = [proj[0].take(i, axis=0) + proj[1].take(j, axis=0) for i, j in ends]
+        pres = [proj[0].take(i.ids, axis=0) + proj[1].take(j.ids, axis=0) for i, j in ends]
         data = None
         for pre in pres:
             data = _accumulate(data, np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre))
@@ -768,15 +874,15 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     chunks = plan.chunks(left.shape[1] * left.shape[2])
 
     def hidden(c):  # gene-linear's tanh(z_i w_l + z_j w_r) for a chunk
-        pre = left.take(c.dst, axis=0)
-        pre += right.take(c.src, axis=0)
+        pre = left.take(c.dst.ids, axis=0)
+        pre += right.take(c.src.ids, axis=0)
         return np.tanh(pre, out=pre)
 
     parts = []
     for c in chunks:
         if w_a is None:
-            pair = left.take(c.dst, axis=0)
-            pair *= right.take(c.src, axis=0)
+            pair = left.take(c.dst.ids, axis=0)
+            pair *= right.take(c.src.ids, axis=0)
         else:
             pair = hidden(c)
             pair *= w_a
@@ -792,8 +898,8 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
         for c in chunks:
             spread = g_grouped[c.span, :, None]
             if w_a is None:
-                g_left = _add_rows(g_left, spread * right.take(c.src, axis=0), c.dst, n)
-                g_right = _add_rows(g_right, spread * left.take(c.dst, axis=0), c.src, n)
+                g_left = _add_rows(g_left, spread * right.take(c.src.ids, axis=0), c.dst, n)
+                g_right = _add_rows(g_right, spread * left.take(c.dst.ids, axis=0), c.src, n)
                 continue
             h = hidden(c)
             if need_a:
@@ -829,6 +935,12 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     (sum of relu(alpha[e] (z w1)[src e])) w2, so both products run on
     node rows, and agrees with the per-message form up to rounding.
     Mean and max need every node to have an in-edge.
+
+    A chunk's sums and maxima by destination, and the sums by source in
+    the backward, walk the chunk's ``Levels`` where its [C, K*D] input has
+    ``LEVEL_MIN_CELLS`` cells per level, and call ``np.bincount`` and
+    ``reduceat`` below that; later chunks add into the running sum row by
+    row (``_add_rows``). Every path gives the same bits.
     """
     if kind not in ("sum", "mean-pooling", "max-pooling", "mlp"):
         raise ParameterError(f"unknown aggregation kind {kind!r}")
@@ -848,19 +960,20 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         plan.dst.counts  # raises on a node without in-edges
 
     def messages(c):
-        m = a_grouped[c.span, :, None] * z_val.take(c.src, axis=0)
+        m = a_grouped[c.span, :, None] * z_val.take(c.src.ids, axis=0)
         return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
 
     if kind == "max-pooling":
         top = np.empty((n, heads * width))
         last = -1  # the destination the previous chunk ended on
         for c in chunks:
-            rows = c.dst.take(c.starts)
-            part = np.maximum.reduceat(messages(c).reshape(len(c.dst), -1), c.starts, axis=0)
-            if rows[0] == last:
-                part[0] = np.maximum(top[last], part[0])
-            top[rows] = part
-            last = rows[-1]
+            m = messages(c).reshape(len(c.dst.ids), -1)
+            levels, rows, _ = _destinations(c, m)
+            carried = top[last].copy() if c.dst.ids[0] == last else None
+            top[rows] = levels.max(m) if levels else np.maximum.reduceat(m, c.starts, axis=0)
+            if carried is not None:
+                np.maximum(carried, top[last], out=top[last])
+            last = c.dst.ids[-1]
         data = top.reshape(n, heads, width)
     else:
         total = None
@@ -885,11 +998,11 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         for c in chunks:
             a_c = a_grouped[c.span, :, None]
             # sum and mean need the neighbour rows only for alpha's gradient
-            z_c = z_val.take(c.src, axis=0) if need_alpha or kind in ("max-pooling", "mlp") else None
+            z_c = z_val.take(c.src.ids, axis=0) if need_alpha or kind in ("max-pooling", "mlp") else None
             if kind == "max-pooling":
                 g_m = _max_routes(a_c * z_c, c, top, g_flat, routed)
             else:
-                g_m = g.take(c.dst, axis=0)
+                g_m = g.take(c.dst.ids, axis=0)
                 if kind == "mlp":
                     g_m *= a_c * z_c > 0.0  # relu's gradient
             if need_alpha:
@@ -904,6 +1017,18 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     return record(data, (alpha, z, *weights), grad_fn)
 
 
+def _destinations(c: EdgeChunk, values: np.ndarray) -> tuple:
+    """How to reduce a chunk's per-edge ``values`` by destination:
+    (levels, rows, heads). ``levels`` is the chunk's destination
+    ``Levels`` where ``values`` fits them, else None (``reduceat`` over
+    ``c.starts``); ``rows`` lists the destinations in the order that
+    reduction returns them, and ``heads`` each one's first edge."""
+    levels = c.dst.levels
+    if levels.fits(values):
+        return levels, levels.rows, levels.order[:len(levels.rows)]
+    return None, c.dst.ids.take(c.starts), c.starts
+
+
 def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, routed: np.ndarray | None) -> np.ndarray:
     """The max-pooling gradient of one chunk's messages ``m`` [C, K, D].
 
@@ -912,11 +1037,14 @@ def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, rou
     first edge. ``routed``, when the edges span several chunks, marks the
     pairs an earlier chunk has served.
     """
-    size, cols = len(c.dst), top.shape[1]
-    rows = c.dst.take(c.starts)
-    hit = m.reshape(size, cols) == top.take(c.dst, axis=0)
-    hit[c.starts] |= np.isnan(top.take(rows, axis=0))
-    first = np.minimum.reduceat(np.where(hit, np.arange(size)[:, None], size), c.starts, axis=0)
+    size, cols = len(c.dst.ids), top.shape[1]
+    hit = m.reshape(size, cols) == top.take(c.dst.ids, axis=0)
+    levels, rows, heads = _destinations(c, hit)
+    hit[heads] |= np.isnan(top.take(rows, axis=0))
+    if levels:
+        first = levels.first(hit)
+    else:
+        first = np.minimum.reduceat(np.where(hit, np.arange(size)[:, None], size), c.starts, axis=0)
     if routed is not None:
         first[routed.take(rows, axis=0)] = size
         routed[rows] |= first < size
@@ -931,7 +1059,7 @@ def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, rou
 
 def cross_entropy(logits: Tensor, labels, mask_index, l2_lambda: float = 0.0, l2_params=()) -> Tensor:
     """Mean softmax cross-entropy over the masked rows of ``logits``."""
-    idx = np.asarray(mask_index, dtype=np.int64)
+    idx = _ids(mask_index, "mask index")
     if idx.size == 0:
         raise ParameterError("loss over an empty mask")
     y = np.asarray(labels, dtype=np.int64)[idx]
@@ -952,7 +1080,7 @@ def cross_entropy(logits: Tensor, labels, mask_index, l2_lambda: float = 0.0, l2
 
 def binary_cross_entropy(logits: Tensor, labels, mask_index, l2_lambda: float = 0.0, l2_params=()) -> Tensor:
     """Mean sigmoid cross-entropy over masked rows, all labels pooled."""
-    idx = np.asarray(mask_index, dtype=np.int64)
+    idx = _ids(mask_index, "mask index")
     if idx.size == 0:
         raise ParameterError("loss over an empty mask")
     y = np.asarray(labels, dtype=np.float64)[idx]

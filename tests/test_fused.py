@@ -159,12 +159,12 @@ def test_chunks_cover_the_edges_grouped_by_destination(graph, monkeypatch):
     assert np.array_equal(plan.order[plan.rank], np.arange(graph.edge_count))
     assert [c.span.start for c in chunks[1:]] == [c.span.stop for c in chunks[:-1]]
     assert chunks[0].span.start == 0 and chunks[-1].span.stop == graph.edge_count
-    sizes = [len(c.dst) for c in chunks]
+    sizes = [len(c.dst.ids) for c in chunks]
     assert set(sizes[:-1]) == {3} and 1 <= sizes[-1] <= 3
     for c in chunks:
         edges = plan.order[c.span]
-        assert np.array_equal(c.src, graph.src[edges]) and np.array_equal(c.dst, graph.dst[edges])
-        runs = np.split(c.dst, c.starts[1:])
+        assert np.array_equal(c.src.ids, graph.src[edges]) and np.array_equal(c.dst.ids, graph.dst[edges])
+        runs = np.split(c.dst.ids, c.starts[1:])
         assert all(np.all(run == run[0]) for run in runs)
         assert len({run[0] for run in runs}) == len(runs)
     assert plan.chunks(1) is chunks  # kept with the graph

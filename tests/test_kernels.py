@@ -10,10 +10,13 @@ and with a precomputed ``IndexPlan``, the form message passing passes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnnsearch import autodiff as ad
 from gnnsearch.autodiff import Tensor
 from gnnsearch.errors import ParameterError, ShapeError
+from gnnsearch.graphs import generate_multigraph, generate_sbm
 
 E, N, K, D = 60, 7, 3, 4
 # BLAS may sum a dot product in any order: a few float64 ulps on O(1) values.
@@ -206,3 +209,203 @@ def test_segment_softmax_lets_non_finite_scores_through():
     with np.errstate(invalid="ignore"):
         out = ad.segment_softmax(Tensor(np.array([np.nan, 0.0, np.inf, 1.0])), [0, 0, 1, 1], 2)
     assert np.isnan(out.data).all()
+
+
+# ---------------------------------------------------------------------------
+# level plans: the wide sums and maxima of message passing
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308])
+
+
+def _values(seed, rows, width, special_rate):
+    """Normal draws at mixed scales, with signed zeros, infinities, NaNs
+    and subnormals mixed in at ``special_rate``."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, (rows, width))
+    where = rng.random((rows, width)) < special_rate
+    values[where] = rng.choice(SPECIALS, int(where.sum()))
+    return values
+
+
+def _same_bits(a, b):
+    """Bitwise equal, except that a NaN may differ in sign and payload:
+    numpy's own kernels disagree there (np.add.at and np.bincount do)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and _bitwise(a[~nan], b[~nan])
+
+
+def _id_draws():
+    return st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=200)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_id_draws(), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2**32 - 1))
+def test_level_sum_is_bitwise_add_at_into_zeros(id_draw, width, special_rate, seed):
+    n, ids = id_draw
+    ids = np.array(ids, dtype=np.int64)
+    values = _values(seed, ids.size, width, special_rate)
+    plan = ad.IndexPlan(ids, n)
+    ref = _ref_add_at(values, ids, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the size rule's pick, and each path whatever the rule says
+        for got in (ad._scatter_add(values, plan, n), plan.levels.sum(values, n), ad._scatter_add(values, ids, n)):
+            assert _same_bits(got, ref)
+        # a running total over chunks, as the fused ops build one
+        cuts = sorted(np.random.default_rng(seed).integers(0, ids.size + 1, 3).tolist())
+        total = None
+        for lo, hi in zip([0] + cuts, cuts + [ids.size]):
+            total = ad._add_rows(total, values[lo:hi], ad.IndexPlan(ids[lo:hi], n), n)
+    assert _same_bits(total, ref)
+
+
+def test_level_sum_keeps_shape_and_takes_strided_rows(rng):
+    seg = _interleaved_ids(rng)
+    x = _strided(rng, (E, K, D))
+    plan = ad.IndexPlan(seg, N)
+    assert _bitwise(plan.levels.sum(x, N), _ref_add_at(x, seg, N))
+
+
+def _grouped(n, ids):
+    """Ids grouped as a chunk's destinations are, with their run starts."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    return ids, starts, ad.IndexPlan(ids, n).levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(_id_draws().filter(lambda d: d[1]), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_level_max_and_first_winner_are_bitwise_the_reduceat_forms(id_draw, width, special_rate, seed):
+    n, ids = id_draw
+    ids, starts, levels = _grouped(n, ids)
+    values = _values(seed, ids.size, width, special_rate)
+    values[np.random.default_rng(seed).random(ids.size) < 0.3] = values[0]  # whole-row ties
+    rows = ids[starts]
+    top = np.empty((n, width))
+    top[levels.rows] = levels.max(values)
+    assert _bitwise(top[rows], np.maximum.reduceat(values, starts, axis=0))
+    with np.errstate(invalid="ignore"):
+        hit = values == top[ids]
+    hit[starts] |= np.isnan(top[rows])
+    first = np.empty((n, width), dtype=np.int64)
+    first[levels.rows] = levels.first(hit)
+    ref = np.minimum.reduceat(np.where(hit, np.arange(ids.size)[:, None], ids.size), starts, axis=0)
+    assert _bitwise(first[rows], ref)
+
+
+def test_level_max_pins_nan_signed_zeros_and_ties():
+    # Two rows of one destination: signed zeros in both orders, a NaN
+    # first and last, and a tie. The max folds the rows in index order
+    # with the accumulator first, as reduceat does; the tie's winner is
+    # the first row, and a NaN max sends its gradient to the first row.
+    values = np.array([[0.0, -0.0, np.nan, 1.0, 2.0],
+                       [-0.0, 0.0, 1.0, np.nan, 2.0]])
+    ids, starts, levels = _grouped(1, [0, 0])
+    top = levels.max(values)
+    assert _bitwise(top, np.maximum.reduceat(values, starts, axis=0))
+    assert _bitwise(top[0], np.maximum(values[0], values[1]))
+    assert np.isnan(top[0, 2]) and np.isnan(top[0, 3]) and top[0, 4] == 2.0
+    with np.errstate(invalid="ignore"):
+        hit = values == top[ids]
+    hit[starts] |= np.isnan(top)
+    assert levels.first(hit).tolist() == [[0, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("chunk_edges", [None, 5])
+@pytest.mark.parametrize("kind", ["sum", "max-pooling"])
+def test_a_layer_gives_the_same_bits_through_levels_and_reduceat(monkeypatch, kind, chunk_edges):
+    """gat scores, softmax and aggregation, forward and backward, with every
+    reduction walked through levels, then with none."""
+    graph = generate_sbm(block_count=2, nodes_per_block=10, p_in=0.5, p_out=0.1, feature_dim=2,
+                         signal_strength=1.0, seed=4).graphs[0]
+    rng = np.random.default_rng(5)
+    z_rows = rng.standard_normal((graph.node_count, 2, 8))
+    z_rows[rng.random(z_rows.shape) < 0.1] = 0.0
+    z_rows[rng.random(z_rows.shape) < 0.05] = -0.0
+    if kind == "max-pooling":
+        z_rows[rng.random(z_rows.shape) < 0.02] = np.nan
+    a_rows = rng.standard_normal((2, 2, 8))
+    g = rng.standard_normal(z_rows.shape)
+    if chunk_edges:
+        monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 2 * 8 * chunk_edges)
+    runs = []
+    for min_cells in (0, 10**9):
+        monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", min_cells)
+        z = Tensor(z_rows, requires_grad=True)
+        a_l, a_r = Tensor(a_rows[0], requires_grad=True), Tensor(a_rows[1], requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            scores = ad.edge_scores("gat", z, graph.plan, a_l, a_r)
+            alpha = ad.segment_softmax(scores, graph.plan.dst, graph.node_count)
+            out = ad.edge_aggregate(kind, alpha, z, graph.plan)
+            out.backward(g)
+        runs.append((alpha.data, out.data, z.grad, a_l.grad, a_r.grad))
+    for got, ref in zip(*runs):
+        assert _bitwise(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["sum", "max-pooling"])
+def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
+    """Messages of 1 head x 8 on the 400-node SBM of the sbm-share
+    workload go through levels; scores (4 heads) and messages of
+    1 head x 4 on a 60-node graph of multigraph-share do not."""
+    sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
+                       signal_strength=0.3, seed=1).graphs[0]
+    small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
+                                feature_dim=16, seed=1).graphs[0]
+    walked = []
+    for method in ("sum", "max"):
+        real = getattr(ad.Levels, method)
+        monkeypatch.setattr(ad.Levels, method, lambda self, *a, real=real: walked.append(1) or real(self, *a))
+    for graph, width, through_levels in ((sbm, 8, True), (small, 4, False)):
+        rng = np.random.default_rng(0)
+        z = Tensor(rng.standard_normal((graph.node_count, 1, width)))
+        scores = Tensor(rng.standard_normal((graph.edge_count, 4)))
+        walked.clear()
+        ad.segment_softmax(scores, graph.plan.dst, graph.node_count)
+        assert not walked
+        ad.edge_aggregate(kind, Tensor(np.ones((graph.edge_count, 1))), z, graph.plan)
+        assert bool(walked) == through_levels, graph.node_count
+
+
+def test_widths_that_fit_one_chunk_share_it():
+    graph = generate_sbm(block_count=2, nodes_per_block=10, p_in=0.5, p_out=0.1, feature_dim=2,
+                         signal_strength=1.0, seed=4).graphs[0]
+    plan = graph.plan
+    assert len(plan.chunks(8)) == 1 and plan.chunks(8) is plan.chunks(128)
+    assert plan.chunks(1) is plan.chunks(ad.EDGE_CHUNK_BYTES // (8 * graph.edge_count))
+
+
+# ---------------------------------------------------------------------------
+# ids must be integers
+
+
+@pytest.mark.parametrize("ids", [np.array([False, True, False, True]), [0.9, 2.99], np.array([1.0, 3.0])],
+                         ids=["bool", "float-list", "float-array"])
+def test_gather_rows_refuses_ids_that_are_not_integers(ids):
+    x = Tensor(np.arange(8.0).reshape(4, 2))
+    dtype = np.asarray(ids).dtype
+    with pytest.raises(ParameterError, match=f"index must hold integers, got dtype {dtype}"):
+        ad.gather_rows(x, ids)
+    with pytest.raises(ParameterError, match=f"got dtype {dtype}"):
+        ad.segment_sum(Tensor(np.ones((len(ids), 2))), ids, 4)
+
+
+@pytest.mark.parametrize("loss", [ad.cross_entropy, ad.binary_cross_entropy])
+@pytest.mark.parametrize("mask", [np.array([True, True, False, False]), [0.0, 1.0]], ids=["bool", "float"])
+def test_losses_refuse_masks_that_are_not_integers(loss, mask):
+    logits = Tensor(np.zeros((4, 2)), requires_grad=True)
+    labels = np.zeros(4, dtype=np.int64) if loss is ad.cross_entropy else np.zeros((4, 2))
+    with pytest.raises(ParameterError, match=f"mask index must hold integers, got dtype {np.asarray(mask).dtype}"):
+        loss(logits, labels, mask)
+
+
+def test_integer_and_empty_ids_are_accepted():
+    x = Tensor(np.arange(8.0).reshape(4, 2))
+    for ids in ([1, 3], np.array([1, 3], dtype=np.int32), np.array([1, 3], dtype=np.uint8)):
+        assert _bitwise(ad.gather_rows(x, ids).data, x.data[[1, 3]])
+    assert ad.gather_rows(x, []).data.shape == (0, 2)
+    assert ad.IndexPlan(np.array([], dtype=bool), 4).ids.dtype == np.int64
+    logits = Tensor(np.zeros((4, 2)))
+    assert ad.cross_entropy(logits, np.zeros(4, dtype=np.int64), np.array([1, 3], dtype=np.int32)).item() > 0.0
