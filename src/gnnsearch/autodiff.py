@@ -1,11 +1,20 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
-Everything runs on float64 numpy arrays. A primitive whose inputs need
-a gradient stores them and its backward rule on its output tensor, so
-every recorded output is a tape node; ``Tensor.backward`` replays the
-tape in reverse topological order and accumulates gradients on every
-leaf tensor that requires them. A tape is single-use: the backward
-frees it as it goes. Each node gives up its inputs and its backward rule
+A tensor holds a float32 or a float64 numpy array, and every op keeps
+its inputs' dtype: its output and the gradients it returns have it too.
+Child models run in float32 and the controller in float64. Sums over
+rows (``_scatter_add``, the ``Levels`` walk, the fused ops' running
+totals) add in float64 and round to the inputs' dtype once, so every
+sum path gives the same bits in either dtype. A constant that meets a
+tensor takes the tensor's dtype (``constant``): under numpy's promotion
+rules a float64 array, even a 0-d one, would turn a float32 operand
+into float64. Python scalars do not promote.
+
+A primitive whose inputs need a gradient stores them and its backward
+rule on its output tensor, so every recorded output is a tape node;
+``Tensor.backward`` replays the tape in reverse topological order and
+accumulates gradients on every leaf tensor that requires them. A tape
+is single-use: the backward frees it as it goes. Each node gives up its inputs and its backward rule
 (and so the arrays the rule saved) once it has run, and each
 intermediate gradient is dropped once its node has consumed it, so only
 the leaves and the root keep a ``.grad``. A second backward through a
@@ -35,8 +44,20 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def as_float(data) -> np.ndarray:
+    """``data`` as a float array: a float32 array as it is, anything else
+    as float64 (no copy when it already is)."""
+    data = np.asarray(data)
+    return data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
+
+
 class Tensor:
-    """A dense float64 array plus optional gradient bookkeeping.
+    """A dense float32 or float64 array plus optional gradient bookkeeping.
+
+    A float32 array is kept as it is; anything else becomes float64.
 
     An op's output that needs a gradient is its own tape node: ``inputs``
     holds the operands and ``grad_fn`` maps the output's gradient to one
@@ -47,7 +68,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "inputs", "grad_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_float(data)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.inputs: tuple | None = None
@@ -78,7 +99,7 @@ class Tensor:
                     f"got shape {self.data.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             raise ShapeError(f"seed gradient shape {grad.shape} != {self.data.shape}")
         nodes = Tape.trace(self).nodes  # raises, changing nothing, on a consumed tape
@@ -144,10 +165,9 @@ class Tape:
         return len(self.nodes)
 
 
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
+def constant(value, like: Tensor) -> Tensor:
+    """``value`` as a constant tensor in ``like``'s dtype."""
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def record(data: np.ndarray, inputs: tuple, grad_fn) -> Tensor:
@@ -276,14 +296,22 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
 
 def _scatter_add(values: np.ndarray, index, n_rows: int) -> np.ndarray:
     """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``,
-    bitwise as ``np.add.at`` into zeros.
+    in ``values``' dtype: ``_row_sums`` rounded once. On float64 input it
+    is bitwise ``np.add.at`` into zeros."""
+    return _row_sums(values, index, n_rows).astype(values.dtype, copy=False)
+
+
+def _row_sums(values: np.ndarray, index, n_rows: int) -> np.ndarray:
+    """The rows of ``values`` summed into ``n_rows`` float64 rows picked by
+    ``index``.
 
     ``index`` is an id array, or an ``IndexPlan`` that a graph keeps. Each
-    cell adds its rows in index order, starting from 0.0, on either path.
-    ``np.bincount`` over the flattened (row, column) cell adds its weights
-    in input order. A plan's ``Levels`` add the k-th row of every id in
-    level k; they are used for inputs of ``LEVEL_MIN_CELLS`` cells per
-    level or more, where they beat the bincount and its cell index.
+    cell adds its rows in index order in float64, starting from 0.0, on
+    either path. ``np.bincount`` over the flattened (row, column) cell,
+    or over the ids themselves when a row is one value wide, adds its
+    weights in input order. A plan's ``Levels`` add the k-th row of every
+    id in level k; they are used for inputs of ``LEVEL_MIN_CELLS`` cells
+    per level or more, where they beat the bincount and its cell index.
     ``np.add.reduceat`` over sorted rows is not bitwise: it sums in
     another order. (A NaN sum is NaN on every path, but its sign and
     payload can differ: ``np.add.at`` and ``np.bincount`` disagree there.)
@@ -294,7 +322,7 @@ def _scatter_add(values: np.ndarray, index, n_rows: int) -> np.ndarray:
         index = index.ids
     rest = values.shape[1:]
     width = math.prod(rest)
-    cells = (index[:, None] * width + np.arange(width)).ravel()
+    cells = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(cells, weights=values.reshape(-1), minlength=n_rows * width)
     # bincount returns int64 for an empty input, weights or not.
     return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
@@ -318,8 +346,9 @@ class Levels:
     accumulators with one ufunc call, the accumulator first. So every id
     still combines its rows in index order: a sum is bitwise ``np.add.at``
     into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
-    rows, signed zeros and infinities included; a NaN result is NaN, with
-    the sign and payload left to numpy. Building the plan costs about two
+    rows, signed zeros and infinities included (a sum adds in float64, so
+    on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
+    is NaN, with the sign and payload left to numpy. Building the plan costs about two
     stable sorts of the ids, so only plans a graph keeps build one.
     """
 
@@ -344,9 +373,10 @@ class Levels:
         return values.take(self.order[lo:lo + m], axis=0)
 
     def sum(self, values: np.ndarray, n_rows: int) -> np.ndarray:
-        """The rows of ``values`` summed into ``n_rows`` rows."""
+        """The rows of ``values`` summed into ``n_rows`` rows, added and
+        returned in float64."""
         values = np.ascontiguousarray(values)  # take copies a strided input whole
-        acc = values.take(self.order[:len(self.rows)], axis=0)
+        acc = values.take(self.order[:len(self.rows)], axis=0).astype(np.float64, copy=False)
         acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
         for span in self.spans[1:]:
             acc[:span[1]] += self._level(values, span)
@@ -431,8 +461,8 @@ class IndexPlan:
         return Levels(self.ids, self.n, self.order)
 
 
-# Bytes of one [C, K, D] float64 temporary of the fused edge ops: they walk
-# a graph's edges in chunks of C = EDGE_CHUNK_BYTES // (8 K D) edges.
+# Bytes of one [C, K, D] temporary of the fused edge ops: they walk a
+# graph's edges in chunks of C = EDGE_CHUNK_BYTES // (itemsize K D) edges.
 EDGE_CHUNK_BYTES = 8 * 2**20
 
 
@@ -487,12 +517,12 @@ class EdgePlan:
         deg = np.asarray(self._degrees, dtype=np.float64)
         return 1.0 / np.sqrt(deg[self.dst.ids] * deg[self.src.ids])
 
-    def chunks(self, width: int) -> list:
+    def chunks(self, width: int, itemsize: int = 8) -> list:
         """The grouped edges as ``EdgeChunk``s for temporaries of ``width``
-        floats per edge, kept per chunk length, so every width that fits
-        all edges in one chunk shares one list. A graph without edges has
-        one empty chunk."""
-        size = min(max(1, EDGE_CHUNK_BYTES // (8 * width)), max(self.edge_count, 1))
+        floats of ``itemsize`` bytes per edge, kept per chunk length, so
+        every width that fits all edges in one chunk shares one list. A
+        graph without edges has one empty chunk."""
+        size = min(max(1, EDGE_CHUNK_BYTES // (itemsize * width)), max(self.edge_count, 1))
         found = self._chunks.get(size)
         if found is None:
             src, dst = self.src.ids.take(self.order), self.dst.ids.take(self.order)
@@ -560,11 +590,11 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     if isinstance(axis, int) and axis < 0:
         axis = x.data.ndim + axis
     data = x.data.sum(axis=axis, keepdims=keepdims)
-    shape = x.data.shape
+    shape, dtype = x.data.shape, x.data.dtype
 
     def grad_fn(g):
         if axis is None:
-            return (np.full(shape, float(g)),)
+            return (np.full(shape, g, dtype=dtype),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, shape).copy(),)
 
@@ -612,7 +642,7 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
     data = np.where(x.data > 0.0, x.data, slope * x.data)
-    scale = np.where(x.data > 0.0, 1.0, slope)
+    scale = np.where(x.data > 0.0, 1.0, slope).astype(x.data.dtype, copy=False)
     return record(data, (x,), lambda g: (g * scale,))
 
 
@@ -688,7 +718,7 @@ def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     plan = _segments(x, segment_ids, n_segments)
     inv = (1.0 / plan.counts).reshape((n_segments,) + (1,) * (x.data.ndim - 1))
-    return mul(segment_sum(x, plan, n_segments), _as_tensor(inv))
+    return mul(segment_sum(x, plan, n_segments), constant(inv, x))
 
 
 def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -719,7 +749,7 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
         hits = np.where(flat.take(order, axis=0) == np.repeat(out, counts, axis=0), order[:, None], rows)
         winner = np.minimum.reduceat(hits, starts, axis=0)
         winner = np.where(winner == rows, order[starts][:, None], winner)
-        gx = np.zeros((rows, width), dtype=np.float64)
+        gx = np.zeros((rows, width), dtype=flat.dtype)
         gx[winner, np.arange(width)] = g.reshape(n_segments, width)
         return (gx.reshape((rows,) + rest),)
 
@@ -742,7 +772,7 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     flat = scores.data.reshape(scores.data.shape[0], -1)
     order, starts = plan.grouping
     if by is plan and plan.levels.fits(flat):
-        seg_max = np.empty((n_segments, flat.shape[1]))
+        seg_max = np.empty((n_segments, flat.shape[1]), dtype=flat.dtype)
         seg_max[plan.levels.rows] = plan.levels.max(flat)
     else:
         seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
@@ -766,22 +796,24 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # Scores and the sum, mean and max aggregations compute their values in
 # the order of the per-kind op chains they replace, so they keep those
 # bits at any chunk length; gradients reduce over D with einsum and agree
-# with the chains' to rounding.
+# with the chains' to rounding. A chunk's temporaries hold the inputs'
+# dtype; the sums over chunks run in float64 and round once at the end.
 
 
 def _add_rows(total: np.ndarray | None, values: np.ndarray, index: IndexPlan, n_rows: int) -> np.ndarray:
-    """``total`` plus the rows of ``values`` added at ``index``, in order.
+    """``total`` plus the rows of ``values`` added at ``index``, in order,
+    in float64.
 
-    The first chunk (a None total) goes through ``_scatter_add``; later
-    ones add their rows one at a time into ``total``, which the caller
-    owns: a level walk or bincount per later chunk would build and add a
-    whole [n_rows, ...] array for a few hundred rows. Each cell sums its
-    values in index order starting from 0.0 either way, so a sum built
-    chunk by chunk is bitwise the one ``_scatter_add`` gives over all rows
-    at once.
+    The first chunk (a None total) goes through ``_row_sums``; later ones
+    add their rows one at a time into ``total``, which the caller owns: a
+    level walk or bincount per later chunk would build and add a whole
+    [n_rows, ...] array for a few hundred rows. Each cell sums its values
+    in index order in float64 starting from 0.0 either way, so a sum
+    built chunk by chunk and rounded once to the values' dtype is bitwise
+    the one ``_scatter_add`` gives over all rows at once.
     """
     if total is None:
-        return _scatter_add(values, index, n_rows)
+        return _row_sums(values, index, n_rows)
     for row, value in zip(index.ids.tolist(), values):
         total[row] += value
     return total
@@ -815,9 +847,10 @@ def edge_scores(kind: str, z: Tensor, plan: EdgePlan, *weights: Tensor) -> Tenso
     """
     e_count, heads = plan.edge_count, z.data.shape[1]
     if kind == "const":
-        return Tensor(np.ones((e_count, heads)))
+        return Tensor(np.ones((e_count, heads), dtype=z.data.dtype))
     if kind == "gcn":
-        return Tensor(np.broadcast_to(plan.gcn_norm[:, None], (e_count, heads)))
+        norm = plan.gcn_norm.astype(z.data.dtype, copy=False)
+        return Tensor(np.broadcast_to(norm[:, None], (e_count, heads)))
     if kind in ("gat", "sym-gat", "linear"):
         return _projected_scores(kind, z, plan, weights)
     if kind in ("cos", "gene-linear"):
@@ -849,7 +882,7 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
         else:
             g_proj = [None, None]
             for (i, j), pre in zip(ends, pres):
-                g_pre = g * np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
+                g_pre = g * np.where(pre > 0.0, 1.0, _LEAKY_SLOPE).astype(g.dtype, copy=False)
                 g_proj[0] = _accumulate(g_proj[0], _scatter_add(g_pre, i, n))
                 g_proj[1] = _accumulate(g_proj[1], _scatter_add(g_pre, j, n))
         gz, grads = None, []
@@ -871,7 +904,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     # contiguous copies: rows gather faster from them than from the views
     left = np.ascontiguousarray(_heads(z_val, w_l))
     right = np.ascontiguousarray(_heads(z_val, w_r))
-    chunks = plan.chunks(left.shape[1] * left.shape[2])
+    chunks = plan.chunks(left.shape[1] * left.shape[2], left.itemsize)
 
     def hidden(c):  # gene-linear's tanh(z_i w_l + z_j w_r) for a chunk
         pre = left.take(c.dst.ids, axis=0)
@@ -892,28 +925,39 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     need_l, need_r = weights[0].requires_grad, weights[1].requires_grad
     need_a = w_a is not None and weights[2].requires_grad
 
+    # The gradient of z_i w_l sums into the destinations and that of z_j w_r
+    # into the sources. cos sums each end from the other end's rows alone,
+    # so its ends take a pass each and one float64 total is alive at a
+    # time; gene-linear's ends sum the same g_pre in one pass.
+    passes = [["dst"], ["src"]] if w_a is None else [["dst", "src"]]
+
     def grad_fn(g):
         g_grouped = plan.grouped(g)
-        g_left = g_right = g_a = None
-        for c in chunks:
-            spread = g_grouped[c.span, :, None]
-            if w_a is None:
-                g_left = _add_rows(g_left, spread * right.take(c.src.ids, axis=0), c.dst, n)
-                g_right = _add_rows(g_right, spread * left.take(c.dst.ids, axis=0), c.src, n)
-                continue
-            h = hidden(c)
-            if need_a:
-                g_a = _accumulate(g_a, np.einsum("ek,ekd->kd", g_grouped[c.span], h))
-            g_pre = spread * w_a
-            h *= h
-            g_pre *= np.subtract(1.0, h, out=h)
-            del h
-            g_left = _add_rows(g_left, g_pre, c.dst, n)
-            g_right = _add_rows(g_right, g_pre, c.src, n)
-            del g_pre
-        gz, g_wl = _heads_grad(g_left, z_val, w_l, need_z, need_l)
-        del g_left
-        gz_r, g_wr = _heads_grad(g_right, z_val, w_r, need_z, need_r)
+        g_a, grads = None, {}
+        for names in passes:
+            totals = dict.fromkeys(names)
+            for c in chunks:
+                spread = g_grouped[c.span, :, None]
+                if w_a is None:
+                    rows = right.take(c.src.ids, axis=0) if names == ["dst"] else left.take(c.dst.ids, axis=0)
+                    rows *= spread
+                else:
+                    h = hidden(c)
+                    if need_a:
+                        g_a = _accumulate(g_a, np.einsum("ek,ekd->kd", g_grouped[c.span], h))
+                    rows = spread * w_a
+                    h *= h
+                    rows *= np.subtract(1.0, h, out=h)
+                    del h
+                for name in names:
+                    totals[name] = _add_rows(totals[name], rows, getattr(c, name), n)
+                del rows
+            for name in names:
+                w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
+                total = totals.pop(name).astype(z_val.dtype, copy=False)  # frees the float64 one
+                grads[name] = _heads_grad(total, z_val, w, need_z, need_w)
+                del total
+        (gz, g_wl), (gz_r, g_wr) = grads["dst"], grads["src"]
         if need_z:
             gz += gz_r
         return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, g_a)
@@ -948,14 +992,14 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     if alpha.data.shape != (plan.edge_count, heads):
         raise ShapeError(f"alpha shape {alpha.data.shape} != {(plan.edge_count, heads)}")
     a_grouped = plan.grouped(alpha.data)
-    chunks = plan.chunks(heads * width)
-    z_val = z.data
+    chunks = plan.chunks(heads * width, z.data.itemsize)
+    z_val, dtype = z.data, z.data.dtype
     if kind == "mlp":
         w1, w2 = (w.data for w in weights)
         z_val = np.ascontiguousarray(_heads(z.data, w1))  # messages are alpha-scaled rows of it
     inv = None
     if kind == "mean-pooling":
-        inv = (1.0 / plan.dst.counts).reshape(n, 1, 1)
+        inv = (1.0 / plan.dst.counts).astype(dtype, copy=False).reshape(n, 1, 1)
     elif kind == "max-pooling":
         plan.dst.counts  # raises on a node without in-edges
 
@@ -964,7 +1008,7 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
 
     if kind == "max-pooling":
-        top = np.empty((n, heads * width))
+        top = np.empty((n, heads * width), dtype=dtype)
         last = -1  # the destination the previous chunk ended on
         for c in chunks:
             m = messages(c).reshape(len(c.dst.ids), -1)
@@ -976,10 +1020,12 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             last = c.dst.ids[-1]
         data = top.reshape(n, heads, width)
     else:
-        total = None
+        data = None
         for c in chunks:
-            total = _add_rows(total, messages(c), c.dst, n)
-        data = total * inv if inv is not None else total
+            data = _add_rows(data, messages(c), c.dst, n)
+        data = data.astype(dtype, copy=False)
+        if inv is not None:
+            data = data * inv
         if kind == "mlp":
             hidden, data = data, _heads(data, w2)
     need_alpha, need_z = alpha.requires_grad, z.requires_grad
@@ -1010,6 +1056,7 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             g_m *= a_c
             g_rows = _add_rows(g_rows, g_m, c.src, n)
             del a_c, z_c, g_m  # before the next chunk allocates its own
+        g_rows = g_rows.astype(dtype, copy=False)
         if kind == "mlp":
             g_rows, g_w[0] = _heads_grad(g_rows, z.data, w1, need_z, need_w[0])
         return (plan.in_edge_order(g_alpha) if need_alpha else None, g_rows if need_z else None, *g_w)
@@ -1048,7 +1095,7 @@ def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, rou
     if routed is not None:
         first[routed.take(rows, axis=0)] = size
         routed[rows] |= first < size
-    g_m = np.zeros((size + 1, cols))  # row ``size`` takes what no edge here wins
+    g_m = np.zeros((size + 1, cols), dtype=g.dtype)  # row ``size`` takes what no edge here wins
     g_m[first, np.arange(cols)] = g.take(rows, axis=0)
     return g_m[:size].reshape(m.shape)
 
@@ -1067,14 +1114,14 @@ def cross_entropy(logits: Tensor, labels, mask_index, l2_lambda: float = 0.0, l2
     if y.min() < 0 or y.max() >= n_classes:
         raise ParameterError(f"label out of range for {n_classes} classes")
     rows = gather_rows(logits, idx)
-    row_max = _as_tensor(rows.data.max(axis=1, keepdims=True))
+    row_max = Tensor(rows.data.max(axis=1, keepdims=True))
     shifted = sub(rows, row_max)
     log_norm = log(reduce_sum(exp(shifted), axis=1, keepdims=True))
     log_probs = sub(shifted, log_norm)
-    onehot = np.zeros((idx.size, n_classes))
+    onehot = np.zeros((idx.size, n_classes), dtype=logits.data.dtype)
     onehot[np.arange(idx.size), y] = 1.0
-    picked = reduce_sum(mul(log_probs, _as_tensor(onehot)))
-    out = mul(picked, _as_tensor(-1.0 / idx.size))
+    picked = reduce_sum(mul(log_probs, Tensor(onehot)))
+    out = mul(picked, constant(-1.0 / idx.size, logits))
     return _add_l2(out, l2_lambda, l2_params)
 
 
@@ -1083,13 +1130,13 @@ def binary_cross_entropy(logits: Tensor, labels, mask_index, l2_lambda: float = 
     idx = _ids(mask_index, "mask index")
     if idx.size == 0:
         raise ParameterError("loss over an empty mask")
-    y = np.asarray(labels, dtype=np.float64)[idx]
+    y = np.asarray(labels, dtype=logits.data.dtype)[idx]
     rows = gather_rows(logits, idx)
     if y.shape != rows.data.shape:
         raise ShapeError(f"label shape {y.shape} != logits shape {rows.data.shape}")
     # softplus(z) - z*y is the stable form of -[y log s(z) + (1-y) log(1-s(z))].
-    per_entry = sub(softplus(rows), mul(rows, _as_tensor(y)))
-    out = mul(reduce_sum(per_entry), _as_tensor(1.0 / y.size))
+    per_entry = sub(softplus(rows), mul(rows, Tensor(y)))
+    out = mul(reduce_sum(per_entry), constant(1.0 / y.size, logits))
     return _add_l2(out, l2_lambda, l2_params)
 
 
@@ -1110,7 +1157,7 @@ def _add_l2(base: Tensor, l2_lambda: float, params) -> Tensor:
     for p in params:
         term = reduce_sum(mul(p, p))
         penalty = term if penalty is None else add(penalty, term)
-    return add(base, mul(penalty, _as_tensor(l2_lambda)))
+    return add(base, mul(penalty, constant(l2_lambda, base)))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1187,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, _as_tensor(mask))
+    return mul(x, constant(mask, x))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -1153,7 +1200,8 @@ class AdamState:
     ``init`` copies the parameters into one flat buffer and points each
     parameter's ``data`` at its slice of it (``views``, reshaped), so a
     step is a few whole-buffer ufunc calls; ``m`` and ``v`` are flat
-    arrays of the same length.
+    arrays of the same length. All three take the parameters' dtype:
+    float32 when every parameter is float32, else float64.
     """
 
     lr: float
@@ -1167,7 +1215,8 @@ class AdamState:
     def init(cls, params: list, lr: float) -> "AdamState":
         if not (math.isfinite(lr) and lr > 0):
             raise ParameterError(f"learning rate must be finite and positive, got {lr}")
-        buffers = np.zeros((3, sum(p.data.size for p in params)))
+        dtype = np.result_type(np.float32, *(p.data.dtype for p in params))
+        buffers = np.zeros((3, sum(p.data.size for p in params)), dtype=dtype)
         flat = buffers[0]
         views = []
         start = 0
@@ -1199,7 +1248,7 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
             if p.data.shape != view.shape:
                 raise ShapeError(f"param shape {p.data.shape} != its optimizer slot's {view.shape}")
             rebound.append((p, view))
-    g = np.concatenate(grads, axis=None, dtype=np.float64)
+    g = np.concatenate(grads, axis=None, dtype=state.flat.dtype)
     for p, view in rebound:
         view[...] = p.data
         p.data = view

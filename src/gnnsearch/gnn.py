@@ -5,6 +5,9 @@ with the chosen attention function, normalizes scores over each
 in-neighborhood (self-loop included), aggregates the weighted messages,
 merges heads (concatenation on hidden layers, average on the last one),
 applies an optional residual, then the activation.
+
+A model computes in its features' dtype. Search and derivation train
+children in ``CHILD_DTYPE``; everything else defaults to float64.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .arch import ArchDescription
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError, TrainingError
 from .graphs import Graph, LabeledDataset
+
+# The dtype search and derivation train children in (numerics version 3).
+CHILD_DTYPE = np.dtype(np.float32)
+
 
 @dataclass
 class TrainHyperparams:
@@ -181,13 +188,16 @@ def build_model(
     out_classes: int,
     rng: np.random.Generator,
     store=None,
+    dtype=np.float64,
 ) -> ChildModel:
-    """Materialize parameters for an architecture.
+    """Materialize parameters for an architecture, in ``dtype``.
 
     With a store, each layer's shareable tensors come from
     ``store.layer_params`` (a copy of the stored entry, or a fresh
     draw on a miss). Residual projections are never shared because the
-    share key cannot see the skip source dimension.
+    share key cannot see the skip source dimension. Fresh tensors are
+    drawn in float64 whatever ``dtype`` is, so the rng stream does not
+    depend on it, and every tensor is then cast.
     """
     if in_dim < 1 or out_classes < 1:
         raise ParameterError("in_dim and out_classes must be positive")
@@ -201,6 +211,8 @@ def build_model(
             params = init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
         if step.skip_from is not None and not step.concat and step.skip_dim != step.base_out:
             params.tensors["w_res"] = ad.glorot(rng, step.skip_dim, step.base_out)
+        for tensor in params.tensors.values():
+            tensor.data = tensor.data.astype(dtype, copy=False)
         layers.append(params)
     return ChildModel(layers=layers, plan=plan)
 
@@ -240,7 +252,7 @@ def forward(
         weights = [params.tensors[name] for name in LAYER_TENSORS["aggregation"][aggregation]]
         agg = ad.edge_aggregate(aggregation, alpha, z, plan, *weights)
         if step.last:
-            combined = ad.mul(ad.reduce_sum(agg, axis=1), Tensor(1.0 / heads))
+            combined = ad.mul(ad.reduce_sum(agg, axis=1), ad.constant(1.0 / heads, agg))
         else:
             combined = ad.reshape(agg, (n, heads * width))
         if step.skip_from is not None:

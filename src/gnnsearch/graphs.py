@@ -8,7 +8,7 @@ non-empty and edge order is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,7 @@ class Graph:
 
     node_count: int
     edges: np.ndarray      # [E, 2] int64 rows (src, dst), canonical order
-    features: np.ndarray   # [N, F] float64
+    features: np.ndarray   # [N, F] float64 (float32 in a cast dataset)
     degrees: np.ndarray    # [N] int64, number of edges with dst = i
 
     @property
@@ -49,6 +49,15 @@ class Graph:
     def plan(self) -> EdgePlan:
         """The edge plan, built on first use and kept with the graph."""
         return EdgePlan(self.src, self.dst, self.node_count, self.degrees)
+
+    def with_feature_dtype(self, dtype) -> "Graph":
+        """This graph with its features in ``dtype``: itself when they
+        already are, else a new graph over the same edges."""
+        if self.features.dtype == dtype:
+            return self
+        features = self.features.astype(dtype)
+        features.setflags(write=False)
+        return replace(self, features=features)
 
 
 def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarray:
@@ -137,6 +146,19 @@ class LabeledDataset:
     @property
     def feature_dim(self) -> int:
         return self.graphs[0].feature_dim
+
+    @property
+    def feature_dtype(self) -> np.dtype:
+        return self.graphs[0].features.dtype
+
+    def with_feature_dtype(self, dtype) -> "LabeledDataset":
+        """This dataset with every graph's features in ``dtype``: itself
+        when they already are, else a new dataset over new graphs. This
+        one is never changed."""
+        graphs = tuple(graph.with_feature_dtype(dtype) for graph in self.graphs)
+        if all(cast is graph for cast, graph in zip(graphs, self.graphs)):
+            return self
+        return replace(self, graphs=graphs)
 
 
 # ---------------------------------------------------------------------------

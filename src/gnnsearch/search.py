@@ -14,6 +14,10 @@ Four strategies produce one reward per episode:
 Passing a surrogate ``reward_table`` (keyed by the encoded architecture)
 bypasses all child training, which makes controller behavior cheap to
 study and fully deterministic.
+
+Children train in ``CHILD_DTYPE`` (float32): ``search`` and ``derive``
+cast the dataset's features into a new dataset once. The controller,
+its REINFORCE step, rewards and metrics stay float64.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .autodiff import Tensor
 from .controller import Baseline, Controller, Episode, open_npz, reinforce_step, shape_reward
 from .errors import ConfigError, ParameterError, ShapeError, TrainingError
 from .gnn import (
+    CHILD_DTYPE,
     ChildModel,
     LayerParams,
     ShareKey,
@@ -51,8 +56,10 @@ class SharedParamStore:
     """Snapshots of trained layer weights, keyed by ShareKey.
 
     Lookups never mutate the store; only ``merge_if_positive`` writes.
-    Residual projections are not stored: the key cannot see the skip
-    source dimension, so their shapes are not reproducible from it.
+    An entry keeps the dtype it was merged or loaded in; ``build_model``
+    casts a copy to the child's. Residual projections are not stored: the
+    key cannot see the skip source dimension, so their shapes are not
+    reproducible from it.
     """
 
     def __init__(self):
@@ -110,9 +117,11 @@ def save_store(store: SharedParamStore, path) -> None:
 
 
 def load_store(path) -> SharedParamStore:
-    """Read a ``save_store`` file. One that is unreadable, or whose entry
-    does not match its key's ``layer_shapes`` or holds a non-finite
-    value, raises ``ParameterError`` naming the path."""
+    """Read a ``save_store`` file. Float32 arrays stay float32 and any
+    other as float64, so a float64 store of an earlier version loads as
+    it was written. One that is unreadable, or whose entry does not
+    match its key's ``layer_shapes`` or holds a non-finite value, raises
+    ``ParameterError`` naming the path."""
     store = SharedParamStore()
     try:
         with open_npz(path) as bundle:
@@ -120,7 +129,7 @@ def load_store(path) -> SharedParamStore:
                 prefix, name = full_name.split("::")
                 layer, attention, aggregation, in_dim, heads, hidden = prefix.split("|")
                 key = ShareKey(int(layer), attention, aggregation, int(in_dim), int(heads), int(hidden))
-                store.entries.setdefault(key, {})[name] = bundle[full_name].astype(np.float64)
+                store.entries.setdefault(key, {})[name] = ad.as_float(bundle[full_name])
     except (OSError, ValueError, zipfile.BadZipFile) as err:
         raise ParameterError(f"sharing store {path} is unreadable: {err}") from None
     for key, entry in store.entries.items():
@@ -322,6 +331,7 @@ class _ChildRunner:
             self.dataset.class_count,
             rng,
             store=self.store if with_store else None,
+            dtype=self.dataset.feature_dtype,
         )
 
     def reward(self, arch: ArchDescription, rng: np.random.Generator):
@@ -408,6 +418,8 @@ def search(
     if space.layer_count != config.layer_count or space.skip_enabled != config.skip_enabled:
         raise ConfigError("space: layer_count/skip_enabled disagree with the config")
 
+    if dataset is not None:
+        dataset = dataset.with_feature_dtype(CHILD_DTYPE)
     rng = np.random.default_rng(config.seed)
     controller = None
     opt_state = None
@@ -532,12 +544,13 @@ def derive(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed + 1)
+    dataset = dataset.with_feature_dtype(CHILD_DTYPE)
     candidates = [controller.sample(rng) for _ in range(config.derive_samples)]
     seeds = [(int(rng.integers(2**31)), rng.integers(2**31)) for _ in candidates]
     scores = []
     for episode, (child_seed, batch_seed) in zip(candidates, seeds):
         model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
-                            np.random.default_rng(child_seed), store=store)
+                            np.random.default_rng(child_seed), store=store, dtype=CHILD_DTYPE)
         try:
             trained = train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
         except (TrainingError, MemoryError):
@@ -549,6 +562,7 @@ def derive(
     winner = int(np.argmax(np.asarray(scores)))  # first index wins ties
     best_arch = candidates[winner].arch
     final_seed = int(rng.integers(2**31))
-    model = build_model(best_arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(final_seed))
+    model = build_model(best_arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(final_seed),
+                        dtype=CHILD_DTYPE)
     trained = train_child(model, dataset, replace(config.hp, seed=final_seed))
     return DeriveResult(arch=best_arch, candidate_scores=scores, trained=trained)

@@ -1,5 +1,6 @@
 """Child models: attention functions, layer wiring, training, metrics."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -663,14 +664,49 @@ def test_hyperparams_refuse_numbers_that_are_not_finite(key, value):
         TrainHyperparams(**{key: value})
 
 
+def _overflowing_arch(attention):
+    return _arch(f"first-order,{attention},max-pooling,relu,2,8;first-order,{attention},max-pooling,linear,1,8")
+
+
+def _blown_up(model, scale):
+    for p in model.parameters():
+        p.data = p.data * scale
+    return model
+
+
+OVERFLOW_HP = TrainHyperparams(lr=1e10, dropout=0.0, max_epochs=3, patience=3, seed=0)
+
+
 @pytest.mark.parametrize("attention", ["gat", "sym-gat", "cos", "gene-linear"])
 def test_overflowing_max_pooling_child_raises_training_error(easy_sbm, attention):
     # Overflow turns messages into inf/NaN; they must reach the loss check
     # instead of tripping a kernel's own check.
-    arch = _arch(f"first-order,{attention},max-pooling,relu,2,8;first-order,{attention},max-pooling,linear,1,8")
-    model = build_model(arch, easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(0))
-    for p in model.parameters():
-        p.data = p.data * 1e200
-    hp = TrainHyperparams(lr=1e10, dropout=0.0, max_epochs=3, patience=3, seed=0)
+    model = build_model(_overflowing_arch(attention), easy_sbm.feature_dim, easy_sbm.class_count,
+                        np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
-        train_child(model, easy_sbm, hp)
+        train_child(_blown_up(model, 1e200), easy_sbm, OVERFLOW_HP)
+
+
+@pytest.mark.parametrize("attention", ["gat", "sym-gat", "cos", "gene-linear"])
+def test_overflowing_float32_child_raises_training_error_and_scores_zero(easy_sbm, attention, monkeypatch):
+    # Float32 overflows near 3.4e38: parameters of 1e30 overflow where
+    # float64 ones would not, and must end the same way.
+    search_module = importlib.import_module("gnnsearch.search")
+    dataset = easy_sbm.with_feature_dtype(np.float32)
+    model = build_model(_overflowing_arch(attention), dataset.feature_dim, dataset.class_count,
+                        np.random.default_rng(0), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+        train_child(_blown_up(model, 1e30), dataset, OVERFLOW_HP)
+
+    built = []
+
+    def blown_up_build(*args, **kwargs):
+        built.append(_blown_up(build_model(*args, **kwargs), 1e30))
+        return built[-1]
+
+    monkeypatch.setattr(search_module, "build_model", blown_up_build)
+    config = search_module.SearchConfig(strategy="graphnas", child_epochs=3, hp=OVERFLOW_HP)
+    runner = search_module._ChildRunner(config, dataset, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert runner.reward(_overflowing_arch(attention), np.random.default_rng(0)) == (0.0, None)
+    assert [p.data.dtype for p in built[0].parameters()] == [np.float32] * len(built[0].parameters())
