@@ -296,14 +296,16 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
 
 def _scatter_add(values: np.ndarray, index, n_rows: int) -> np.ndarray:
     """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``,
-    in ``values``' dtype: ``_row_sums`` rounded once. On float64 input it
-    is bitwise ``np.add.at`` into zeros."""
-    return _row_sums(values, index, n_rows).astype(values.dtype, copy=False)
+    in ``values``' dtype: ``_row_sums`` rounded once (a level walk rounds
+    as it assigns). On float64 input it is bitwise ``np.add.at`` into
+    zeros."""
+    return _row_sums(values, index, n_rows, values.dtype).astype(values.dtype, copy=False)
 
 
-def _row_sums(values: np.ndarray, index, n_rows: int) -> np.ndarray:
-    """The rows of ``values`` summed into ``n_rows`` float64 rows picked by
-    ``index``.
+def _row_sums(values: np.ndarray, index, n_rows: int, dtype=np.float64) -> np.ndarray:
+    """The rows of ``values`` summed in float64 into ``n_rows`` rows picked
+    by ``index``; a level walk returns them rounded to ``dtype``, the
+    bincount in float64.
 
     ``index`` is an id array, or an ``IndexPlan`` that a graph keeps. Each
     cell adds its rows in index order in float64, starting from 0.0, on
@@ -318,7 +320,7 @@ def _row_sums(values: np.ndarray, index, n_rows: int) -> np.ndarray:
     """
     if isinstance(index, IndexPlan):
         if index.levels.fits(values):
-            return index.levels.sum(values, n_rows)
+            return index.levels.sum(values, n_rows, dtype)
         index = index.ids
     rest = values.shape[1:]
     width = math.prod(rest)
@@ -348,8 +350,10 @@ class Levels:
     into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
     rows, signed zeros and infinities included (a sum adds in float64, so
     on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
-    is NaN, with the sign and payload left to numpy. Building the plan costs about two
-    stable sorts of the ids, so only plans a graph keeps build one.
+    is NaN, with the sign and payload left to numpy. ``walk`` is the sum
+    for rows that are built level by level rather than taken from one
+    array. Building the plan costs about two stable sorts of the ids, so
+    only plans a graph keeps build one.
     """
 
     def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
@@ -368,29 +372,47 @@ class Levels:
         """Whether ``values`` has ``LEVEL_MIN_CELLS`` cells per level."""
         return values.size >= LEVEL_MIN_CELLS * len(self.spans)
 
-    def _level(self, values: np.ndarray, span: tuple) -> np.ndarray:
-        lo, m = span
-        return values.take(self.order[lo:lo + m], axis=0)
+    def walk(self, out: np.ndarray, level_rows) -> np.ndarray:
+        """Sum rows into ``out``, by id, in the order ``sum`` adds them.
 
-    def sum(self, values: np.ndarray, n_rows: int) -> np.ndarray:
-        """The rows of ``values`` summed into ``n_rows`` rows, added and
-        returned in float64."""
-        values = np.ascontiguousarray(values)  # take copies a strided input whole
-        acc = values.take(self.order[:len(self.rows)], axis=0).astype(np.float64, copy=False)
-        acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
-        for span in self.spans[1:]:
-            acc[:span[1]] += self._level(values, span)
-        out = np.zeros((n_rows,) + values.shape[1:])
-        out[self.rows] = acc
+        The ids are walked in blocks ``rows[block]``, each with a float64
+        accumulator of at most ``EDGE_CHUNK_BYTES``: ``level_rows(block,
+        steps)`` yields, for each (lo, m) in ``steps`` (one per level,
+        level 0 first, as in ``spans``), the rows of positions
+        ``order[lo:lo + m]`` as a new array. Row j of a step belongs to id
+        ``rows[block][j]``, and step 0 spans the block. Each block's total
+        is rounded into ``out`` as it is assigned; ids without rows keep
+        ``out``'s values.
+        """
+        size = max(1, EDGE_CHUNK_BYTES // (8 * math.prod(out.shape[1:])))
+        ranked = len(self.rows)
+        for b0 in range(0, ranked, size):
+            b1 = min(b0 + size, ranked)
+            steps = self.spans if b1 - b0 == ranked else [(lo + b0, min(m, b1) - b0) for lo, m in self.spans if m > b0]
+            acc = None
+            for rows in level_rows(slice(b0, b1), steps):
+                if acc is None:
+                    acc = rows.astype(np.float64, copy=False)
+                    acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
+                else:
+                    acc[:len(rows)] += rows
+            out[self.rows[b0:b1]] = acc
         return out
+
+    def sum(self, values: np.ndarray, n_rows: int, dtype=np.float64) -> np.ndarray:
+        """The rows of ``values`` summed in float64 into ``n_rows`` rows and
+        rounded to ``dtype``."""
+        values = np.ascontiguousarray(values)  # take copies a strided input whole
+        out = np.zeros((n_rows,) + values.shape[1:], dtype=dtype)
+        return self.walk(out, lambda _, steps: (values.take(self.order[lo:lo + m], axis=0) for lo, m in steps))
 
     def max(self, values: np.ndarray) -> np.ndarray:
         """The elementwise max of each id's rows, in ``rows`` order."""
         values = np.ascontiguousarray(values)
         acc = values.take(self.order[:len(self.rows)], axis=0)
-        for span in self.spans[1:]:
-            top = acc[:span[1]]
-            np.maximum(top, self._level(values, span), out=top)
+        for lo, m in self.spans[1:]:
+            top = acc[:m]
+            np.maximum(top, values.take(self.order[lo:lo + m], axis=0), out=top)
         return acc
 
     def first(self, hit: np.ndarray) -> np.ndarray:
@@ -465,6 +487,24 @@ class IndexPlan:
 # graph's edges in chunks of C = EDGE_CHUNK_BYTES // (itemsize K D) edges.
 EDGE_CHUNK_BYTES = 8 * 2**20
 
+# Bytes of one [E, K, D] temporary from which the sum, mean and mlp
+# aggregations and cos's backward walk their reduction's ``Levels`` over
+# node rows instead of chunks (``EdgePlan.walks``). Below it the chunked
+# kernels are faster; above it each [E, K, D] temporary is a fresh mapping
+# that the kernel zero-fills page by page on every call. Measured per
+# forward plus backward on the benchmark's 400-node SBM (walked from
+# K * D = 64 in float32) and 60-node multigraph graphs (never walked).
+WALK_MIN_BYTES = 2**20
+
+
+class LevelWalk(NamedTuple):
+    """A sum by one end of the edges, walked level by level: the ``Levels``
+    of that end's ids, and the other end's node of every edge in their
+    ``order``."""
+
+    levels: Levels
+    far: np.ndarray
+
 
 class EdgeChunk(NamedTuple):
     """A run of edges grouped by destination: positions ``span`` of
@@ -483,10 +523,11 @@ class EdgePlan:
     nodes; ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per edge, from the
     given in-degrees. ``order`` lists the edges stably grouped by
     destination and ``rank`` is its inverse; ``chunks`` cuts that order
-    into runs for the fused edge ops. Canonical edges are sorted by
-    (src, dst), so the grouped walk keeps each destination's edges and
-    each source's edges in edge order, and a chunked sum into either end
-    adds in the order ``np.add.at`` does.
+    into runs for the fused edge ops, and ``into_dst``/``into_src`` are the
+    level walks that wide ones take instead (``walks``). Canonical edges
+    are sorted by (src, dst), so the grouped walk keeps each
+    destination's edges and each source's edges in edge order, and a
+    chunked sum into either end adds in the order ``np.add.at`` does.
     """
 
     def __init__(self, src, dst, n: int, degrees):
@@ -516,6 +557,19 @@ class EdgePlan:
     def gcn_norm(self) -> np.ndarray:
         deg = np.asarray(self._degrees, dtype=np.float64)
         return 1.0 / np.sqrt(deg[self.dst.ids] * deg[self.src.ids])
+
+    def walks(self, width: int, itemsize: int) -> bool:
+        """Whether a fused op with ``width`` floats of ``itemsize`` bytes
+        per edge walks levels: from ``WALK_MIN_BYTES`` per [E, width]."""
+        return self.edge_count * width * itemsize >= WALK_MIN_BYTES
+
+    @cached_property
+    def into_dst(self) -> LevelWalk:
+        return LevelWalk(self.dst.levels, self.src.ids.take(self.dst.levels.order))
+
+    @cached_property
+    def into_src(self) -> LevelWalk:
+        return LevelWalk(self.src.levels, self.dst.ids.take(self.src.levels.order))
 
     def chunks(self, width: int, itemsize: int = 8) -> list:
         """The grouped edges as ``EdgeChunk``s for temporaries of ``width``
@@ -790,14 +844,21 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused message passing: one op scores the edges, one aggregates them
 #
-# Both take node-side [N, K, D] tensors and an ``EdgePlan``, and walk the
-# edges in destination-grouped chunks of ``EDGE_CHUNK_BYTES``. No [E, K, D]
-# array outlives a chunk: the backward gathers each chunk's rows again.
-# Scores and the sum, mean and max aggregations compute their values in
-# the order of the per-kind op chains they replace, so they keep those
-# bits at any chunk length; gradients reduce over D with einsum and agree
-# with the chains' to rounding. A chunk's temporaries hold the inputs'
-# dtype; the sums over chunks run in float64 and round once at the end.
+# Both take node-side [N, K, D] tensors and an ``EdgePlan``. Where one
+# [E, K, D] temporary would be ``WALK_MIN_BYTES`` or more, the sum, mean
+# and mlp aggregations (forward and backward) and cos's backward walk the
+# reduction's ``Levels`` (``Levels.walk``): each level's rows are gathered
+# from node rows, scaled and added into a float64 accumulator of at most
+# ``EDGE_CHUNK_BYTES`` per block of ids, so no per-edge [E, K, D] array
+# exists. Otherwise the ops walk the edges in destination-grouped chunks
+# of ``EDGE_CHUNK_BYTES``, and the backward gathers each chunk's rows
+# again, so no [E, K, D] array outlives a chunk. Both paths add every sum
+# in the same order, so they give the same bits. Scores and the sum, mean
+# and max aggregations compute their values in the order of the per-kind
+# op chains they replace, so they keep those bits at any chunk length;
+# gradients reduce over D with einsum and agree with the chains' to
+# rounding. Temporaries hold the inputs' dtype; sums run in float64 and
+# round once.
 
 
 def _add_rows(total: np.ndarray | None, values: np.ndarray, index: IndexPlan, n_rows: int) -> np.ndarray:
@@ -897,7 +958,11 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
 
 def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
     """cos and gene-linear: per-edge [K, D] pairs of the two ends' head
-    products, built chunk by chunk and rebuilt in the backward."""
+    products, built chunk by chunk and rebuilt in the backward. Where
+    ``plan.walks`` an [E, K, D] temporary, cos's backward instead walks
+    each end's levels: the destinations sum ``(z w_r).take(sources) * g``
+    and the sources ``(z w_l).take(destinations) * g``, level by level,
+    with the bits of the chunked sums."""
     z_val, n = z.data, plan.n
     w_l, w_r = weights[0].data, weights[1].data
     w_a = weights[2].data if kind == "gene-linear" else None
@@ -928,10 +993,27 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     # The gradient of z_i w_l sums into the destinations and that of z_j w_r
     # into the sources. cos sums each end from the other end's rows alone,
     # so its ends take a pass each and one float64 total is alive at a
-    # time; gene-linear's ends sum the same g_pre in one pass.
+    # time; gene-linear's ends sum the same g_pre in one pass. Wide cos
+    # walks each end's levels instead of the chunks.
     passes = [["dst"], ["src"]] if w_a is None else [["dst", "src"]]
+    walked = w_a is None and plan.walks(left.shape[1] * left.shape[2], left.itemsize)
 
-    def grad_fn(g):
+    def end_grads(name, total):
+        w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
+        return _heads_grad(total, z_val, w, need_z, need_w)
+
+    def walked_total(into, far_rows, g):
+        g_walk = g.take(into.levels.order, axis=0)
+
+        def level_rows(_, steps):
+            for lo, m in steps:
+                rows = far_rows.take(into.far[lo:lo + m], axis=0)
+                rows *= g_walk[lo:lo + m, :, None]
+                yield rows
+
+        return into.levels.walk(np.zeros(far_rows.shape, dtype=far_rows.dtype), level_rows)
+
+    def chunked_grads(g):
         g_grouped = plan.grouped(g)
         g_a, grads = None, {}
         for names in passes:
@@ -953,10 +1035,18 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
                     totals[name] = _add_rows(totals[name], rows, getattr(c, name), n)
                 del rows
             for name in names:
-                w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
                 total = totals.pop(name).astype(z_val.dtype, copy=False)  # frees the float64 one
-                grads[name] = _heads_grad(total, z_val, w, need_z, need_w)
+                grads[name] = end_grads(name, total)
                 del total
+        return grads, g_a
+
+    def grad_fn(g):
+        if walked:
+            grads = {"dst": end_grads("dst", walked_total(plan.into_dst, right, g))}
+            grads["src"] = end_grads("src", walked_total(plan.into_src, left, g))
+            g_a = None
+        else:
+            grads, g_a = chunked_grads(g)
         (gz, g_wl), (gz_r, g_wr) = grads["dst"], grads["src"]
         if need_z:
             gz += gz_r
@@ -980,19 +1070,27 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     node rows, and agrees with the per-message form up to rounding.
     Mean and max need every node to have an in-edge.
 
-    A chunk's sums and maxima by destination, and the sums by source in
-    the backward, walk the chunk's ``Levels`` where its [C, K*D] input has
+    Where ``plan.walks`` an [E, K, D] temporary, sum, mean and mlp walk
+    the graph's levels: the forward sums ``z.take(sources in destination
+    level order) * alpha`` into the destinations, and the backward
+    ``g.take(destinations in source level order) * alpha`` into the
+    sources. Position j of every source level is an edge out of source
+    ``rows[j]``, so alpha's gradient and mlp's relu mask read one block
+    of node rows per row block, not one row per edge; alpha's gradient is
+    filled in level order and put back in edge order once. Max-pooling,
+    and every kind below that size, takes the chunks: a chunk's sums and
+    maxima by destination, and the sums by source in the backward, walk
+    the chunk's ``Levels`` where its [C, K*D] input has
     ``LEVEL_MIN_CELLS`` cells per level, and call ``np.bincount`` and
     ``reduceat`` below that; later chunks add into the running sum row by
-    row (``_add_rows``). Every path gives the same bits.
+    row (``_add_rows``). Every path gives the same bits (a NaN's sign and
+    payload aside).
     """
     if kind not in ("sum", "mean-pooling", "max-pooling", "mlp"):
         raise ParameterError(f"unknown aggregation kind {kind!r}")
     n, heads, width = z.data.shape
     if alpha.data.shape != (plan.edge_count, heads):
         raise ShapeError(f"alpha shape {alpha.data.shape} != {(plan.edge_count, heads)}")
-    a_grouped = plan.grouped(alpha.data)
-    chunks = plan.chunks(heads * width, z.data.itemsize)
     z_val, dtype = z.data, z.data.dtype
     if kind == "mlp":
         w1, w2 = (w.data for w in weights)
@@ -1002,16 +1100,21 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         inv = (1.0 / plan.dst.counts).astype(dtype, copy=False).reshape(n, 1, 1)
     elif kind == "max-pooling":
         plan.dst.counts  # raises on a node without in-edges
+    walked = kind != "max-pooling" and plan.walks(heads * width, z.data.itemsize)
+    if not walked:
+        a_grouped = plan.grouped(alpha.data)
+        chunks = plan.chunks(heads * width, z.data.itemsize)
 
-    def messages(c):
-        m = a_grouped[c.span, :, None] * z_val.take(c.src.ids, axis=0)
+    def messages(a, src):  # alpha [C, K] times the rows of ``src``
+        m = z_val.take(src, axis=0)
+        np.multiply(a[:, :, None], m, out=m)
         return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
 
     if kind == "max-pooling":
         top = np.empty((n, heads * width), dtype=dtype)
         last = -1  # the destination the previous chunk ended on
         for c in chunks:
-            m = messages(c).reshape(len(c.dst.ids), -1)
+            m = messages(a_grouped[c.span], c.src.ids).reshape(len(c.dst.ids), -1)
             levels, rows, _ = _destinations(c, m)
             carried = top[last].copy() if c.dst.ids[0] == last else None
             top[rows] = levels.max(m) if levels else np.maximum.reduceat(m, c.starts, axis=0)
@@ -1020,16 +1123,34 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             last = c.dst.ids[-1]
         data = top.reshape(n, heads, width)
     else:
-        data = None
-        for c in chunks:
-            data = _add_rows(data, messages(c), c.dst, n)
-        data = data.astype(dtype, copy=False)
+        if walked:
+            into = plan.into_dst
+            a_walk = alpha.data.take(into.levels.order, axis=0)
+            data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype),
+                                    lambda _, steps: (messages(a_walk[lo:lo + m], into.far[lo:lo + m])
+                                                      for lo, m in steps))
+        else:
+            data = None
+            for c in chunks:
+                data = _add_rows(data, messages(a_grouped[c.span], c.src.ids), c.dst, n)
+            data = data.astype(dtype, copy=False)
         if inv is not None:
             data = data * inv
         if kind == "mlp":
             hidden, data = data, _heads(data, w2)
     need_alpha, need_z = alpha.requires_grad, z.requires_grad
     need_w = [w.requires_grad for w in weights]
+    # sum and mean need the neighbour rows only for alpha's gradient
+    need_rows = need_alpha or kind in ("max-pooling", "mlp")
+
+    def message_grads(g_m, a, z_m):
+        """The gradients of C messages alpha z_m [C, K, D] from theirs,
+        ``g_m`` (scaled in place): (the rows' [C, K, D], alpha's [C, K])."""
+        if kind == "mlp":
+            g_m *= a * z_m > 0.0  # relu's gradient
+        g_a = np.einsum("ekd,ekd->ek", g_m, z_m) if need_alpha else None
+        g_m *= a
+        return g_m, g_a
 
     def grad_fn(g):
         g_w = [None] * len(weights)
@@ -1037,29 +1158,48 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             g, g_w[1] = _heads_grad(g, hidden, w2, True, need_w[1])
         elif inv is not None:
             g = g * inv
-        if kind == "max-pooling":
-            routed = np.zeros(top.shape, dtype=bool) if len(chunks) > 1 else None
-            g_flat = g.reshape(top.shape)
-        g_alpha, g_rows = [], None
-        for c in chunks:
-            a_c = a_grouped[c.span, :, None]
-            # sum and mean need the neighbour rows only for alpha's gradient
-            z_c = z_val.take(c.src.ids, axis=0) if need_alpha or kind in ("max-pooling", "mlp") else None
-            if kind == "max-pooling":
-                g_m = _max_routes(a_c * z_c, c, top, g_flat, routed)
-            else:
-                g_m = g.take(c.dst.ids, axis=0)
-                if kind == "mlp":
-                    g_m *= a_c * z_c > 0.0  # relu's gradient
+        g = np.ascontiguousarray(g)  # take copies a strided input whole, on every call
+        if walked:
+            into = plan.into_src
+            a_walk = alpha.data.take(into.levels.order, axis=0)
+            g_walk = np.empty_like(a_walk) if need_alpha else None
+
+            def level_grads(block, steps):
+                # position j of every source level is an edge out of rows[j]
+                z_b = z_val.take(into.levels.rows[block], axis=0) if need_rows else None
+                for lo, m in steps:
+                    z_m = z_b[:m] if need_rows else None
+                    g_m, g_a = message_grads(g.take(into.far[lo:lo + m], axis=0), a_walk[lo:lo + m, :, None], z_m)
+                    if need_alpha:
+                        g_walk[lo:lo + m] = g_a
+                    yield g_m
+
+            g_rows = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_grads)
+            g_alpha = None
             if need_alpha:
-                g_alpha.append(np.einsum("ekd,ekd->ek", g_m, z_c))
-            g_m *= a_c
-            g_rows = _add_rows(g_rows, g_m, c.src, n)
-            del a_c, z_c, g_m  # before the next chunk allocates its own
-        g_rows = g_rows.astype(dtype, copy=False)
+                g_alpha = np.empty_like(g_walk)
+                g_alpha[into.levels.order] = g_walk
+        else:
+            if kind == "max-pooling":
+                routed = np.zeros(top.shape, dtype=bool) if len(chunks) > 1 else None
+                g_flat = g.reshape(top.shape)
+            parts, g_rows = [], None
+            for c in chunks:
+                a_c = a_grouped[c.span, :, None]
+                z_c = z_val.take(c.src.ids, axis=0) if need_rows else None
+                if kind == "max-pooling":
+                    g_m = _max_routes(a_c * z_c, c, top, g_flat, routed)
+                else:
+                    g_m = g.take(c.dst.ids, axis=0)
+                g_m, g_a = message_grads(g_m, a_c, z_c)
+                parts.append(g_a)
+                g_rows = _add_rows(g_rows, g_m, c.src, n)
+                del a_c, z_c, g_m, g_a  # before the next chunk allocates its own
+            g_rows = g_rows.astype(dtype, copy=False)
+            g_alpha = plan.in_edge_order(parts) if need_alpha else None
         if kind == "mlp":
             g_rows, g_w[0] = _heads_grad(g_rows, z.data, w1, need_z, need_w[0])
-        return (plan.in_edge_order(g_alpha) if need_alpha else None, g_rows if need_z else None, *g_w)
+        return (g_alpha, g_rows if need_z else None, *g_w)
 
     return record(data, (alpha, z, *weights), grad_fn)
 

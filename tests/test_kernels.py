@@ -8,15 +8,21 @@ and with a precomputed ``IndexPlan``, the form message passing passes.
 ``allclose``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnnsearch import autodiff as ad
+from gnnsearch.arch import AGGREGATION, ATTENTION, decode
 from gnnsearch.autodiff import Tensor
 from gnnsearch.errors import ParameterError, ShapeError
+from gnnsearch.gnn import CHILD_DTYPE, LAYER_TENSORS, build_model, forward, init_layer_params
 from gnnsearch.graphs import generate_multigraph, generate_sbm
+
+from conftest import traced_memory
 
 E, N, K, D = 60, 7, 3, 4
 # BLAS may sum a dot product in any order: a few float64 ulps on O(1) values.
@@ -345,28 +351,133 @@ def test_a_layer_gives_the_same_bits_through_levels_and_reduceat(monkeypatch, ki
         assert _bitwise(got, ref)
 
 
-@pytest.mark.parametrize("kind", ["sum", "max-pooling"])
+@pytest.mark.parametrize("kind", ["sum", "mean-pooling", "mlp", "max-pooling", "cos"])
 def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
-    """Messages of 1 head x 8 on the 400-node SBM of the sbm-share
-    workload go through levels; scores (4 heads) and messages of
-    1 head x 4 on a 60-node graph of multigraph-share do not."""
+    """Float32 children: on the 400-node SBM of sbm-share, messages of
+    K x D >= 64 walk the graph's levels (one [E, K, D] temporary is 1 MB
+    or more there), and narrower ones sum each chunk through its own
+    levels; on a 60-node graph of multigraph-share no width of its space
+    (up to 4 x 32) walks, and 1 x 4 takes the bincount and reduceat.
+    Max-pooling never walks, and 4-head scores reach no levels."""
     sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                        signal_strength=0.3, seed=1).graphs[0]
     small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
                                 feature_dim=16, seed=1).graphs[0]
-    walked = []
-    for method in ("sum", "max"):
+    seen = []
+    for method in ("walk", "max"):
         real = getattr(ad.Levels, method)
-        monkeypatch.setattr(ad.Levels, method, lambda self, *a, real=real: walked.append(1) or real(self, *a))
-    for graph, width, through_levels in ((sbm, 8, True), (small, 4, False)):
+        monkeypatch.setattr(ad.Levels, method, lambda self, *a, real=real: seen.append(self) or real(self, *a))
+    cases = [(sbm, 1, 8, "chunk levels"), (sbm, 1, 32, "chunk levels"), (sbm, 2, 32, "walk"), (sbm, 4, 16, "walk"),
+             (sbm, 4, 32, "walk"), (small, 1, 4, "flat"), (small, 4, 32, "chunk levels")]
+    for graph, heads, width, path in cases:
+        plan = graph.plan
+        assert plan.walks(heads * width, 4) == (path == "walk") == (graph.edge_count * heads * width * 4 >= 2**20)
         rng = np.random.default_rng(0)
-        z = Tensor(rng.standard_normal((graph.node_count, 1, width)))
-        scores = Tensor(rng.standard_normal((graph.edge_count, 4)))
-        walked.clear()
-        ad.segment_softmax(scores, graph.plan.dst, graph.node_count)
-        assert not walked
-        ad.edge_aggregate(kind, Tensor(np.ones((graph.edge_count, 1))), z, graph.plan)
-        assert bool(walked) == through_levels, graph.node_count
+        seen.clear()
+        ad.segment_softmax(Tensor(rng.standard_normal((graph.edge_count, 4))), plan.dst, graph.node_count)
+        assert not seen
+        z = Tensor(rng.standard_normal((graph.node_count, heads, width)).astype(np.float32), requires_grad=True)
+        weights = [Tensor(rng.standard_normal((heads, width, width)).astype(np.float32), requires_grad=True)
+                   for _ in range(2 if kind in ("mlp", "cos") else 0)]
+        seen.clear()
+        if kind == "cos":
+            out = ad.edge_scores("cos", z, plan, *weights)
+        else:
+            alpha = Tensor(np.ones((graph.edge_count, heads), dtype=np.float32), requires_grad=True)
+            out = ad.edge_aggregate(kind, alpha, z, plan, *weights)
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        walked = any(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
+        got = "walk" if walked else "chunk levels" if seen else "flat"
+        expected = "chunk levels" if kind == "max-pooling" and path == "walk" else path
+        assert got == expected, (graph.node_count, heads, width)
+
+
+def _walk_case(attention, aggregation, dtype, seed=21):
+    """Scores and aggregation of one layer, forward and backward, on a
+    30-node SBM, with signed zeros, infinities, NaNs and subnormals in z
+    and alpha: the values, and the gradients of z, alpha and every weight."""
+    graph = generate_sbm(block_count=2, nodes_per_block=15, p_in=0.5, p_out=0.1, feature_dim=2,
+                         signal_strength=1.0, seed=4).graphs[0]
+    n, e_count = graph.node_count, graph.edge_count
+    rng = np.random.default_rng(seed)
+    params = init_layer_params(rng, attention, aggregation, 4, 2, 3).tensors
+    for t in params.values():
+        t.data = t.data.astype(dtype)
+    g = rng.standard_normal((n, 2, 3)).astype(dtype)
+    g_scores = rng.standard_normal((e_count, 2)).astype(dtype)
+    tensors = [params[name] for name in (*LAYER_TENSORS["attention"][attention],
+                                         *LAYER_TENSORS["aggregation"][aggregation])]
+    with np.errstate(all="ignore"):
+        z = Tensor(_values(seed, n, 6, 0.05).reshape(n, 2, 3).astype(dtype), requires_grad=True)
+        alpha_rows = np.abs(_values(seed + 1, e_count, 2, 0.05)) * np.where(rng.random((e_count, 2)) < 0.3, -1, 1)
+        alpha = Tensor(alpha_rows.astype(dtype), requires_grad=True)
+        scores = ad.edge_scores(attention, z, graph.plan, *(params[k] for k in LAYER_TENSORS["attention"][attention]))
+        out = ad.edge_aggregate(aggregation, alpha, z, graph.plan,
+                                *(params[k] for k in LAYER_TENSORS["aggregation"][aggregation]))
+        out.backward(g)
+        if scores.requires_grad:
+            scores.backward(g_scores)
+    return [scores.data, out.data, z.grad, alpha.grad, *(t.grad for t in tensors)]
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_the_level_walk_gives_the_chunked_bits_for_every_kind(monkeypatch, dtype, blocks):
+    """Every attention x aggregation kind, walked and chunked. Chunk sums
+    go through their levels here, so one row block and one chunk give the
+    same bits, NaNs included; with 4 ids per row block (so each level
+    spans several) against chunks of 4 (float64) or 8 (float32) edges, a
+    NaN may differ in sign and payload, as the chunks' row-by-row running
+    sum already may."""
+    monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", 0)
+    same = _bitwise if blocks == "one" else _same_bits
+    if blocks == "several":
+        monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 6 * 4)
+    for attention, aggregation in itertools.product(ATTENTION, AGGREGATION):
+        runs = []
+        for walk_min in (0, 2**62):
+            monkeypatch.setattr(ad, "WALK_MIN_BYTES", walk_min)
+            runs.append(_walk_case(attention, aggregation, dtype))
+        walked, chunked = runs
+        assert len(walked) == len(chunked) and all(x is not None for x in walked), (attention, aggregation)
+        for i, (got, ref) in enumerate(zip(walked, chunked)):
+            assert got.dtype == dtype and same(got, ref), (attention, aggregation, i)
+
+
+def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
+    """Levels.walk with 3 ids per row block, so each level spans several
+    blocks, is bitwise np.add.at into zeros, rounded once to float32. The
+    last id has one row, of -0.0s, which np.add.at turns into 0.0s."""
+    monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 5 * 3)
+    rng = np.random.default_rng(2)
+    n, ids = 12, np.append(rng.integers(0, 11, 90), 11)
+    with np.errstate(all="ignore"):
+        values = _values(7, ids.size, 5, 0.05).astype(np.float32)
+        values[-1] = -0.0
+        ref = _ref_add_at(values.astype(np.float64), ids, n)
+        got = ad.IndexPlan(ids, n).levels.sum(values, n, np.float32)
+        assert _same_bits(got, ref.astype(np.float32))
+
+
+def test_a_walked_training_step_keeps_no_edge_sized_temporaries():
+    """One float32 training step of a 4 x 32 gat,sum child on the 400-node
+    SBM: its [E, K, D] temporaries were 2.7 MB each, and the chunked
+    kernels peaked at 7.6 MB; walked, the step peaks at 2.7 MB."""
+    dataset = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
+                           signal_strength=0.3, seed=1).with_feature_dtype(CHILD_DTYPE)
+    graph = dataset.graphs[0]
+    model = build_model(decode("first-order,gat,sum,elu,4,32;first-order,gat,sum,elu,1,32"),
+                        dataset.feature_dim, dataset.class_count, np.random.default_rng(0), dtype=CHILD_DTYPE)
+
+    def step():
+        logits = forward(model, graph, training=True, rng=np.random.default_rng(1), dropout_p=0.6)
+        ad.loss(dataset.task_kind, logits, dataset.labels[0], dataset.masks[0].train).backward()
+
+    step()  # the graph's plans and levels are built once and outlive the step
+    with traced_memory() as memory:
+        step()
+        peak = memory.peak()
+    assert peak < 4e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_widths_that_fit_one_chunk_share_it():
