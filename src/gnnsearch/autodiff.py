@@ -21,9 +21,10 @@ the leaves and the root keep a ``.grad``. A second backward through a
 consumed tape raises ``ParameterError``. An op computes no gradient for
 an operand that needs none.
 
-No op writes into an existing array: an op's output is a new array or
-a view of its input (``reshape``, ``head_matmul``), so values captured
-by backward closures stay valid. ``adam_step`` is the one writer: it
+No op writes into an existing array: an op's output is a new array, a
+view of its input (``reshape``, ``head_matmul``) or its input's array
+(``gather_rows`` of every row in order), so values captured by
+backward closures stay valid. ``adam_step`` is the one writer: it
 updates the parameters in place, in the flat buffer ``AdamState.init``
 moved them into. So every tape over a parameter set must be consumed or
 dropped before its step, and a forward's output describes the
@@ -310,8 +311,9 @@ def _row_sums(values: np.ndarray, index, n_rows: int, dtype=np.float64) -> np.nd
     ``index`` is an id array, or an ``IndexPlan`` that a graph keeps. Each
     cell adds its rows in index order in float64, starting from 0.0, on
     either path. ``np.bincount`` over the flattened (row, column) cell,
-    or over the ids themselves when a row is one value wide, adds its
-    weights in input order. A plan's ``Levels`` add the k-th row of every
+    over the ids themselves when a row is one value wide, or over the ids
+    once per column up to ``NARROW_WIDTH`` values, adds its weights in
+    input order. A plan's ``Levels`` add the k-th row of every
     id in level k; they are used for inputs of ``LEVEL_MIN_CELLS`` cells
     per level or more, where they beat the bincount and its cell index.
     ``np.add.reduceat`` over sorted rows is not bitwise: it sums in
@@ -324,10 +326,22 @@ def _row_sums(values: np.ndarray, index, n_rows: int, dtype=np.float64) -> np.nd
         index = index.ids
     rest = values.shape[1:]
     width = math.prod(rest)
-    cells = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(cells, weights=values.reshape(-1), minlength=n_rows * width)
+    if 1 < width <= NARROW_WIDTH:
+        out = np.empty((n_rows, width))
+        columns = np.ascontiguousarray(values.reshape(-1, width).T, dtype=np.float64)  # bincount's own weights
+        for j, column in enumerate(columns):
+            out[:, j] = np.bincount(index, weights=column, minlength=n_rows)
+    else:
+        cells = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(cells, weights=values.reshape(-1), minlength=n_rows * width)
     # bincount returns int64 for an empty input, weights or not.
     return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
+
+
+# Widths up to which a bincount sum takes one bincount per column rather
+# than one over a (row, column) cell index: building the index costs more
+# than the extra calls there. Measured on a 60-node graph (E = 520).
+NARROW_WIDTH = 4
 
 
 # Cells per level from which a reduction walks a plan's ``Levels`` instead
@@ -350,10 +364,10 @@ class Levels:
     into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
     rows, signed zeros and infinities included (a sum adds in float64, so
     on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
-    is NaN, with the sign and payload left to numpy. ``walk`` is the sum
-    for rows that are built level by level rather than taken from one
-    array. Building the plan costs about two stable sorts of the ids, so
-    only plans a graph keeps build one.
+    is NaN, with the sign and payload left to numpy. ``walk`` is the one
+    such reduction, for rows that are built level by level; ``sum`` and
+    ``max`` walk rows taken from one array. Building the plan costs about
+    two stable sorts of the ids, so only plans a graph keeps build one.
     """
 
     def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
@@ -363,6 +377,7 @@ class Levels:
         place[ranked] = np.arange(n)
         grouped = ids.take(order)
         depth = np.arange(ids.size) - (np.cumsum(counts) - counts).take(grouped)  # each row's level
+        self.n = n
         self.order = order.take(np.argsort(depth * n + place.take(grouped), kind="stable"))
         sizes = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # ids with more than k rows
         self.rows = ranked[:int(sizes[0]) if sizes.size else 0]
@@ -372,48 +387,78 @@ class Levels:
         """Whether ``values`` has ``LEVEL_MIN_CELLS`` cells per level."""
         return values.size >= LEVEL_MIN_CELLS * len(self.spans)
 
-    def walk(self, out: np.ndarray, level_rows) -> np.ndarray:
-        """Sum rows into ``out``, by id, in the order ``sum`` adds them.
-
-        The ids are walked in blocks ``rows[block]``, each with a float64
-        accumulator of at most ``EDGE_CHUNK_BYTES``: ``level_rows(block,
-        steps)`` yields, for each (lo, m) in ``steps`` (one per level,
-        level 0 first, as in ``spans``), the rows of positions
-        ``order[lo:lo + m]`` as a new array. Row j of a step belongs to id
-        ``rows[block][j]``, and step 0 spans the block. Each block's total
-        is rounded into ``out`` as it is assigned; ids without rows keep
-        ``out``'s values.
-        """
-        size = max(1, EDGE_CHUNK_BYTES // (8 * math.prod(out.shape[1:])))
+    def blocks(self, width: int):
+        """The ids in blocks ``rows[block]`` of at most ``EDGE_CHUNK_BYTES``
+        of float64 for ``width`` values per id: yields (block, steps), where
+        ``steps`` holds one (lo, m) per level that reaches the block, level
+        0 first, for the positions ``order[lo:lo + m]`` of its rows. Row j
+        of a step belongs to id ``rows[block][j]``, and step 0 spans the
+        block."""
+        size = max(1, EDGE_CHUNK_BYTES // (8 * width))
         ranked = len(self.rows)
         for b0 in range(0, ranked, size):
             b1 = min(b0 + size, ranked)
-            steps = self.spans if b1 - b0 == ranked else [(lo + b0, min(m, b1) - b0) for lo, m in self.spans if m > b0]
-            acc = None
-            for rows in level_rows(slice(b0, b1), steps):
-                if acc is None:
-                    acc = rows.astype(np.float64, copy=False)
-                    acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
-                else:
-                    acc[:len(rows)] += rows
-            out[self.rows[b0:b1]] = acc
+            yield slice(b0, b1), self.spans if b1 - b0 == ranked else [
+                (lo + b0, min(m, b1) - b0) for lo, m in self.spans if m > b0]
+
+    def walk(self, out: np.ndarray, level_rows, fold=np.add, winners: np.ndarray | None = None) -> np.ndarray:
+        """Reduce rows into ``out``, by id, level by level, block by block.
+
+        ``level_rows(block, steps)`` yields, for each step of a block (see
+        ``blocks``), that step's rows as a new array. ``fold`` is
+        ``np.add``, a sum in a float64 accumulator that starts at 0.0, or
+        ``np.maximum``, a max in the rows' dtype. Each block's result is
+        rounded into ``out`` as it is assigned; ids without rows keep
+        ``out``'s values. For a max, ``winners`` (shaped as ``out``), if
+        given, gets each (id, column)'s first row equal to the max, as a
+        position in the ids the plan was built from, or the id's first row
+        where the max is NaN.
+        """
+        for block, steps in self.blocks(math.prod(out.shape[1:])):
+            for k, rows in enumerate(level_rows(block, steps)):
+                if k == 0:
+                    if fold is np.add:
+                        acc = rows.astype(np.float64, copy=False)
+                        acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
+                    else:
+                        acc = rows
+                    if winners is not None:  # each (id, column)'s winning level
+                        level = np.zeros(rows.shape, dtype=np.min_scalar_type(len(steps)))
+                    continue
+                m = len(rows)
+                top = acc[:m]
+                if winners is not None:
+                    # the last level to exceed the running max holds the
+                    # first row equal to the max
+                    np.maximum(level[:m], np.multiply(rows > top, k, dtype=level.dtype), out=level[:m])
+                fold(top, rows, out=top)
+            ids = self.rows[block]
+            out[ids] = acc
+            if winners is not None:
+                level *= acc == acc  # a NaN max: the id's first row, at level 0
+                place = np.array([lo for lo, _ in steps]).take(level)
+                place += np.arange(block.stop - block.start).reshape((-1,) + (1,) * (level.ndim - 1))
+                winners[ids] = self.order.take(place)
         return out
+
+    def _taken(self, values: np.ndarray):
+        """``level_rows`` for ``walk`` that takes each step's rows of ``values``."""
+        values = np.ascontiguousarray(values)  # take copies a strided input whole
+        return lambda _, steps: (values.take(self.order[lo:lo + m], axis=0) for lo, m in steps)
 
     def sum(self, values: np.ndarray, n_rows: int, dtype=np.float64) -> np.ndarray:
         """The rows of ``values`` summed in float64 into ``n_rows`` rows and
         rounded to ``dtype``."""
-        values = np.ascontiguousarray(values)  # take copies a strided input whole
-        out = np.zeros((n_rows,) + values.shape[1:], dtype=dtype)
-        return self.walk(out, lambda _, steps: (values.take(self.order[lo:lo + m], axis=0) for lo, m in steps))
+        return self.walk(np.zeros((n_rows,) + values.shape[1:], dtype=dtype), self._taken(values))
 
-    def max(self, values: np.ndarray) -> np.ndarray:
-        """The elementwise max of each id's rows, in ``rows`` order."""
-        values = np.ascontiguousarray(values)
-        acc = values.take(self.order[:len(self.rows)], axis=0)
-        for lo, m in self.spans[1:]:
-            top = acc[:m]
-            np.maximum(top, values.take(self.order[lo:lo + m], axis=0), out=top)
-        return acc
+    def max(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The elementwise max of each id's rows, written at the ids into
+        ``out`` and returned, or without ``out`` returned in ``rows`` order."""
+        ranked = out is None
+        if ranked:
+            out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
+        self.walk(out, self._taken(values), np.maximum)
+        return out.take(self.rows, axis=0) if ranked else out
 
     def first(self, hit: np.ndarray) -> np.ndarray:
         """Per id (in ``rows`` order) and column of the [rows, cols] ``hit``,
@@ -487,9 +532,9 @@ class IndexPlan:
 # graph's edges in chunks of C = EDGE_CHUNK_BYTES // (itemsize K D) edges.
 EDGE_CHUNK_BYTES = 8 * 2**20
 
-# Bytes of one [E, K, D] temporary from which the sum, mean and mlp
-# aggregations and cos's backward walk their reduction's ``Levels`` over
-# node rows instead of chunks (``EdgePlan.walks``). Below it the chunked
+# Bytes of one [E, K, D] temporary from which the fused edge ops walk
+# their reduction's ``Levels`` over node rows instead of chunks
+# (``EdgePlan.walks``). Below it the chunked
 # kernels are faster; above it each [E, K, D] temporary is a fresh mapping
 # that the kernel zero-fills page by page on every call. Measured per
 # forward plus backward on the benchmark's 400-node SBM (walked from
@@ -613,10 +658,14 @@ def gather_rows(x: Tensor, index) -> Tensor:
 
     ``index`` is an id array or an ``IndexPlan`` over ``x``'s rows. The
     backward adds repeated rows in index order (``_scatter_add``), so it
-    is bitwise equal to ``np.add.at``.
+    is bitwise equal to ``np.add.at``. Ids that are every row in order (a
+    loss over a whole graph) return ``x``'s own array, and the backward
+    returns ``g + 0.0``: the same bits as ``np.add.at``'s ``0.0 + g``.
     """
     n_rows = x.data.shape[0]
     idx = _plan(index, n_rows).ids
+    if idx.size == n_rows and (idx == np.arange(n_rows)).all():
+        return record(x.data, (x,), lambda g: (g + 0.0,))
     data = x.data.take(idx, axis=0)
     return record(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
 
@@ -788,7 +837,8 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     assignment. Winners are found in the backward, so a forward that is
     only evaluated does not pay for them. This op always reduces with
     ``reduceat``; ``edge_aggregate``'s max-pooling takes the same maxima
-    and winners from a chunk's ``Levels`` where its messages are wide.
+    and winners from the graph's or a chunk's ``Levels`` where its
+    messages are wide.
     """
     plan = _segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
@@ -826,8 +876,7 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     flat = scores.data.reshape(scores.data.shape[0], -1)
     order, starts = plan.grouping
     if by is plan and plan.levels.fits(flat):
-        seg_max = np.empty((n_segments, flat.shape[1]), dtype=flat.dtype)
-        seg_max[plan.levels.rows] = plan.levels.max(flat)
+        seg_max = plan.levels.max(flat, np.empty((n_segments, flat.shape[1]), dtype=flat.dtype))
     else:
         seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
     exp_scores = np.exp(scores.data - seg_max.reshape((n_segments,) + scores.data.shape[1:]).take(ids, axis=0))
@@ -845,17 +894,17 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # fused message passing: one op scores the edges, one aggregates them
 #
 # Both take node-side [N, K, D] tensors and an ``EdgePlan``. Where one
-# [E, K, D] temporary would be ``WALK_MIN_BYTES`` or more, the sum, mean
-# and mlp aggregations (forward and backward) and cos's backward walk the
-# reduction's ``Levels`` (``Levels.walk``): each level's rows are gathered
-# from node rows, scaled and added into a float64 accumulator of at most
-# ``EDGE_CHUNK_BYTES`` per block of ids, so no per-edge [E, K, D] array
-# exists. Otherwise the ops walk the edges in destination-grouped chunks
-# of ``EDGE_CHUNK_BYTES``, and the backward gathers each chunk's rows
-# again, so no [E, K, D] array outlives a chunk. Both paths add every sum
-# in the same order, so they give the same bits. Scores and the sum, mean
-# and max aggregations compute their values in the order of the per-kind
-# op chains they replace, so they keep those bits at any chunk length;
+# [E, K, D] temporary would be ``WALK_MIN_BYTES`` or more, both ops walk
+# the graph's ``Levels`` (``Levels.blocks`` and ``walk``), forward and
+# backward: each level's rows are gathered from node rows, scaled and
+# folded into an accumulator of at most ``EDGE_CHUNK_BYTES`` per block of
+# ids, so no per-edge [E, K, D] array exists. Otherwise the ops walk the
+# edges in destination-grouped chunks of ``EDGE_CHUNK_BYTES``, and the
+# backward gathers each chunk's rows again, so no [E, K, D] array
+# outlives a chunk. Both paths add every sum and take every max in the
+# same order, so they give the same bits. Scores and the sum, mean and max
+# aggregations compute their values in the order of the per-kind op
+# chains they replace, so they keep those bits at any chunk length;
 # gradients reduce over D with einsum and agree with the chains' to
 # rounding. Temporaries hold the inputs' dtype; sums run in float64 and
 # round once.
@@ -958,60 +1007,106 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
 
 def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
     """cos and gene-linear: per-edge [K, D] pairs of the two ends' head
-    products, built chunk by chunk and rebuilt in the backward. Where
-    ``plan.walks`` an [E, K, D] temporary, cos's backward instead walks
-    each end's levels: the destinations sum ``(z w_r).take(sources) * g``
-    and the sources ``(z w_l).take(destinations) * g``, level by level,
-    with the bits of the chunked sums."""
+    products, reduced over D to one score per head.
+
+    Where ``plan.walks`` an [E, K, D] temporary, the scores are built per
+    destination level, a block of ids at a time: the block's rows of
+    ``z w_l`` are read once and paired with each level's source rows of
+    ``z w_r``. A score is a sum over D of one edge's row, so it has the
+    same bits however the edges are grouped. The backward walks each
+    end's levels too, with the bits of the chunked sums: for cos the
+    destinations sum ``(z w_r).take(sources) * g`` and the sources
+    ``(z w_l).take(destinations) * g``. Otherwise the pairs are built
+    chunk by chunk and rebuilt in the backward.
+    """
     z_val, n = z.data, plan.n
     w_l, w_r = weights[0].data, weights[1].data
     w_a = weights[2].data if kind == "gene-linear" else None
     # contiguous copies: rows gather faster from them than from the views
     left = np.ascontiguousarray(_heads(z_val, w_l))
     right = np.ascontiguousarray(_heads(z_val, w_r))
-    chunks = plan.chunks(left.shape[1] * left.shape[2], left.itemsize)
+    heads, width = left.shape[1:]
+    walked = plan.walks(heads * width, left.itemsize)
+    chunks = plan.chunks(heads * width, left.itemsize)
 
-    def hidden(c):  # gene-linear's tanh(z_i w_l + z_j w_r) for a chunk
-        pre = left.take(c.dst.ids, axis=0)
-        pre += right.take(c.src.ids, axis=0)
-        return np.tanh(pre, out=pre)
+    def hidden(l_rows, r_rows, out):  # gene-linear's tanh(z_i w_l + z_j w_r), into ``out``
+        return np.tanh(np.add(l_rows, r_rows, out=out), out=out)
 
-    parts = []
-    for c in chunks:
+    def scores(l_rows, r_rows):  # [C, K] from C rows of z_i w_l and z_j w_r; overwrites r_rows
         if w_a is None:
-            pair = left.take(c.dst.ids, axis=0)
-            pair *= right.take(c.src.ids, axis=0)
-        else:
-            pair = hidden(c)
-            pair *= w_a
-        parts.append(pair.sum(axis=-1))
-    data = plan.in_edge_order(parts)
+            return np.multiply(l_rows, r_rows, out=r_rows).sum(axis=-1)
+        pair = hidden(l_rows, r_rows, out=r_rows)
+        pair *= w_a
+        return pair.sum(axis=-1)
+
+    if walked:
+        into = plan.into_dst
+        data = np.empty((plan.edge_count, heads), dtype=left.dtype)
+        for block, steps in into.levels.blocks(heads * width):
+            near = left.take(into.levels.rows[block], axis=0)
+            for lo, m in steps:
+                data[into.levels.order[lo:lo + m]] = scores(near[:m], right.take(into.far[lo:lo + m], axis=0))
+    else:
+        data = plan.in_edge_order([scores(left.take(c.dst.ids, axis=0), right.take(c.src.ids, axis=0))
+                                   for c in chunks])
     need_z = z.requires_grad
     need_l, need_r = weights[0].requires_grad, weights[1].requires_grad
     need_a = w_a is not None and weights[2].requires_grad
 
     # The gradient of z_i w_l sums into the destinations and that of z_j w_r
-    # into the sources. cos sums each end from the other end's rows alone,
-    # so its ends take a pass each and one float64 total is alive at a
-    # time; gene-linear's ends sum the same g_pre in one pass. Wide cos
-    # walks each end's levels instead of the chunks.
+    # into the sources: cos sums the other end's rows times g, gene-linear
+    # g_pre = g w_a (1 - h^2) with h from both ends. Chunked, cos's ends
+    # take a pass each, so one float64 total is alive at a time, and
+    # gene-linear's ends sum the same g_pre in one pass. Walked, each end
+    # walks its own levels, and gene-linear's w_a gradient (one einsum per
+    # chunk, which adds the chunk's edges one at a time in grouped order,
+    # from 0) adds them in that order a node-sized block at a time.
     passes = [["dst"], ["src"]] if w_a is None else [["dst", "src"]]
-    walked = w_a is None and plan.walks(left.shape[1] * left.shape[2], left.itemsize)
+
+    def g_pre(g_e, h):  # gene-linear's rows for C edges, from h, which it overwrites
+        rows = g_e[:, :, None] * w_a
+        h *= h
+        rows *= np.subtract(1.0, h, out=h)
+        return rows
 
     def end_grads(name, total):
         w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
         return _heads_grad(total, z_val, w, need_z, need_w)
 
-    def walked_total(into, far_rows, g):
+    def walked_total(name, g):
+        into = plan.into_dst if name == "dst" else plan.into_src
+        own, other = (left, right) if name == "dst" else (right, left)
         g_walk = g.take(into.levels.order, axis=0)
 
-        def level_rows(_, steps):
+        def level_rows(block, steps):
+            near = own.take(into.levels.rows[block], axis=0) if w_a is not None else None
             for lo, m in steps:
-                rows = far_rows.take(into.far[lo:lo + m], axis=0)
-                rows *= g_walk[lo:lo + m, :, None]
-                yield rows
+                far = other.take(into.far[lo:lo + m], axis=0)
+                if w_a is None:
+                    far *= g_walk[lo:lo + m, :, None]
+                    yield far
+                else:
+                    ends = (near[:m], far) if name == "dst" else (far, near[:m])
+                    yield g_pre(g_walk[lo:lo + m], hidden(*ends, out=far))
 
-        return into.levels.walk(np.zeros(far_rows.shape, dtype=far_rows.dtype), level_rows)
+        return into.levels.walk(np.zeros(left.shape, dtype=left.dtype), level_rows)
+
+    def walked_g_a(g):
+        g_grouped = plan.grouped(g)
+        size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))  # edges per block
+        g_a = None
+        for c in chunks:
+            total = np.zeros((1, heads, width), dtype=left.dtype)
+            for lo in range(0, len(c.dst.ids), size):
+                s = slice(lo, lo + size)
+                h = right.take(c.src.ids[s], axis=0)
+                hidden(left.take(c.dst.ids[s], axis=0), h, out=h)
+                terms = np.empty((len(h) + 1, heads, width), dtype=h.dtype)
+                terms[0] = total
+                np.multiply(g_grouped[c.span][s, :, None], h, out=terms[1:])
+                total = terms.sum(axis=0, keepdims=True)  # row by row, as einsum adds
+            g_a = _accumulate(g_a, total[0])
+        return g_a
 
     def chunked_grads(g):
         g_grouped = plan.grouped(g)
@@ -1024,12 +1119,11 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
                     rows = right.take(c.src.ids, axis=0) if names == ["dst"] else left.take(c.dst.ids, axis=0)
                     rows *= spread
                 else:
-                    h = hidden(c)
+                    h = right.take(c.src.ids, axis=0)
+                    hidden(left.take(c.dst.ids, axis=0), h, out=h)
                     if need_a:
                         g_a = _accumulate(g_a, np.einsum("ek,ekd->kd", g_grouped[c.span], h))
-                    rows = spread * w_a
-                    h *= h
-                    rows *= np.subtract(1.0, h, out=h)
+                    rows = g_pre(g_grouped[c.span], h)
                     del h
                 for name in names:
                     totals[name] = _add_rows(totals[name], rows, getattr(c, name), n)
@@ -1042,9 +1136,8 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
 
     def grad_fn(g):
         if walked:
-            grads = {"dst": end_grads("dst", walked_total(plan.into_dst, right, g))}
-            grads["src"] = end_grads("src", walked_total(plan.into_src, left, g))
-            g_a = None
+            grads = {name: end_grads(name, walked_total(name, g)) for name in ("dst", "src")}
+            g_a = walked_g_a(g) if need_a else None
         else:
             grads, g_a = chunked_grads(g)
         (gz, g_wl), (gz_r, g_wr) = grads["dst"], grads["src"]
@@ -1070,21 +1163,23 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     node rows, and agrees with the per-message form up to rounding.
     Mean and max need every node to have an in-edge.
 
-    Where ``plan.walks`` an [E, K, D] temporary, sum, mean and mlp walk
-    the graph's levels: the forward sums ``z.take(sources in destination
-    level order) * alpha`` into the destinations, and the backward
+    Where ``plan.walks`` an [E, K, D] temporary, every kind walks the
+    graph's levels: the forward folds ``z.take(sources in destination
+    level order) * alpha`` into the destinations (max-pooling records each
+    (destination, column)'s winning edge as it goes, an int32 [N, K, D]
+    array kept for the backward), and the backward sums
     ``g.take(destinations in source level order) * alpha`` into the
-    sources. Position j of every source level is an edge out of source
+    sources (max-pooling's ``g`` is its value at the winners and 0.0
+    elsewhere). Position j of every source level is an edge out of source
     ``rows[j]``, so alpha's gradient and mlp's relu mask read one block
     of node rows per row block, not one row per edge; alpha's gradient is
-    filled in level order and put back in edge order once. Max-pooling,
-    and every kind below that size, takes the chunks: a chunk's sums and
-    maxima by destination, and the sums by source in the backward, walk
-    the chunk's ``Levels`` where its [C, K*D] input has
-    ``LEVEL_MIN_CELLS`` cells per level, and call ``np.bincount`` and
-    ``reduceat`` below that; later chunks add into the running sum row by
-    row (``_add_rows``). Every path gives the same bits (a NaN's sign and
-    payload aside).
+    filled in level order and put back in edge order once. Below that
+    size every kind takes the chunks: a chunk's sums and maxima by
+    destination, and the sums by source in the backward, walk the chunk's
+    ``Levels`` where its [C, K*D] input has ``LEVEL_MIN_CELLS`` cells per
+    level, and call ``np.bincount`` and ``reduceat`` below that; later
+    chunks add into the running sum row by row (``_add_rows``). Every path
+    gives the same bits (a NaN's sign and payload aside).
     """
     if kind not in ("sum", "mean-pooling", "max-pooling", "mlp"):
         raise ParameterError(f"unknown aggregation kind {kind!r}")
@@ -1100,45 +1195,54 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         inv = (1.0 / plan.dst.counts).astype(dtype, copy=False).reshape(n, 1, 1)
     elif kind == "max-pooling":
         plan.dst.counts  # raises on a node without in-edges
-    walked = kind != "max-pooling" and plan.walks(heads * width, z.data.itemsize)
+    walked = plan.walks(heads * width, z.data.itemsize)
     if not walked:
         a_grouped = plan.grouped(alpha.data)
         chunks = plan.chunks(heads * width, z.data.itemsize)
+    need_alpha, need_z = alpha.requires_grad, z.requires_grad
 
     def messages(a, src):  # alpha [C, K] times the rows of ``src``
         m = z_val.take(src, axis=0)
         np.multiply(a[:, :, None], m, out=m)
         return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
 
-    if kind == "max-pooling":
+    if walked:
+        into = plan.into_dst
+        a_walk = alpha.data.take(into.levels.order, axis=0)
+
+        def level_rows(_, steps):
+            return (messages(a_walk[lo:lo + m], into.far[lo:lo + m]) for lo, m in steps)
+
+        if kind == "max-pooling":
+            # each (destination, column)'s winning edge, for the backward
+            winners = np.empty((n, heads, width), dtype=np.int32) if need_alpha or need_z else None
+            data = into.levels.walk(np.empty((n, heads, width), dtype=dtype), level_rows, np.maximum, winners)
+        else:
+            data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_rows)
+    elif kind == "max-pooling":
         top = np.empty((n, heads * width), dtype=dtype)
         last = -1  # the destination the previous chunk ended on
         for c in chunks:
             m = messages(a_grouped[c.span], c.src.ids).reshape(len(c.dst.ids), -1)
             levels, rows, _ = _destinations(c, m)
             carried = top[last].copy() if c.dst.ids[0] == last else None
-            top[rows] = levels.max(m) if levels else np.maximum.reduceat(m, c.starts, axis=0)
+            if levels:
+                levels.max(m, top)
+            else:
+                top[rows] = np.maximum.reduceat(m, c.starts, axis=0)
             if carried is not None:
                 np.maximum(carried, top[last], out=top[last])
             last = c.dst.ids[-1]
         data = top.reshape(n, heads, width)
     else:
-        if walked:
-            into = plan.into_dst
-            a_walk = alpha.data.take(into.levels.order, axis=0)
-            data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype),
-                                    lambda _, steps: (messages(a_walk[lo:lo + m], into.far[lo:lo + m])
-                                                      for lo, m in steps))
-        else:
-            data = None
-            for c in chunks:
-                data = _add_rows(data, messages(a_grouped[c.span], c.src.ids), c.dst, n)
-            data = data.astype(dtype, copy=False)
-        if inv is not None:
-            data = data * inv
-        if kind == "mlp":
-            hidden, data = data, _heads(data, w2)
-    need_alpha, need_z = alpha.requires_grad, z.requires_grad
+        data = None
+        for c in chunks:
+            data = _add_rows(data, messages(a_grouped[c.span], c.src.ids), c.dst, n)
+        data = data.astype(dtype, copy=False)
+    if inv is not None:
+        data = data * inv
+    if kind == "mlp":
+        hidden, data = data, _heads(data, w2)
     need_w = [w.requires_grad for w in weights]
     # sum and mean need the neighbour rows only for alpha's gradient
     need_rows = need_alpha or kind in ("max-pooling", "mlp")
@@ -1169,7 +1273,12 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
                 z_b = z_val.take(into.levels.rows[block], axis=0) if need_rows else None
                 for lo, m in steps:
                     z_m = z_b[:m] if need_rows else None
-                    g_m, g_a = message_grads(g.take(into.far[lo:lo + m], axis=0), a_walk[lo:lo + m, :, None], z_m)
+                    g_m = g.take(into.far[lo:lo + m], axis=0)
+                    if kind == "max-pooling":  # g at the winners and 0.0 elsewhere: its bits times 1 or 0
+                        edges = into.levels.order[lo:lo + m, None, None].astype(winners.dtype)
+                        won = winners.take(into.far[lo:lo + m], axis=0) == edges
+                        g_m.view(f"i{g_m.itemsize}")[...] *= won
+                    g_m, g_a = message_grads(g_m, a_walk[lo:lo + m, :, None], z_m)
                     if need_alpha:
                         g_walk[lo:lo + m] = g_a
                     yield g_m

@@ -165,6 +165,26 @@ class LabeledDataset:
 # synthetic generators
 
 
+# Values per row block of a generator's n x n edge draw. The uniform
+# stream is one sequence, so row blocks draw the same values as one
+# n x n draw, in memory that grows with n rather than n * n. The benchmark
+# graphs (400 nodes at most) draw in one block.
+EDGE_DRAW_VALUES = 2**18
+
+
+def _drawn_edges(rng: np.random.Generator, n: int, below) -> np.ndarray:
+    """The pairs (i, j), i < j, of an n x n uniform draw that fall below
+    ``below(r0, r1)`` (a threshold for rows r0..r1, or one for all), as
+    [E, 2] int64 rows in row-major order."""
+    rows = max(1, EDGE_DRAW_VALUES // n)
+    parts = []
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        src, dst = np.nonzero(np.triu(rng.random((r1 - r0, n)) < below(r0, r1), k=1 + r0))
+        parts.append(np.stack([src + r0, dst], axis=1))
+    return np.concatenate(parts)
+
+
 def generate_sbm(
     block_count: int,
     nodes_per_block: int,
@@ -197,11 +217,10 @@ def generate_sbm(
     n = block_count * nodes_per_block
     labels = np.repeat(np.arange(block_count), nodes_per_block)
 
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    draw = rng.random((n, n))
-    upper = np.triu(draw < prob, k=1)
-    src, dst = np.nonzero(upper)
-    edges = np.stack([src, dst], axis=1)  # make_graph adds the reverses
+    def prob(r0, r1):  # the edge probability of rows r0..r1
+        return np.where(labels[r0:r1, None] == labels, p_in, p_out)
+
+    edges = _drawn_edges(rng, n, prob)  # make_graph adds the reverses
 
     means = rng.standard_normal((block_count, feature_dim))
     features = signal_strength * means[labels] + rng.standard_normal((n, feature_dim))
@@ -265,10 +284,7 @@ def generate_multigraph(
     n = nodes_per_graph
     p = min(1.0, avg_degree / max(1, n - 1))
     for g in range(graph_count):
-        draw = rng.random((n, n))
-        upper = np.triu(draw < p, k=1)
-        src, dst = np.nonzero(upper)
-        edges = np.stack([src, dst], axis=1)  # make_graph adds the reverses
+        edges = _drawn_edges(rng, n, lambda r0, r1: p)  # make_graph adds the reverses
         features = rng.standard_normal((n, feature_dim))
         graph = make_graph(n, edges, features, symmetrize=True)
 

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gnnsearch import graphs
 from gnnsearch.errors import IngestionError, ParameterError
 from gnnsearch.graphs import (
     LabeledDataset,
@@ -16,6 +17,8 @@ from gnnsearch.graphs import (
     make_mask,
     save_citation,
 )
+
+from conftest import traced_memory
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,42 @@ def test_multigraph_validation():
         generate_multigraph(2, 20, 4.0, 6, 3, seed=0)
     with pytest.raises(ParameterError):
         generate_multigraph(3, 20, -1.0, 6, 3, seed=0)
+
+
+def _dense_edges(rng, n, prob):
+    """The n x n edge draw as one dense matrix."""
+    src, dst = np.nonzero(np.triu(rng.random((n, n)) < prob, k=1))
+    return canonical_edges(n, np.stack([src, dst], axis=1))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 40])
+def test_generators_draw_their_edges_in_row_blocks(monkeypatch, rows_per_block):
+    """Row blocks of the edge draw give the edges of one dense n x n draw,
+    and the draws after them are unchanged."""
+    monkeypatch.setattr(graphs, "EDGE_DRAW_VALUES", rows_per_block * 40)
+    sbm = generate_sbm(4, 10, 0.5, 0.1, 3, 1.0, seed=7)
+    rng = np.random.default_rng(7)
+    labels = np.repeat(np.arange(4), 10)
+    assert np.array_equal(sbm.graphs[0].edges, _dense_edges(rng, 40, np.where(labels[:, None] == labels, 0.5, 0.1)))
+    means = rng.standard_normal((4, 3))
+    assert np.array_equal(sbm.graphs[0].features, 1.0 * means[labels] + rng.standard_normal((40, 3)))
+
+    multi = generate_multigraph(3, 40, 5.0, 3, 2, seed=7)
+    rng = np.random.default_rng(7)
+    rng.standard_normal((3, 2))  # the label rule
+    for graph in multi.graphs:
+        assert np.array_equal(graph.edges, _dense_edges(rng, 40, 5.0 / 39))
+        assert np.array_equal(graph.features, rng.standard_normal((40, 3)))
+
+
+def test_a_paper_scale_sbm_draws_without_a_dense_matrix():
+    """2,800 nodes: the dense draw and its masks took 149.7 MB; row
+    blocks of EDGE_DRAW_VALUES values take about 5.5 MB in all."""
+    with traced_memory() as memory:
+        dataset = generate_sbm(4, 700, 0.01, 0.003, 16, 0.3, seed=1)
+        peak = memory.peak()
+    assert dataset.graphs[0].edge_count == 40116
+    assert peak < 12e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

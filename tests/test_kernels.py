@@ -351,22 +351,31 @@ def test_a_layer_gives_the_same_bits_through_levels_and_reduceat(monkeypatch, ki
         assert _bitwise(got, ref)
 
 
-@pytest.mark.parametrize("kind", ["sum", "mean-pooling", "mlp", "max-pooling", "cos"])
+@pytest.mark.parametrize("kind", ["sum", "mean-pooling", "mlp", "max-pooling", "cos", "gene-linear"])
 def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
-    """Float32 children: on the 400-node SBM of sbm-share, messages of
-    K x D >= 64 walk the graph's levels (one [E, K, D] temporary is 1 MB
-    or more there), and narrower ones sum each chunk through its own
-    levels; on a 60-node graph of multigraph-share no width of its space
-    (up to 4 x 32) walks, and 1 x 4 takes the bincount and reduceat.
-    Max-pooling never walks, and 4-head scores reach no levels."""
+    """Float32 children: on the 400-node SBM of sbm-share, every
+    aggregation and the cos and gene-linear scores of K x D >= 64 walk the
+    graph's levels, forward and backward (one [E, K, D] temporary is 1 MB
+    or more there); narrower messages reduce each chunk through its own
+    levels, and scores then reduce nothing in the forward. On a 60-node
+    graph of multigraph-share no width of its space (up to 4 x 32) walks,
+    and 1 x 4 takes the bincount and reduceat. 4-head softmax scores
+    reach no levels."""
     sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                        signal_strength=0.3, seed=1).graphs[0]
     small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
                                 feature_dim=16, seed=1).graphs[0]
     seen = []
-    for method in ("walk", "max"):
-        real = getattr(ad.Levels, method)
-        monkeypatch.setattr(ad.Levels, method, lambda self, *a, real=real: seen.append(self) or real(self, *a))
+    real = ad.Levels.blocks  # every level reduction walks its blocks
+    monkeypatch.setattr(ad.Levels, "blocks", lambda self, width: seen.append(self) or real(self, width))
+
+    def taken(plan):
+        walked = any(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
+        path = "walk" if walked else "chunk levels" if seen else "flat"
+        seen.clear()
+        return path
+
+    scores = kind in ("cos", "gene-linear")
     cases = [(sbm, 1, 8, "chunk levels"), (sbm, 1, 32, "chunk levels"), (sbm, 2, 32, "walk"), (sbm, 4, 16, "walk"),
              (sbm, 4, 32, "walk"), (small, 1, 4, "flat"), (small, 4, 32, "chunk levels")]
     for graph, heads, width, path in cases:
@@ -375,21 +384,22 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
         rng = np.random.default_rng(0)
         seen.clear()
         ad.segment_softmax(Tensor(rng.standard_normal((graph.edge_count, 4))), plan.dst, graph.node_count)
-        assert not seen
+        assert taken(plan) == "flat"
         z = Tensor(rng.standard_normal((graph.node_count, heads, width)).astype(np.float32), requires_grad=True)
         weights = [Tensor(rng.standard_normal((heads, width, width)).astype(np.float32), requires_grad=True)
-                   for _ in range(2 if kind in ("mlp", "cos") else 0)]
-        seen.clear()
-        if kind == "cos":
-            out = ad.edge_scores("cos", z, plan, *weights)
+                   for _ in range(2 if kind in ("mlp", "cos", "gene-linear") else 0)]
+        if kind == "gene-linear":
+            weights.append(Tensor(rng.standard_normal((heads, width)).astype(np.float32), requires_grad=True))
+        if scores:
+            out = ad.edge_scores(kind, z, plan, *weights)
         else:
             alpha = Tensor(np.ones((graph.edge_count, heads), dtype=np.float32), requires_grad=True)
             out = ad.edge_aggregate(kind, alpha, z, plan, *weights)
+        forward = taken(plan)
         out.backward(np.ones(out.shape, dtype=np.float32))
-        walked = any(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
-        got = "walk" if walked else "chunk levels" if seen else "flat"
-        expected = "chunk levels" if kind == "max-pooling" and path == "walk" else path
-        assert got == expected, (graph.node_count, heads, width)
+        backward = taken(plan)
+        expected = path if path == "walk" or not scores else "flat"
+        assert (forward, backward) == (expected, path), (graph.node_count, heads, width)
 
 
 def _walk_case(attention, aggregation, dtype, seed=21):
@@ -459,25 +469,131 @@ def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
         assert _same_bits(got, ref.astype(np.float32))
 
 
-def test_a_walked_training_step_keeps_no_edge_sized_temporaries():
-    """One float32 training step of a 4 x 32 gat,sum child on the 400-node
-    SBM: its [E, K, D] temporaries were 2.7 MB each, and the chunked
-    kernels peaked at 7.6 MB; walked, the step peaks at 2.7 MB."""
+@pytest.mark.parametrize("min_cells", [0, 10**9], ids=["chunk-levels", "chunk-reduceat"])
+def test_max_pooling_ties_route_to_the_same_edge_walked_and_chunked(monkeypatch, min_cells):
+    """Many equal messages into each destination, ties of 0.0 and -0.0,
+    NaN maxima and infinite gradients, with 3 ids per row block and 3
+    edges per chunk: the walk and the chunks route each (destination,
+    column)'s gradient to its first edge equal to the max, or to its
+    first edge where the max is NaN, bitwise as an inline reference."""
+    graph = generate_sbm(block_count=2, nodes_per_block=15, p_in=0.5, p_out=0.1, feature_dim=2,
+                         signal_strength=1.0, seed=4).graphs[0]
+    n, e_count = graph.node_count, graph.edge_count
+    src, dst = graph.plan.src.ids, graph.plan.dst.ids
+    rng = np.random.default_rng(3)
+    z_rows = rng.choice([-1.0, 0.5, 2.0], (n, 2, 4))
+    z_rows[:, 0, 1] = rng.choice([0.0, -0.0], n)
+    z_rows[5, 1, 2] = np.nan
+    alpha_rows = rng.choice([0.5, 1.0], (e_count, 2))
+    g = rng.standard_normal((n, 2, 4))
+    g[::4, 1, 3] = -np.inf  # no edge but the winner may see it
+    # the reference: first edge equal to the max, or the first edge for NaN
+    messages = (alpha_rows[:, :, None] * z_rows[src]).reshape(e_count, -1)
+    top = np.full((n, 8), -np.inf)
+    np.maximum.at(top, dst, messages)
+    winner = np.empty((n, 8), dtype=np.int64)
+    for d in range(n):
+        edges = np.flatnonzero(dst == d)
+        with np.errstate(invalid="ignore"):
+            hit = messages[edges] == top[d]
+        winner[d] = np.where(np.isnan(top[d]), edges[0], edges[np.argmax(hit, axis=0)])
+    tied = [(messages[dst == d, c] == top[d, c]).sum() for d in range(n) for c in range(8)]
+    first_edges = np.array([np.flatnonzero(dst == d)[0] for d in range(n)])
+    assert sum(t > 1 for t in tied) > 100 and (winner != first_edges[:, None]).any()
+    nan_rows = np.isnan(top[:, 6])
+    assert nan_rows.any() and not np.isnan(messages[first_edges[nan_rows], 6]).all()
+    g_m = np.zeros((e_count, 8))
+    g_m[winner, np.arange(8)] = g.reshape(n, 8)
+    g_m = g_m.reshape(e_count, 2, 4)
+    ref = [top.reshape(n, 2, 4), _ref_add_at(g_m * alpha_rows[:, :, None], src, n),
+           np.einsum("ekd,ekd->ek", g_m, z_rows[src])]
+
+    monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", min_cells)
+    monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 8 * 3)
+    runs = []
+    for walk_min in (0, 2**62):
+        monkeypatch.setattr(ad, "WALK_MIN_BYTES", walk_min)
+        z, alpha = Tensor(z_rows, requires_grad=True), Tensor(alpha_rows, requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = ad.edge_aggregate("max-pooling", alpha, z, graph.plan)
+            out.backward(g)
+        runs.append([out.data, z.grad, alpha.grad])
+    for walked, chunked, expected in zip(*runs, ref):
+        assert _bitwise(walked, chunked)
+        assert _same_bits(walked, expected)
+
+
+def _step_peak(arch: str) -> int:
+    """tracemalloc's peak over one float32 training step (dropout 0.6) on
+    the 400-node SBM, after a first step built the graph's plans and
+    levels, which outlive the step."""
     dataset = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                            signal_strength=0.3, seed=1).with_feature_dtype(CHILD_DTYPE)
     graph = dataset.graphs[0]
-    model = build_model(decode("first-order,gat,sum,elu,4,32;first-order,gat,sum,elu,1,32"),
-                        dataset.feature_dim, dataset.class_count, np.random.default_rng(0), dtype=CHILD_DTYPE)
+    model = build_model(decode(arch), dataset.feature_dim, dataset.class_count, np.random.default_rng(0),
+                        dtype=CHILD_DTYPE)
 
     def step():
         logits = forward(model, graph, training=True, rng=np.random.default_rng(1), dropout_p=0.6)
         ad.loss(dataset.task_kind, logits, dataset.labels[0], dataset.masks[0].train).backward()
 
-    step()  # the graph's plans and levels are built once and outlive the step
+    step()
     with traced_memory() as memory:
         step()
-        peak = memory.peak()
+        return memory.peak()
+
+
+def test_a_walked_training_step_keeps_no_edge_sized_temporaries():
+    """One float32 training step of a 4 x 32 gat,sum child on the 400-node
+    SBM: its [E, K, D] temporaries were 2.7 MB each, and the chunked
+    kernels peaked at 7.6 MB; walked, the step peaks at 2.7 MB."""
+    peak = _step_peak("first-order,gat,sum,elu,4,32;first-order,gat,sum,elu,1,32")
     assert peak < 4e6, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("arch", ["first-order,gcn,max-pooling,relu,4,32;first-order,gcn,sum,tanh,1,8",
+                                  "first-order,cos,mlp,leaky_relu,4,32;first-order,gcn,max-pooling,tanh,2,32"],
+                         ids=["max-pooling", "cos"])
+def test_walked_max_pooling_and_cos_steps_keep_no_edge_sized_temporaries(arch):
+    """Max-pooling and the cos scores walk too: the chunked kernels peaked
+    at 9.9 MB (max-pooling) and 5.8 MB (cos with max-pooling)."""
+    peak = _step_peak(arch)
+    assert peak < 4e6, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_narrow_sums_by_column_are_bitwise_add_at(dtype, width):
+    """Widths 2-4 sum one bincount per column: np.add.at into float64
+    zeros, -0.0 rows turned to 0.0, rounded once; strided and empty
+    inputs too."""
+    rng = np.random.default_rng(width)
+    ids = _interleaved_ids(rng)
+    values = _values(width, E, width, 0.0)
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[ids == 3] = -0.0  # a row of -0.0 sums only -0.0s
+    values = values.astype(dtype)
+    ref = _ref_add_at(values.astype(np.float64), ids, N).astype(dtype)
+    assert _bitwise(ad._scatter_add(values, ids, N), ref)
+    assert _bitwise(ad._scatter_add(np.asfortranarray(values), ids, N), ref)
+    assert not np.signbit(ad._scatter_add(values, ids, N)[3]).any()
+    assert _bitwise(ad._scatter_add(values[:0], ids[:0], N), np.zeros((N, width), dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_gathering_every_row_in_order_returns_the_array(dtype):
+    """A loss over every node of a graph: the rows are the input's array,
+    and the gradient is np.add.at's 0.0 + g, so -0.0 becomes 0.0."""
+    x = Tensor(np.arange(12.0).reshape(6, 2).astype(dtype), requires_grad=True)
+    out = ad.gather_rows(x, np.arange(6))
+    assert out.data is x.data
+    g = np.array([[1.5, -0.0], [0.0, -2.0], [np.inf, -0.0], [3.0, 1e-45], [-0.0, -0.0], [7.0, 0.25]], dtype=dtype)
+    out.backward(g)
+    ref = np.zeros((6, 2), dtype=dtype)
+    np.add.at(ref, np.arange(6), g)
+    assert _bitwise(x.grad, ref) and not np.signbit(x.grad[4]).any()
+    for ids in ([0, 1, 2, 3, 4], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4]):  # not every row in order
+        assert not np.shares_memory(ad.gather_rows(x, ids).data, x.data)
 
 
 def test_widths_that_fit_one_chunk_share_it():
