@@ -463,11 +463,16 @@ class Levels:
     def first(self, hit: np.ndarray) -> np.ndarray:
         """Per id (in ``rows`` order) and column of the [rows, cols] ``hit``,
         the first row where it is set; ``len(hit)`` where none is."""
-        first = np.full((len(self.rows), hit.shape[1]), hit.shape[0])
-        for lo, m in reversed(self.spans):  # level 0 writes last: the first row wins
-            rows = self.order[lo:lo + m]
-            np.copyto(first[:m], rows[:, None], where=hit.take(rows, axis=0))
-        return first
+        depth = len(self.spans)
+        # the largest depth - k over the levels k that hit is the first
+        # such level; 0 where none does
+        mark = np.zeros((len(self.rows), hit.shape[1]), dtype=np.min_scalar_type(depth))
+        for k, (lo, m) in enumerate(self.spans):
+            hits = hit.take(self.order[lo:lo + m], axis=0)
+            np.maximum(mark[:m], np.multiply(hits, depth - k, dtype=mark.dtype), out=mark[:m])
+        place = np.array([lo for lo, _ in self.spans] + [0]).take(depth - mark)
+        place += np.arange(len(self.rows))[:, None]
+        return np.where(mark > 0, self.order.take(place), hit.shape[0])
 
 
 def _ids(ids, what: str) -> np.ndarray:
@@ -1441,6 +1446,15 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Values per block of ``adam_step``: each block's ufunc calls run on
+# slices that stay in cache, in two block-sized rows kept in
+# ``AdamState``. Measured on the controller's 93,766 float64 values
+# (2-core x86_64, numpy 2.4.6): 0.88-0.97 ms per step at 2**14, against
+# 1.13-1.54 ms at 2**12, 0.99-1.24 ms at 2**13 and 1.07-1.11 ms at 2**16.
+# The kept rows are resident for the state's life, so a larger block
+# only costs memory.
+ADAM_BLOCK = 2**14
+
 
 @dataclass
 class AdamState:
@@ -1448,9 +1462,11 @@ class AdamState:
 
     ``init`` copies the parameters into one flat buffer and points each
     parameter's ``data`` at its slice of it (``views``, reshaped), so a
-    step is a few whole-buffer ufunc calls; ``m`` and ``v`` are flat
-    arrays of the same length. All three take the parameters' dtype:
-    float32 when every parameter is float32, else float64.
+    step is a few ufunc calls per ``ADAM_BLOCK`` values; ``m`` and ``v``
+    are flat arrays of the same length. ``scratch`` holds two rows of one
+    block: a block of the gradient and the step's temporaries. All four
+    take the parameters' dtype: float32 when every parameter is float32,
+    else float64.
     """
 
     lr: float
@@ -1458,6 +1474,7 @@ class AdamState:
     views: list
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
     @classmethod
@@ -1465,7 +1482,8 @@ class AdamState:
         if not (math.isfinite(lr) and lr > 0):
             raise ParameterError(f"learning rate must be finite and positive, got {lr}")
         dtype = np.result_type(np.float32, *(p.data.dtype for p in params))
-        buffers = np.zeros((3, sum(p.data.size for p in params)), dtype=dtype)
+        size = sum(p.data.size for p in params)
+        buffers = np.zeros((3, size), dtype=dtype)
         flat = buffers[0]
         views = []
         start = 0
@@ -1475,7 +1493,32 @@ class AdamState:
             p.data = view
             views.append(view)
             start += view.size
-        return cls(lr=lr, flat=flat, views=views, m=buffers[1], v=buffers[2])
+        return cls(lr=lr, flat=flat, views=views, m=buffers[1], v=buffers[2],
+                   scratch=np.empty((2, min(size, ADAM_BLOCK)), dtype=dtype))
+
+
+def _blocks(arrays: list, total: int, out: np.ndarray):
+    """The ``total`` values of ``arrays``, raveled end to end, copied into
+    ``out`` (rounded to its dtype) one block of ``len(out)`` values at a
+    time: yields ``out``, or its prefix for a shorter last block. Each
+    block takes one ``np.concatenate`` of whole arrays and the parts of
+    those that cross its edges."""
+    if total == out.size:  # one block, as for most child sets: no per-array loop
+        yield np.concatenate(arrays, axis=None, out=out)
+        return
+    pieces, filled = [], 0
+    for a in arrays:
+        start, stop = 0, np.size(a)
+        while start < stop:
+            take = min(out.size - filled, stop - start)
+            pieces.append(a if take == stop else np.ravel(a)[start:start + take])
+            filled += take
+            start += take
+            if filled == out.size:
+                yield np.concatenate(pieces, axis=None, out=out)
+                pieces, filled = [], 0
+    if pieces:
+        yield np.concatenate(pieces, axis=None, out=out[:filled])
 
 
 def adam_step(state: AdamState, params: list, grads: list) -> list:
@@ -1497,31 +1540,38 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
             if p.data.shape != view.shape:
                 raise ShapeError(f"param shape {p.data.shape} != its optimizer slot's {view.shape}")
             rebound.append((p, view))
-    g = np.concatenate(grads, axis=None, dtype=state.flat.dtype)
     for p, view in rebound:
         view[...] = p.data
         p.data = view
     state.step += 1
     t = state.step
-    m, v = state.m, state.v
+    m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     # The per-array expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
     # and p = p - (lr*(m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps), one
     # correctly rounded op at a time in the same order, so values keep
-    # their bits. Two temporaries: the flat gradient and one scratch.
-    scratch = np.multiply(1.0 - ADAM_BETA1, g)
-    np.multiply(ADAM_BETA1, m, out=m)
-    np.add(m, scratch, out=m)
-    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
-    np.multiply(scratch, g, out=scratch)
-    np.multiply(ADAM_BETA2, v, out=v)
-    np.add(v, scratch, out=v)
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    np.add(scratch, ADAM_EPS, out=scratch)
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
-    np.multiply(state.lr, g, out=g)
-    np.divide(g, scratch, out=g)
-    np.subtract(state.flat, g, out=state.flat)
+    # their bits. No flat temporary: each block of the gradient is
+    # gathered into the kept scratch, so no step allocation is large
+    # enough for malloc to map it, or to leave it resident, differently
+    # from one process to the next.
+    blocks = _blocks(grads, state.flat.size, state.scratch[0])
+    for lo, g in zip(range(0, state.flat.size, ADAM_BLOCK), blocks):
+        hi = lo + ADAM_BLOCK
+        m, v, p = state.m[lo:hi], state.v[lo:hi], state.flat[lo:hi]
+        scratch = state.scratch[1, :g.size]
+        np.multiply(1.0 - ADAM_BETA1, g, out=scratch)
+        np.multiply(ADAM_BETA1, m, out=m)
+        np.add(m, scratch, out=m)
+        np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+        np.multiply(scratch, g, out=scratch)
+        np.multiply(ADAM_BETA2, v, out=v)
+        np.add(v, scratch, out=v)
+        np.divide(v, v_scale, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, ADAM_EPS, out=scratch)
+        np.divide(m, m_scale, out=g)
+        np.multiply(state.lr, g, out=g)
+        np.divide(g, scratch, out=g)
+        np.subtract(p, g, out=p)
     return params
 
 
