@@ -1447,12 +1447,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, trainin
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Values per block of ``adam_step``: each block's ufunc calls run on
-# slices that stay in cache, in two block-sized rows kept in
-# ``AdamState``. Measured on the controller's 93,766 float64 values
-# (2-core x86_64, numpy 2.4.6): 0.88-0.97 ms per step at 2**14, against
-# 1.13-1.54 ms at 2**12, 0.99-1.24 ms at 2**13 and 1.07-1.11 ms at 2**16.
-# The kept rows are resident for the state's life, so a larger block
-# only costs memory.
+# slices that stay in cache, with two block-sized rows that the step
+# allocates. Measured on the controller's 93,766 float64 values (2-core
+# x86_64, numpy 2.4.6, median step of 500 in each of 3 processes):
+# 0.79-1.04 ms per step at 2**14, against 1.04-1.18 ms at 2**12,
+# 1.11-1.15 ms at 2**13 and 0.79-0.97 ms at 2**16, whose rows are 4x
+# larger.
 ADAM_BLOCK = 2**14
 
 
@@ -1463,10 +1463,8 @@ class AdamState:
     ``init`` copies the parameters into one flat buffer and points each
     parameter's ``data`` at its slice of it (``views``, reshaped), so a
     step is a few ufunc calls per ``ADAM_BLOCK`` values; ``m`` and ``v``
-    are flat arrays of the same length. ``scratch`` holds two rows of one
-    block: a block of the gradient and the step's temporaries. All four
-    take the parameters' dtype: float32 when every parameter is float32,
-    else float64.
+    are flat arrays of the same length. All three take the parameters'
+    dtype: float32 when every parameter is float32, else float64.
     """
 
     lr: float
@@ -1474,7 +1472,6 @@ class AdamState:
     views: list
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray
     step: int = 0
 
     @classmethod
@@ -1482,8 +1479,7 @@ class AdamState:
         if not (math.isfinite(lr) and lr > 0):
             raise ParameterError(f"learning rate must be finite and positive, got {lr}")
         dtype = np.result_type(np.float32, *(p.data.dtype for p in params))
-        size = sum(p.data.size for p in params)
-        buffers = np.zeros((3, size), dtype=dtype)
+        buffers = np.zeros((3, sum(p.data.size for p in params)), dtype=dtype)
         flat = buffers[0]
         views = []
         start = 0
@@ -1493,30 +1489,28 @@ class AdamState:
             p.data = view
             views.append(view)
             start += view.size
-        return cls(lr=lr, flat=flat, views=views, m=buffers[1], v=buffers[2],
-                   scratch=np.empty((2, min(size, ADAM_BLOCK)), dtype=dtype))
+        return cls(lr=lr, flat=flat, views=views, m=buffers[1], v=buffers[2])
 
 
-def _blocks(arrays: list, total: int, out: np.ndarray):
-    """The ``total`` values of ``arrays``, raveled end to end, copied into
-    ``out`` (rounded to its dtype) one block of ``len(out)`` values at a
-    time: yields ``out``, or its prefix for a shorter last block. Each
-    block takes one ``np.concatenate`` of whole arrays and the parts of
-    those that cross its edges."""
-    if total == out.size:  # one block, as for most child sets: no per-array loop
-        yield np.concatenate(arrays, axis=None, out=out)
-        return
+def _blocks(arrays: list, sizes: list, out: np.ndarray):
+    """The values of ``arrays`` (of ``sizes`` values each), raveled end to
+    end, copied into ``out`` (rounded to its dtype) one block of
+    ``len(out)`` values at a time: yields ``out``, or its prefix for a
+    shorter last block. Each block takes one ``np.concatenate`` of whole
+    arrays and the parts of those that cross its edges."""
     pieces, filled = [], 0
-    for a in arrays:
-        start, stop = 0, np.size(a)
-        while start < stop:
-            take = min(out.size - filled, stop - start)
-            pieces.append(a if take == stop else np.ravel(a)[start:start + take])
-            filled += take
-            start += take
-            if filled == out.size:
+    for a, size in zip(arrays, sizes):
+        start = 0
+        if filled + size > out.size:  # raveled once, and cut at each edge it crosses
+            a = np.ravel(a)
+            while filled + size - start > out.size:
+                pieces.append(a[start:start + out.size - filled])
+                start += out.size - filled
                 yield np.concatenate(pieces, axis=None, out=out)
                 pieces, filled = [], 0
+            a = a[start:]
+        pieces.append(a)
+        filled += size - start
     if pieces:
         yield np.concatenate(pieces, axis=None, out=out[:filled])
 
@@ -1550,14 +1544,16 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
     # and p = p - (lr*(m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps), one
     # correctly rounded op at a time in the same order, so values keep
     # their bits. No flat temporary: each block of the gradient is
-    # gathered into the kept scratch, so no step allocation is large
-    # enough for malloc to map it, or to leave it resident, differently
-    # from one process to the next.
-    blocks = _blocks(grads, state.flat.size, state.scratch[0])
-    for lo, g in zip(range(0, state.flat.size, ADAM_BLOCK), blocks):
+    # gathered into row 0 of two block-sized rows, and row 1 takes the
+    # block's temporaries. The rows are freed with the step: rows kept in
+    # the state would stay resident at every child's memory peak.
+    size = state.flat.size
+    rows = np.empty((2, min(size, ADAM_BLOCK)), dtype=state.flat.dtype)
+    blocks = _blocks(grads, [view.size for view in views], rows[0])
+    for lo, g in zip(range(0, size, ADAM_BLOCK), blocks):
         hi = lo + ADAM_BLOCK
         m, v, p = state.m[lo:hi], state.v[lo:hi], state.flat[lo:hi]
-        scratch = state.scratch[1, :g.size]
+        scratch = rows[1, :g.size]
         np.multiply(1.0 - ADAM_BETA1, g, out=scratch)
         np.multiply(ADAM_BETA1, m, out=m)
         np.add(m, scratch, out=m)

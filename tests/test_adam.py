@@ -2,9 +2,8 @@
 
 ``_ReferenceAdam`` and ``_reference_adam_step`` are the old optimizer:
 one moment array per parameter, a loop over the parameters, and a fresh
-array assigned to each ``data``; a gradient is first rounded to its
-parameter's dtype, as the flat step rounds it. Adam is elementwise, so
-the flat step, block by block, must match it bit for bit.
+array assigned to each ``data``. Adam is elementwise, so the flat step
+must match it bit for bit.
 """
 
 import itertools
@@ -42,9 +41,24 @@ def _reference_adam_step(state, params, grads):
     state.step += 1
     t = state.step
     for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=p.data.dtype)
+        g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
+
+
+def _reference_adam_step_in(dtype, state, params, grads):
+    """``_reference_adam_step`` for a set whose flat state has ``dtype``:
+    each gradient is rounded to it first, as the flat step rounds it."""
+    state.step += 1
+    t = state.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        g = np.asarray(g, dtype=dtype)
         state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
         state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
@@ -114,7 +128,7 @@ def test_blocks_match_the_per_array_step(dtype, size):
               for shape in ((size - 107,), (4, 25), (7,))]
     theirs = _copies(params)
     state, reference = ad.AdamState.init(params, 0.01), _ReferenceAdam.init(theirs, 0.01)
-    assert state.scratch.shape == (2, min(size, ad.ADAM_BLOCK)) and state.scratch.dtype == dtype
+    assert state.flat.dtype == dtype
     for step in range(3):
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
         if step == 1:
@@ -122,7 +136,7 @@ def test_blocks_match_the_per_array_step(dtype, size):
             params[1].data, theirs[1].data = restored.copy(), restored.copy()
             grads[1] = np.asfortranarray(grads[1])
         ad.adam_step(state, params, grads)
-        _reference_adam_step(reference, theirs, grads)
+        _reference_adam_step_in(dtype, reference, theirs, grads)
     assert all(p.data is view for p, view in zip(params, state.views))
     assert _bytes(p.data for p in params) == _bytes(p.data for p in theirs)
     assert _bytes(_split(state, state.m)) == _bytes(reference.m)
@@ -178,24 +192,37 @@ def test_a_refused_step_changes_nothing(fault, error):
         params[1].data = np.zeros(5)
     before = [p.data for p in params]
     values = _bytes(before)
-    kept = (state.m.tobytes(), state.v.tobytes(), state.scratch.tobytes())
+    moments = (state.m.tobytes(), state.v.tobytes())
     with pytest.raises(error):
         ad.adam_step(state, passed, grads)
     assert state.step == 1
     assert all(p.data is data for p, data in zip(params, before))
     assert _bytes(p.data for p in params) == values
-    assert (state.m.tobytes(), state.v.tobytes(), state.scratch.tobytes()) == kept
+    assert (state.m.tobytes(), state.v.tobytes()) == moments
 
 
-def test_a_step_allocates_no_flat_temporary():
-    params = Controller(default_space(2), np.random.default_rng(0), hidden_size=100).parameters()
+def test_a_step_allocates_no_flat_temporary(monkeypatch):
+    # The controller's own gradients, as _bptt returns them: the stacked
+    # gate weights' are column slices, so some cross a block edge
+    # without being contiguous.
+    ctrl = Controller(default_space(2), np.random.default_rng(0), hidden_size=100)
+    params = ctrl.parameters()
     state = ad.AdamState.init(params, 0.0035)
-    grads = [np.ones(p.shape) for p in params]
-    ad.adam_step(state, params, grads)
+    step, taken = ad.adam_step, []
+    monkeypatch.setattr(ad, "adam_step", lambda *args: taken.append(args))
+    episode = ctrl.sample(np.random.default_rng(1))
+    episode.shaped_reward = 1.0
+    reinforce_step(ctrl, [episode], state)
+    [(_, _, grads)] = taken
+    assert not all(g.flags.c_contiguous for g in grads)
+    step(state, params, grads)
     with traced_memory() as probe:
-        ad.adam_step(state, params, grads)
+        step(state, params, grads)
         peak = probe.peak()
-    assert peak <= 16384
+    # the block scratch, and the raveled copies of the two gradients that
+    # can share a block while each crosses one of its edges
+    block = 2 * ad.ADAM_BLOCK * state.flat.itemsize
+    assert peak <= block + 2 * max(g.nbytes for g in grads) + 16384 < state.flat.nbytes
 
 
 @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
