@@ -137,8 +137,9 @@ class Controller:
         [rows, options] probabilities. With a ``count`` the walk scores
         ``count`` independent rows and records nothing. Without one it is
         live: one row, whose log-prob is a scalar tape node with ``_bptt``
-        as its backward. Returns (tokens [rows, slots], log-prob, entropy
-        [rows]).
+        as its backward; the node drops the stacked gate weights once
+        ``_bptt``'s slot loop has read them. Returns (tokens [rows,
+        slots], log-prob, entropy [rows]).
         """
         rows = 1 if count is None else count
         size = self.hidden_size
@@ -177,20 +178,25 @@ class Controller:
                 x = p[f"slot{s}.emb"].take(tokens[:, s], axis=0)
         if count is not None:
             return tokens, Tensor(log_prob), entropy
+        stacked = [w_x, w_h]
         node = ad.record(log_prob.reshape(()), tuple(self._params.values()),
-                         lambda grad: self._bptt(grad, p, w_x, w_h, steps))
+                         lambda grad: self._bptt(grad, p, stacked, steps))
         return tokens, node, entropy
 
-    def _bptt(self, grad: np.ndarray, p: dict, w_x: np.ndarray, w_h: np.ndarray, steps: list) -> tuple:
+    def _bptt(self, grad: np.ndarray, p: dict, stacked: list, steps: list) -> tuple:
         """Gradients of a live walk's log-prob, one per parameter.
 
-        ``w_x`` and ``w_h`` are the walk's stacked [H, 4H] gate weights.
-        Each step, last slot first, forms one [1, 4H] gate gradient and
-        takes the gradients of its input and of the previous h from it
-        with one product each; the eight gate weights then get theirs
-        from two [H, T] @ [T, 4H] products, and the four biases from one
-        column sum. The last slot's embedding gets None: no step reads it.
+        ``stacked`` holds the walk's stacked [H, 4H] gate weights ``w_x``
+        and ``w_h``; it is emptied on entry, and they are dropped once the
+        slot loop has read them. Each step, last slot first, forms one
+        [1, 4H] gate gradient and takes the gradients of its input and of
+        the previous h from it with one product each; the eight gate
+        weights then get theirs from two [H, T] @ [T, 4H] products, and
+        the four biases from one column sum. The last slot's embedding
+        gets None: no step reads it.
         """
+        w_x, w_h = stacked
+        stacked.clear()
         size, scale = self.hidden_size, float(grad)
         d_pres = np.empty((len(steps), 4 * size))
         grads = {}
@@ -222,6 +228,7 @@ class Controller:
                 grads[f"slot{s - 1}.emb"] = emb
                 dh_next = d_pre @ w_h.T
                 dc_next = dc * f
+        del w_x, w_h
         d_w = {"w_x": np.concatenate([st.x for st in steps]).T @ d_pres,
                "w_h": np.concatenate([st.h_prev for st in steps]).T @ d_pres,
                "b_": d_pres.sum(axis=0, keepdims=True)}

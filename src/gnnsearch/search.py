@@ -471,6 +471,8 @@ def search(
             batch.append(episode)
             if len(batch) == config.batch_size:
                 reinforce_step(controller, batch, opt_state)
+                # Nothing reads the gradients again: drop them before the next child trains.
+                ad.zero_grads(controller.parameters())
                 batch = []
 
         record = EpisodeRecord(

@@ -367,6 +367,24 @@ def test_batched_updates_accept_leftover_episodes():
     assert len(log) == 5
 
 
+def test_controller_gradients_are_dropped_after_each_update(monkeypatch):
+    # Every sample after the first update, and the finished search, sees
+    # no controller parameter holding a gradient.
+    live_grads, checksums = [], []
+    sample = Controller.sample
+
+    def checked_sample(self, rng):
+        live_grads.append([name for name, t in self.named_parameters().items() if t.grad is not None])
+        checksums.append(self.checksum())
+        return sample(self, rng)
+
+    monkeypatch.setattr(Controller, "sample", checked_sample)
+    log = search(tiny_config(episodes=6, batch_size=1), space=TINY, reward_table=full_table(TINY))
+    assert len(set(checksums)) == 6  # an update ran before every sample but the first
+    assert live_grads == [[]] * 6
+    assert all(t.grad is None for t in log.controller.parameters())
+
+
 # ---------------------------------------------------------------------------
 # dataset-backed strategies
 
