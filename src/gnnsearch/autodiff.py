@@ -3,12 +3,12 @@
 A tensor holds a float32 or a float64 numpy array, and every op keeps
 its inputs' dtype: its output and the gradients it returns have it too.
 Child models run in float32 and the controller in float64. Sums over
-rows (``_scatter_add``, the ``Levels`` walk, the fused ops' running
-totals) add in float64 and round to the inputs' dtype once, so every
-sum path gives the same bits in either dtype. A constant that meets a
-tensor takes the tensor's dtype (``constant``): under numpy's promotion
-rules a float64 array, even a 0-d one, would turn a float32 operand
-into float64. Python scalars do not promote.
+rows by id (``IndexPlan.sum`` and the ``Levels`` walk) add in float64
+and round to the inputs' dtype once, so every sum path gives the same
+bits in either dtype. A constant that meets a tensor takes the tensor's
+dtype (``constant``): under numpy's promotion rules a float64 array,
+even a 0-d one, would turn a float32 operand into float64. Python
+scalars do not promote.
 
 A primitive whose inputs need a gradient stores them and its backward
 rule on its output tensor, so every recorded output is a tape node;
@@ -295,49 +295,6 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
     return record(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
-def _scatter_add(values: np.ndarray, index, n_rows: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``n_rows`` rows picked by ``index``,
-    in ``values``' dtype: ``_row_sums`` rounded once (a level walk rounds
-    as it assigns). On float64 input it is bitwise ``np.add.at`` into
-    zeros."""
-    return _row_sums(values, index, n_rows, values.dtype).astype(values.dtype, copy=False)
-
-
-def _row_sums(values: np.ndarray, index, n_rows: int, dtype=np.float64) -> np.ndarray:
-    """The rows of ``values`` summed in float64 into ``n_rows`` rows picked
-    by ``index``; a level walk returns them rounded to ``dtype``, the
-    bincount in float64.
-
-    ``index`` is an id array, or an ``IndexPlan`` that a graph keeps. Each
-    cell adds its rows in index order in float64, starting from 0.0, on
-    either path. ``np.bincount`` over the flattened (row, column) cell,
-    over the ids themselves when a row is one value wide, or over the ids
-    once per column up to ``NARROW_WIDTH`` values, adds its weights in
-    input order. A plan's ``Levels`` add the k-th row of every
-    id in level k; they are used for inputs of ``LEVEL_MIN_CELLS`` cells
-    per level or more, where they beat the bincount and its cell index.
-    ``np.add.reduceat`` over sorted rows is not bitwise: it sums in
-    another order. (A NaN sum is NaN on every path, but its sign and
-    payload can differ: ``np.add.at`` and ``np.bincount`` disagree there.)
-    """
-    if isinstance(index, IndexPlan):
-        if index.levels.fits(values):
-            return index.levels.sum(values, n_rows, dtype)
-        index = index.ids
-    rest = values.shape[1:]
-    width = math.prod(rest)
-    if 1 < width <= NARROW_WIDTH:
-        out = np.empty((n_rows, width))
-        columns = np.ascontiguousarray(values.reshape(-1, width).T, dtype=np.float64)  # bincount's own weights
-        for j, column in enumerate(columns):
-            out[:, j] = np.bincount(index, weights=column, minlength=n_rows)
-    else:
-        cells = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
-        out = np.bincount(cells, weights=values.reshape(-1), minlength=n_rows * width)
-    # bincount returns int64 for an empty input, weights or not.
-    return out.astype(np.float64, copy=False).reshape((n_rows,) + rest)
-
-
 # Widths up to which a bincount sum takes one bincount per column rather
 # than one over a (row, column) cell index: building the index costs more
 # than the extra calls there. Measured on a 60-node graph (E = 520).
@@ -366,8 +323,9 @@ class Levels:
     on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
     is NaN, with the sign and payload left to numpy. ``walk`` is the one
     such reduction, for rows that are built level by level; ``sum`` and
-    ``max`` walk rows taken from one array. Building the plan costs about
-    two stable sorts of the ids, so only plans a graph keeps build one.
+    ``max`` walk rows taken from one array, and ``first`` finds each max's
+    winning row. Results are in id order. Building the plan costs about
+    two stable sorts of the ids, so only a kept ``IndexPlan`` builds one.
     """
 
     def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
@@ -446,33 +404,32 @@ class Levels:
         values = np.ascontiguousarray(values)  # take copies a strided input whole
         return lambda _, steps: (values.take(self.order[lo:lo + m], axis=0) for lo, m in steps)
 
-    def sum(self, values: np.ndarray, n_rows: int, dtype=np.float64) -> np.ndarray:
-        """The rows of ``values`` summed in float64 into ``n_rows`` rows and
-        rounded to ``dtype``."""
-        return self.walk(np.zeros((n_rows,) + values.shape[1:], dtype=dtype), self._taken(values))
+    def sum(self, values: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """The rows of ``values`` summed by id in float64 and rounded to
+        ``dtype``, [n, ...]."""
+        return self.walk(np.zeros((self.n,) + values.shape[1:], dtype=dtype), self._taken(values))
 
-    def max(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The elementwise max of each id's rows, written at the ids into
-        ``out`` and returned, or without ``out`` returned in ``rows`` order."""
-        ranked = out is None
-        if ranked:
-            out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
-        self.walk(out, self._taken(values), np.maximum)
-        return out.take(self.rows, axis=0) if ranked else out
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """The elementwise max of each id's rows, [n, ...]; an id without
+        rows gets no value."""
+        out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
+        return self.walk(out, self._taken(values), np.maximum)
 
     def first(self, hit: np.ndarray) -> np.ndarray:
-        """Per id (in ``rows`` order) and column of the [rows, cols] ``hit``,
-        the first row where it is set; ``len(hit)`` where none is."""
+        """Per id and column of the [rows, cols] ``hit``, [n, cols]: the
+        first row where it is set, or the id's first row where none is."""
         depth = len(self.spans)
         # the largest depth - k over the levels k that hit is the first
-        # such level; 0 where none does
+        # such level; 0 where none does, which picks level 0's row
         mark = np.zeros((len(self.rows), hit.shape[1]), dtype=np.min_scalar_type(depth))
         for k, (lo, m) in enumerate(self.spans):
             hits = hit.take(self.order[lo:lo + m], axis=0)
             np.maximum(mark[:m], np.multiply(hits, depth - k, dtype=mark.dtype), out=mark[:m])
         place = np.array([lo for lo, _ in self.spans] + [0]).take(depth - mark)
         place += np.arange(len(self.rows))[:, None]
-        return np.where(mark > 0, self.order.take(place), hit.shape[0])
+        first = np.empty((self.n, hit.shape[1]), dtype=self.order.dtype)
+        first[self.rows] = self.order.take(place)
+        return first
 
 
 def _ids(ids, what: str) -> np.ndarray:
@@ -484,18 +441,21 @@ def _ids(ids, what: str) -> np.ndarray:
 
 
 class IndexPlan:
-    """Row ids into ``n`` rows, range-checked once, when built.
+    """Row ids into ``n`` rows, range-checked once, when built, and the
+    reductions of rows by id: ``sum``, ``max`` and ``winners``.
 
-    What the sorted kernels need from the ids (rows per id, a stable row
-    order grouped by id, where each id's rows begin, and the ``Levels``)
-    is worked out on first use and kept. A graph's ``EdgePlan`` holds one
-    plan for its edge sources and one for its destinations, and each of
-    its chunks one per end, so message passing checks, counts and sorts
-    them once per graph. Given raw ids, ``gather_rows`` and the segment
-    ops build a plan for that call and never its levels.
+    What the reductions need from the ids (rows per id, a stable row order
+    grouped by id, where each id's rows begin, and the ``Levels``) is
+    worked out on first use and kept. Each reduction walks the ``Levels``
+    for an input of ``LEVEL_MIN_CELLS`` cells per level or more, and calls
+    np.bincount or a ufunc's ``reduceat`` once below that: the same bits
+    either way. Only a ``kept`` plan walks, since building its levels
+    costs about two stable sorts of the ids. A graph's ``EdgePlan`` keeps
+    one for its edge sources and one for its destinations; given raw ids,
+    ``gather_rows`` and the segment ops build a plan for that call.
     """
 
-    def __init__(self, ids, n: int):
+    def __init__(self, ids, n: int, kept: bool = False):
         ids = _ids(ids, "index")
         if ids.ndim != 1:
             raise ShapeError(f"index must be 1-d, got shape {ids.shape}")
@@ -503,6 +463,7 @@ class IndexPlan:
             raise ParameterError(f"index out of range for {n} rows")
         self.ids = ids
         self.n = n
+        self.kept = kept
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -532,18 +493,70 @@ class IndexPlan:
     def levels(self) -> Levels:
         return Levels(self.ids, self.n, self.order)
 
+    def _walks(self, values: np.ndarray) -> bool:
+        return self.kept and self.levels.fits(values)
 
-# Bytes of one [C, K, D] temporary of the fused edge ops: they walk a
-# graph's edges in chunks of C = EDGE_CHUNK_BYTES // (itemsize K D) edges.
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """The rows of ``values`` summed by id, [n, ...], in their dtype.
+
+        Each cell adds its rows in index order in float64, starting from
+        0.0, and is rounded once, so on float64 rows the sum is bitwise
+        ``np.add.at`` into zeros. ``np.bincount`` over the flattened (row,
+        column) cell, over the ids themselves when a row is one value
+        wide, or over the ids once per column up to ``NARROW_WIDTH``
+        values, adds its weights in input order. ``np.add.reduceat`` over
+        sorted rows is not bitwise: it sums in another order. (A NaN sum is
+        NaN on every path, but its sign and payload can differ:
+        ``np.add.at`` and ``np.bincount`` disagree there.)
+        """
+        if self._walks(values):
+            return self.levels.sum(values, values.dtype)
+        rest = values.shape[1:]
+        width = math.prod(rest)
+        if 1 < width <= NARROW_WIDTH:
+            out = np.empty((self.n, width))
+            columns = np.ascontiguousarray(values.reshape(-1, width).T, dtype=np.float64)  # bincount's own weights
+            for j, column in enumerate(columns):
+                out[:, j] = np.bincount(self.ids, weights=column, minlength=self.n)
+        else:
+            cells = self.ids if width == 1 else (self.ids[:, None] * width + np.arange(width)).ravel()
+            out = np.bincount(cells, weights=values.reshape(-1), minlength=self.n * width)
+        # bincount returns int64 for an empty input, weights or not.
+        return out.astype(values.dtype, copy=False).reshape((self.n,) + rest)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """The elementwise max of each id's rows, [n, ...]: bitwise
+        ``np.maximum.reduceat`` over the grouped rows."""
+        order, starts = self.grouping  # raises on an id without rows
+        if self._walks(values):
+            return self.levels.max(values)
+        return np.maximum.reduceat(values.take(order, axis=0), starts, axis=0)
+
+    def winners(self, values: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Per id and column of the [rows, cols] ``values``, [n, cols]: the
+        first row equal to the id's max in ``top`` [n, cols], or the id's
+        first row where that max is NaN and so equals none."""
+        hit = values == top.take(self.ids, axis=0)
+        if self._walks(hit):
+            return self.levels.first(hit)
+        order, starts = self.grouping
+        first = np.minimum.reduceat(np.where(hit.take(order, axis=0), order[:, None], len(hit)), starts, axis=0)
+        return np.where(first == len(hit), order.take(starts)[:, None], first)
+
+
+# Bytes of one float64 block of ids of the fused edge ops' level walks
+# (``Levels.blocks``), and of the [C, K, D] terms of gene-linear's w_a
+# gradient: it sums its C = EDGE_CHUNK_BYTES // (itemsize K D) edges at a
+# time onto a fresh total, and those restarts fix its bits.
 EDGE_CHUNK_BYTES = 8 * 2**20
 
 # Bytes of one [E, K, D] temporary from which the fused edge ops walk
-# their reduction's ``Levels`` over node rows instead of chunks
-# (``EdgePlan.walks``). Below it the chunked
-# kernels are faster; above it each [E, K, D] temporary is a fresh mapping
-# that the kernel zero-fills page by page on every call. Measured per
-# forward plus backward on the benchmark's 400-node SBM (walked from
-# K * D = 64 in float32) and 60-node multigraph graphs (never walked).
+# their reduction's ``Levels`` over node rows instead of making one pass
+# over the edges (``EdgePlan.walks``). Below it the one pass is faster;
+# above it each [E, K, D] temporary is a fresh mapping that the kernel
+# zero-fills page by page on every call. Measured per forward plus
+# backward on the benchmark's 400-node SBM (walked from K * D = 64 in
+# float32) and 60-node multigraph graphs (never walked).
 WALK_MIN_BYTES = 2**20
 
 
@@ -556,38 +569,23 @@ class LevelWalk(NamedTuple):
     far: np.ndarray
 
 
-class EdgeChunk(NamedTuple):
-    """A run of edges grouped by destination: positions ``span`` of
-    ``EdgePlan.order``, with an ``IndexPlan`` over the nodes for each end."""
-
-    span: slice
-    src: IndexPlan
-    dst: IndexPlan  # ids non-decreasing
-    starts: np.ndarray  # where each destination's edges begin in the chunk
-
-
 class EdgePlan:
     """What message passing needs from a graph's edges, worked out once.
 
-    ``src`` and ``dst`` are range-checked ``IndexPlan``s over the ``n``
-    nodes; ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per edge, from the
-    given in-degrees. ``order`` lists the edges stably grouped by
-    destination and ``rank`` is its inverse; ``chunks`` cuts that order
-    into runs for the fused edge ops, and ``into_dst``/``into_src`` are the
-    level walks that wide ones take instead (``walks``). Canonical edges
-    are sorted by (src, dst), so the grouped walk keeps each
-    destination's edges and each source's edges in edge order, and a
-    chunked sum into either end adds in the order ``np.add.at`` does.
+    ``src`` and ``dst`` are kept ``IndexPlan``s over the ``n`` nodes;
+    ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per edge, from the given
+    in-degrees; ``order`` lists the edges stably grouped by destination.
+    ``into_dst``/``into_src`` are the level walks that the fused edge ops
+    take where their temporaries are wide (``walks``).
     """
 
     def __init__(self, src, dst, n: int, degrees):
-        self.src = IndexPlan(src, n)
-        self.dst = IndexPlan(dst, n)
+        self.src = IndexPlan(src, n, kept=True)
+        self.dst = IndexPlan(dst, n, kept=True)
         if self.src.ids.shape != self.dst.ids.shape:
             raise ShapeError(f"{self.src.ids.shape[0]} sources for {self.dst.ids.shape[0]} destinations")
         self.n = n
         self._degrees = degrees
-        self._chunks: dict = {}
 
     @property
     def edge_count(self) -> int:
@@ -596,12 +594,6 @@ class EdgePlan:
     @property
     def order(self) -> np.ndarray:
         return self.dst.order
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(self.order.size)
-        return rank
 
     @cached_property
     def gcn_norm(self) -> np.ndarray:
@@ -621,34 +613,6 @@ class EdgePlan:
     def into_src(self) -> LevelWalk:
         return LevelWalk(self.src.levels, self.dst.ids.take(self.src.levels.order))
 
-    def chunks(self, width: int, itemsize: int = 8) -> list:
-        """The grouped edges as ``EdgeChunk``s for temporaries of ``width``
-        floats of ``itemsize`` bytes per edge, kept per chunk length, so
-        every width that fits all edges in one chunk shares one list. A
-        graph without edges has one empty chunk."""
-        size = min(max(1, EDGE_CHUNK_BYTES // (itemsize * width)), max(self.edge_count, 1))
-        found = self._chunks.get(size)
-        if found is None:
-            src, dst = self.src.ids.take(self.order), self.dst.ids.take(self.order)
-            found = []
-            for lo in range(0, max(self.edge_count, 1), size):
-                hi = min(lo + size, self.edge_count)
-                run = dst[lo:hi]
-                starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
-                found.append(EdgeChunk(slice(lo, hi), IndexPlan(src[lo:hi], self.n), IndexPlan(run, self.n), starts))
-            self._chunks[size] = found
-        return found
-
-    def grouped(self, x: np.ndarray) -> np.ndarray:
-        """Per-edge rows of ``x`` in grouped order."""
-        return x.take(self.order, axis=0)
-
-    def in_edge_order(self, parts: list) -> np.ndarray:
-        """Per-edge rows given in grouped order, chunk by chunk, back in
-        edge order."""
-        grouped = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return grouped.take(self.rank, axis=0)
-
 
 def _plan(index, n: int) -> IndexPlan:
     if isinstance(index, IndexPlan):
@@ -662,17 +626,18 @@ def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows along axis 0; backward scatter-adds into the source.
 
     ``index`` is an id array or an ``IndexPlan`` over ``x``'s rows. The
-    backward adds repeated rows in index order (``_scatter_add``), so it
+    backward adds repeated rows in index order (``IndexPlan.sum``), so it
     is bitwise equal to ``np.add.at``. Ids that are every row in order (a
     loss over a whole graph) return ``x``'s own array, and the backward
     returns ``g + 0.0``: the same bits as ``np.add.at``'s ``0.0 + g``.
     """
     n_rows = x.data.shape[0]
-    idx = _plan(index, n_rows).ids
+    plan = _plan(index, n_rows)
+    idx = plan.ids
     if idx.size == n_rows and (idx == np.arange(n_rows)).all():
         return record(x.data, (x,), lambda g: (g + 0.0,))
     data = x.data.take(idx, axis=0)
-    return record(data, (x,), lambda g: (_scatter_add(g, idx, n_rows),))
+    return record(data, (x,), lambda g: (plan.sum(g),))
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
@@ -818,9 +783,9 @@ def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     ``segment_ids`` here and in the other segment ops is an id array or
     an ``IndexPlan`` over ``n_segments`` ids.
     """
-    seg = _segments(x, segment_ids, n_segments).ids
-    data = _scatter_add(x.data, seg, n_segments)
-    return record(data, (x,), lambda g: (g.take(seg, axis=0),))
+    plan = _segments(x, segment_ids, n_segments)
+    seg = plan.ids
+    return record(plan.sum(x.data), (x,), lambda g: (g.take(seg, axis=0),))
 
 
 def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -832,34 +797,26 @@ def segment_mean(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Per-segment elementwise max; gradient routes to the first maximizer.
 
-    ``np.maximum.reduceat`` over the stably sorted rows gives the max
-    exactly, so values are bitwise those of ``np.maximum.at``. The
-    winner is the lowest row equal to the max, so ties go to the lowest
-    row index and results do not depend on edge ordering beyond the
-    canonical one. A NaN max equals no row; its gradient goes to the
-    segment's first row, and the NaN flows on to the loss check. Each
-    (winner, column) pair is distinct, so the backward is a plain
-    assignment. Winners are found in the backward, so a forward that is
-    only evaluated does not pay for them. This op always reduces with
-    ``reduceat``; ``edge_aggregate``'s max-pooling takes the same maxima
-    and winners from the graph's or a chunk's ``Levels`` where its
-    messages are wide.
+    The max folds each segment's rows in row order, so values are bitwise
+    those of ``np.maximum.at``. The winner is the lowest row equal to the
+    max (``IndexPlan.winners``), so ties go to the lowest row index and
+    results do not depend on edge ordering beyond the canonical one. A NaN
+    max equals no row; its gradient goes to the segment's first row, and
+    the NaN flows on to the loss check. Each (winner, column) pair is
+    distinct, so the backward is a plain assignment. Winners are found in
+    the backward, so a forward that is only evaluated does not pay for
+    them.
     """
     plan = _segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
     rest = x.data.shape[1:]
     flat = x.data.reshape(rows, -1)
     width = flat.shape[1]
-    order, starts = plan.grouping
-    counts = plan.counts
-    out = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
+    out = plan.max(flat)
 
     def grad_fn(g):
-        hits = np.where(flat.take(order, axis=0) == np.repeat(out, counts, axis=0), order[:, None], rows)
-        winner = np.minimum.reduceat(hits, starts, axis=0)
-        winner = np.where(winner == rows, order[starts][:, None], winner)
         gx = np.zeros((rows, width), dtype=flat.dtype)
-        gx[winner, np.arange(width)] = g.reshape(n_segments, width)
+        gx[plan.winners(flat, out), np.arange(width)] = g.reshape(n_segments, width)
         return (gx.reshape((rows,) + rest),)
 
     return record(out.reshape((n_segments,) + rest), (x,), grad_fn)
@@ -877,19 +834,13 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     """
     plan = _segments(scores, segment_ids, n_segments)
     ids = plan.ids
-    by = plan if plan is segment_ids else ids  # a plan built for this call builds no levels
-    flat = scores.data.reshape(scores.data.shape[0], -1)
-    order, starts = plan.grouping
-    if by is plan and plan.levels.fits(flat):
-        seg_max = plan.levels.max(flat, np.empty((n_segments, flat.shape[1]), dtype=flat.dtype))
-    else:
-        seg_max = np.maximum.reduceat(flat.take(order, axis=0), starts, axis=0)
+    seg_max = plan.max(scores.data.reshape(scores.data.shape[0], -1))
     exp_scores = np.exp(scores.data - seg_max.reshape((n_segments,) + scores.data.shape[1:]).take(ids, axis=0))
-    denom = _scatter_add(exp_scores, by, n_segments).take(ids, axis=0)
+    denom = plan.sum(exp_scores).take(ids, axis=0)
     data = exp_scores / denom
 
     def grad_fn(g):
-        g_exp = g / denom + _scatter_add(-g * data / denom, by, n_segments).take(ids, axis=0)
+        g_exp = g / denom + plan.sum(-g * data / denom).take(ids, axis=0)
         return (g_exp * exp_scores,)
 
     return record(data, (scores,), grad_fn)
@@ -903,35 +854,16 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # the graph's ``Levels`` (``Levels.blocks`` and ``walk``), forward and
 # backward: each level's rows are gathered from node rows, scaled and
 # folded into an accumulator of at most ``EDGE_CHUNK_BYTES`` per block of
-# ids, so no per-edge [E, K, D] array exists. Otherwise the ops walk the
-# edges in destination-grouped chunks of ``EDGE_CHUNK_BYTES``, and the
-# backward gathers each chunk's rows again, so no [E, K, D] array
-# outlives a chunk. Both paths add every sum and take every max in the
-# same order, so they give the same bits. Scores and the sum, mean and max
-# aggregations compute their values in the order of the per-kind op
-# chains they replace, so they keep those bits at any chunk length;
-# gradients reduce over D with einsum and agree with the chains' to
-# rounding. Temporaries hold the inputs' dtype; sums run in float64 and
-# round once.
-
-
-def _add_rows(total: np.ndarray | None, values: np.ndarray, index: IndexPlan, n_rows: int) -> np.ndarray:
-    """``total`` plus the rows of ``values`` added at ``index``, in order,
-    in float64.
-
-    The first chunk (a None total) goes through ``_row_sums``; later ones
-    add their rows one at a time into ``total``, which the caller owns: a
-    level walk or bincount per later chunk would build and add a whole
-    [n_rows, ...] array for a few hundred rows. Each cell sums its values
-    in index order in float64 starting from 0.0 either way, so a sum
-    built chunk by chunk and rounded once to the values' dtype is bitwise
-    the one ``_scatter_add`` gives over all rows at once.
-    """
-    if total is None:
-        return _row_sums(values, index, n_rows)
-    for row, value in zip(index.ids.tolist(), values):
-        total[row] += value
-    return total
+# ids, so no per-edge [E, K, D] array exists. Below that size each op
+# makes one pass over the edges in edge order and reduces through the
+# graph's ``plan.src`` and ``plan.dst``; the backward gathers the rows
+# again. A level walk groups the edges stably, so each node's edges keep
+# edge order on either path, and both paths add every sum and take every
+# max in the same order: they give the same bits. Scores and the sum, mean
+# and max aggregations compute their values in the order of the per-kind
+# op chains they replace, so they keep those bits; gradients reduce over D
+# with einsum and agree with the chains' to rounding. Temporaries hold the
+# inputs' dtype; sums run in float64 and round once.
 
 
 def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -975,8 +907,8 @@ def edge_scores(kind: str, z: Tensor, plan: EdgePlan, *weights: Tensor) -> Tenso
 
 def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tensor:
     """gat, sym-gat and linear: each end is projected to one number per
-    head first, so no per-edge [K, D] value exists and nothing is chunked."""
-    z_val, n = z.data, plan.n
+    head first, so no per-edge [K, D] value exists and nothing is walked."""
+    z_val = z.data
     src, dst = plan.src, plan.dst
     vectors = [w.data for w in weights]
     proj = [(z_val * a).sum(axis=-1) for a in vectors]  # [N, K] per weight
@@ -993,13 +925,13 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
 
     def grad_fn(g):
         if kind == "linear":
-            g_proj = [_scatter_add(g * (1.0 - data * data), src, n)]
+            g_proj = [src.sum(g * (1.0 - data * data))]
         else:
             g_proj = [None, None]
             for (i, j), pre in zip(ends, pres):
                 g_pre = g * np.where(pre > 0.0, 1.0, _LEAKY_SLOPE).astype(g.dtype, copy=False)
-                g_proj[0] = _accumulate(g_proj[0], _scatter_add(g_pre, i, n))
-                g_proj[1] = _accumulate(g_proj[1], _scatter_add(g_pre, j, n))
+                g_proj[0] = _accumulate(g_proj[0], i.sum(g_pre))
+                g_proj[1] = _accumulate(g_proj[1], j.sum(g_pre))
         gz, grads = None, []
         for tensor, a, g_p in zip(weights, vectors, g_proj):
             if need_z:
@@ -1019,12 +951,14 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     ``z w_l`` are read once and paired with each level's source rows of
     ``z w_r``. A score is a sum over D of one edge's row, so it has the
     same bits however the edges are grouped. The backward walks each
-    end's levels too, with the bits of the chunked sums: for cos the
-    destinations sum ``(z w_r).take(sources) * g`` and the sources
-    ``(z w_l).take(destinations) * g``. Otherwise the pairs are built
-    chunk by chunk and rebuilt in the backward.
+    end's levels too: for cos the destinations sum ``(z w_r).take(sources)
+    * g`` and the sources ``(z w_l).take(destinations) * g``. Otherwise
+    the pairs are built in one pass and rebuilt in the backward. Either
+    way gene-linear's w_a gradient sums the edges in destination-grouped
+    order (``w_a_grad``).
     """
     z_val, n = z.data, plan.n
+    src, dst = plan.src, plan.dst
     w_l, w_r = weights[0].data, weights[1].data
     w_a = weights[2].data if kind == "gene-linear" else None
     # contiguous copies: rows gather faster from them than from the views
@@ -1032,7 +966,6 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     right = np.ascontiguousarray(_heads(z_val, w_r))
     heads, width = left.shape[1:]
     walked = plan.walks(heads * width, left.itemsize)
-    chunks = plan.chunks(heads * width, left.itemsize)
 
     def hidden(l_rows, r_rows, out):  # gene-linear's tanh(z_i w_l + z_j w_r), into ``out``
         return np.tanh(np.add(l_rows, r_rows, out=out), out=out)
@@ -1052,31 +985,21 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
             for lo, m in steps:
                 data[into.levels.order[lo:lo + m]] = scores(near[:m], right.take(into.far[lo:lo + m], axis=0))
     else:
-        data = plan.in_edge_order([scores(left.take(c.dst.ids, axis=0), right.take(c.src.ids, axis=0))
-                                   for c in chunks])
+        data = scores(left.take(dst.ids, axis=0), right.take(src.ids, axis=0))
     need_z = z.requires_grad
     need_l, need_r = weights[0].requires_grad, weights[1].requires_grad
     need_a = w_a is not None and weights[2].requires_grad
 
     # The gradient of z_i w_l sums into the destinations and that of z_j w_r
     # into the sources: cos sums the other end's rows times g, gene-linear
-    # g_pre = g w_a (1 - h^2) with h from both ends. Chunked, cos's ends
-    # take a pass each, so one float64 total is alive at a time, and
-    # gene-linear's ends sum the same g_pre in one pass. Walked, each end
-    # walks its own levels, and gene-linear's w_a gradient (one einsum per
-    # chunk, which adds the chunk's edges one at a time in grouped order,
-    # from 0) adds them in that order a node-sized block at a time.
-    passes = [["dst"], ["src"]] if w_a is None else [["dst", "src"]]
-
+    # g_pre = g w_a (1 - h^2) with h from both ends. Walked, each end walks
+    # its own levels; in one pass, cos builds each end's rows in turn, and
+    # gene-linear sums one g_pre into both ends.
     def g_pre(g_e, h):  # gene-linear's rows for C edges, from h, which it overwrites
         rows = g_e[:, :, None] * w_a
         h *= h
         rows *= np.subtract(1.0, h, out=h)
         return rows
-
-    def end_grads(name, total):
-        w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
-        return _heads_grad(total, z_val, w, need_z, need_w)
 
     def walked_total(name, g):
         into = plan.into_dst if name == "dst" else plan.into_src
@@ -1096,59 +1019,53 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
 
         return into.levels.walk(np.zeros(left.shape, dtype=left.dtype), level_rows)
 
-    def walked_g_a(g):
-        g_grouped = plan.grouped(g)
-        size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))  # edges per block
-        g_a = None
-        for c in chunks:
+    def totals(g):  # (end, the gradient of that end's head product)
+        if walked:
+            for name in ("dst", "src"):
+                yield name, walked_total(name, g)
+        elif w_a is None:
+            for name, end, other, far in (("dst", dst, right, src), ("src", src, left, dst)):
+                rows = other.take(far.ids, axis=0)
+                rows *= g[:, :, None]
+                yield name, end.sum(rows)
+        else:
+            h = right.take(src.ids, axis=0)
+            rows = g_pre(g, hidden(left.take(dst.ids, axis=0), h, out=h))
+            del h
+            yield "dst", dst.sum(rows)
+            yield "src", src.sum(rows)
+
+    def w_a_grad(g):
+        # g h summed over the edges in grouped order, onto a fresh total
+        # per slice of ``span`` edges (the restarts fix its bits). Inside
+        # a slice, blocks of at most N edges add onto the total row by
+        # row, in the order of one einsum over the slice.
+        span = max(1, EDGE_CHUNK_BYTES // (left.itemsize * heads * width))
+        size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))
+        g_sum = None
+        for lo in range(0, max(plan.edge_count, 1), span):
             total = np.zeros((1, heads, width), dtype=left.dtype)
-            for lo in range(0, len(c.dst.ids), size):
-                s = slice(lo, lo + size)
-                h = right.take(c.src.ids[s], axis=0)
-                hidden(left.take(c.dst.ids[s], axis=0), h, out=h)
+            for b in range(lo, min(lo + span, plan.edge_count), size):
+                edges = plan.order[b:min(b + size, lo + span)]
+                h = right.take(src.ids.take(edges), axis=0)
+                hidden(left.take(dst.ids.take(edges), axis=0), h, out=h)
                 terms = np.empty((len(h) + 1, heads, width), dtype=h.dtype)
                 terms[0] = total
-                np.multiply(g_grouped[c.span][s, :, None], h, out=terms[1:])
+                np.multiply(g.take(edges, axis=0)[:, :, None], h, out=terms[1:])
                 total = terms.sum(axis=0, keepdims=True)  # row by row, as einsum adds
-            g_a = _accumulate(g_a, total[0])
-        return g_a
-
-    def chunked_grads(g):
-        g_grouped = plan.grouped(g)
-        g_a, grads = None, {}
-        for names in passes:
-            totals = dict.fromkeys(names)
-            for c in chunks:
-                spread = g_grouped[c.span, :, None]
-                if w_a is None:
-                    rows = right.take(c.src.ids, axis=0) if names == ["dst"] else left.take(c.dst.ids, axis=0)
-                    rows *= spread
-                else:
-                    h = right.take(c.src.ids, axis=0)
-                    hidden(left.take(c.dst.ids, axis=0), h, out=h)
-                    if need_a:
-                        g_a = _accumulate(g_a, np.einsum("ek,ekd->kd", g_grouped[c.span], h))
-                    rows = g_pre(g_grouped[c.span], h)
-                    del h
-                for name in names:
-                    totals[name] = _add_rows(totals[name], rows, getattr(c, name), n)
-                del rows
-            for name in names:
-                total = totals.pop(name).astype(z_val.dtype, copy=False)  # frees the float64 one
-                grads[name] = end_grads(name, total)
-                del total
-        return grads, g_a
+            g_sum = _accumulate(g_sum, total[0])
+        return g_sum
 
     def grad_fn(g):
-        if walked:
-            grads = {name: end_grads(name, walked_total(name, g)) for name in ("dst", "src")}
-            g_a = walked_g_a(g) if need_a else None
-        else:
-            grads, g_a = chunked_grads(g)
+        grads = {}
+        for name, total in totals(g):
+            w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
+            grads[name] = _heads_grad(total, z_val, w, need_z, need_w)
+            del total
         (gz, g_wl), (gz_r, g_wr) = grads["dst"], grads["src"]
         if need_z:
             gz += gz_r
-        return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, g_a)
+        return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, w_a_grad(g) if need_a else None)
 
     return record(data, (z, *weights), grad_fn)
 
@@ -1179,12 +1096,10 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     ``rows[j]``, so alpha's gradient and mlp's relu mask read one block
     of node rows per row block, not one row per edge; alpha's gradient is
     filled in level order and put back in edge order once. Below that
-    size every kind takes the chunks: a chunk's sums and maxima by
-    destination, and the sums by source in the backward, walk the chunk's
-    ``Levels`` where its [C, K*D] input has ``LEVEL_MIN_CELLS`` cells per
-    level, and call ``np.bincount`` and ``reduceat`` below that; later
-    chunks add into the running sum row by row (``_add_rows``). Every path
-    gives the same bits (a NaN's sign and payload aside).
+    size every kind makes one pass over the edges, reducing by
+    destination, and in the backward by source, through the graph's
+    ``IndexPlan``s. Every path gives the same bits (a NaN's sign and
+    payload aside).
     """
     if kind not in ("sum", "mean-pooling", "max-pooling", "mlp"):
         raise ParameterError(f"unknown aggregation kind {kind!r}")
@@ -1201,9 +1116,6 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     elif kind == "max-pooling":
         plan.dst.counts  # raises on a node without in-edges
     walked = plan.walks(heads * width, z.data.itemsize)
-    if not walked:
-        a_grouped = plan.grouped(alpha.data)
-        chunks = plan.chunks(heads * width, z.data.itemsize)
     need_alpha, need_z = alpha.requires_grad, z.requires_grad
 
     def messages(a, src):  # alpha [C, K] times the rows of ``src``
@@ -1225,25 +1137,9 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         else:
             data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_rows)
     elif kind == "max-pooling":
-        top = np.empty((n, heads * width), dtype=dtype)
-        last = -1  # the destination the previous chunk ended on
-        for c in chunks:
-            m = messages(a_grouped[c.span], c.src.ids).reshape(len(c.dst.ids), -1)
-            levels, rows, _ = _destinations(c, m)
-            carried = top[last].copy() if c.dst.ids[0] == last else None
-            if levels:
-                levels.max(m, top)
-            else:
-                top[rows] = np.maximum.reduceat(m, c.starts, axis=0)
-            if carried is not None:
-                np.maximum(carried, top[last], out=top[last])
-            last = c.dst.ids[-1]
-        data = top.reshape(n, heads, width)
+        data = plan.dst.max(messages(alpha.data, plan.src.ids))
     else:
-        data = None
-        for c in chunks:
-            data = _add_rows(data, messages(a_grouped[c.span], c.src.ids), c.dst, n)
-        data = data.astype(dtype, copy=False)
+        data = plan.dst.sum(messages(alpha.data, plan.src.ids))
     if inv is not None:
         data = data * inv
     if kind == "mlp":
@@ -1294,64 +1190,24 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
                 g_alpha = np.empty_like(g_walk)
                 g_alpha[into.levels.order] = g_walk
         else:
+            a = alpha.data[:, :, None]
+            z_m = z_val.take(plan.src.ids, axis=0) if need_rows else None
             if kind == "max-pooling":
-                routed = np.zeros(top.shape, dtype=bool) if len(chunks) > 1 else None
-                g_flat = g.reshape(top.shape)
-            parts, g_rows = [], None
-            for c in chunks:
-                a_c = a_grouped[c.span, :, None]
-                z_c = z_val.take(c.src.ids, axis=0) if need_rows else None
-                if kind == "max-pooling":
-                    g_m = _max_routes(a_c * z_c, c, top, g_flat, routed)
-                else:
-                    g_m = g.take(c.dst.ids, axis=0)
-                g_m, g_a = message_grads(g_m, a_c, z_c)
-                parts.append(g_a)
-                g_rows = _add_rows(g_rows, g_m, c.src, n)
-                del a_c, z_c, g_m, g_a  # before the next chunk allocates its own
-            g_rows = g_rows.astype(dtype, copy=False)
-            g_alpha = plan.in_edge_order(parts) if need_alpha else None
+                cols = heads * width
+                won = plan.dst.winners((a * z_m).reshape(-1, cols), data.reshape(n, cols))
+                g_m = np.zeros((plan.edge_count, cols), dtype=dtype)
+                g_m[won, np.arange(cols)] = g.reshape(n, cols)
+                g_m = g_m.reshape(-1, heads, width)
+            else:
+                g_m = g.take(plan.dst.ids, axis=0)
+            g_m, g_alpha = message_grads(g_m, a, z_m)
+            del z_m  # freed before the sum allocates
+            g_rows = plan.src.sum(g_m)
         if kind == "mlp":
             g_rows, g_w[0] = _heads_grad(g_rows, z.data, w1, need_z, need_w[0])
         return (g_alpha, g_rows if need_z else None, *g_w)
 
     return record(data, (alpha, z, *weights), grad_fn)
-
-
-def _destinations(c: EdgeChunk, values: np.ndarray) -> tuple:
-    """How to reduce a chunk's per-edge ``values`` by destination:
-    (levels, rows, heads). ``levels`` is the chunk's destination
-    ``Levels`` where ``values`` fits them, else None (``reduceat`` over
-    ``c.starts``); ``rows`` lists the destinations in the order that
-    reduction returns them, and ``heads`` each one's first edge."""
-    levels = c.dst.levels
-    if levels.fits(values):
-        return levels, levels.rows, levels.order[:len(levels.rows)]
-    return None, c.dst.ids.take(c.starts), c.starts
-
-
-def _max_routes(m: np.ndarray, c: EdgeChunk, top: np.ndarray, g: np.ndarray, routed: np.ndarray | None) -> np.ndarray:
-    """The max-pooling gradient of one chunk's messages ``m`` [C, K, D].
-
-    Each (destination, column) sends its gradient to its first edge whose
-    message equals the max ``top``, or, where the max is NaN, to its
-    first edge. ``routed``, when the edges span several chunks, marks the
-    pairs an earlier chunk has served.
-    """
-    size, cols = len(c.dst.ids), top.shape[1]
-    hit = m.reshape(size, cols) == top.take(c.dst.ids, axis=0)
-    levels, rows, heads = _destinations(c, hit)
-    hit[heads] |= np.isnan(top.take(rows, axis=0))
-    if levels:
-        first = levels.first(hit)
-    else:
-        first = np.minimum.reduceat(np.where(hit, np.arange(size)[:, None], size), c.starts, axis=0)
-    if routed is not None:
-        first[routed.take(rows, axis=0)] = size
-        routed[rows] |= first < size
-    g_m = np.zeros((size + 1, cols), dtype=g.dtype)  # row ``size`` takes what no edge here wins
-    g_m[first, np.arange(cols)] = g.take(rows, axis=0)
-    return g_m[:size].reshape(m.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ and segment ops.
 
 ``edge_scores`` and ``edge_aggregate`` must give the chains' values bit
 for bit (``mlp`` multiplies on node rows and is held to 1e-12), and
-gradients within 1e-12; a run cut into many chunks must give the values
-and node-side gradients of a one-chunk run bit for bit. ``segment_softmax``
-must give its chain's values and gradients bit for bit.
+gradients within 1e-12; a level walk in many row blocks must give the
+values and gradients of a walk in one block bit for bit, all but
+gene-linear's w_a, whose sum restarts. ``segment_softmax`` must give its
+chain's values and gradients bit for bit.
 """
 
 import numpy as np
@@ -136,38 +137,21 @@ def test_fused_ops_match_the_op_chains(graph, attention, aggregation):
 @pytest.mark.parametrize("aggregation", AGGREGATION)
 @pytest.mark.parametrize("attention", ATTENTION)
 def test_many_chunks_give_the_one_chunk_bits(graph, attention, aggregation, monkeypatch):
+    """Every kind walked, with EDGE_CHUNK_BYTES at 7 rows of K x D float64:
+    the walk takes blocks of 7 ids, and gene-linear's w_a gradient starts a
+    fresh partial sum every 7 grouped edges."""
     inputs = _layer_inputs(attention, aggregation, graph, seed=1)
+    monkeypatch.setattr(ad, "WALK_MIN_BYTES", 0)
     one = _run_layer(attention, aggregation, graph, *inputs, fused=True)
-    monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * K * D * 7)  # chunks of 7 edges
-    assert len(graph.plan.chunks(K * D)) > 20
+    monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * K * D * 7)
+    assert len(list(graph.plan.dst.levels.blocks(K * D))) > 3
     many = _run_layer(attention, aggregation, graph, *inputs, fused=True)
     assert _bitwise(many[0], one[0]) and _bitwise(many[1], one[1])
     for name, ref in one[2].items():
-        # Weights summed over edges (w_a, mlp_w1, mlp_w2) add chunk partial
-        # sums; every other gradient is gathered or added row by row.
-        if name in ("w_a", "mlp_w1", "mlp_w2"):
+        if name == "w_a":  # adds the partial sums
             assert rel_err(many[2][name], ref) < TOL, name
         else:
             assert _bitwise(many[2][name], ref), name
-
-
-def test_chunks_cover_the_edges_grouped_by_destination(graph, monkeypatch):
-    monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 3)
-    plan = graph.plan
-    chunks = plan.chunks(1)
-    assert np.array_equal(plan.order, np.argsort(graph.dst, kind="stable"))
-    assert np.array_equal(plan.order[plan.rank], np.arange(graph.edge_count))
-    assert [c.span.start for c in chunks[1:]] == [c.span.stop for c in chunks[:-1]]
-    assert chunks[0].span.start == 0 and chunks[-1].span.stop == graph.edge_count
-    sizes = [len(c.dst.ids) for c in chunks]
-    assert set(sizes[:-1]) == {3} and 1 <= sizes[-1] <= 3
-    for c in chunks:
-        edges = plan.order[c.span]
-        assert np.array_equal(c.src.ids, graph.src[edges]) and np.array_equal(c.dst.ids, graph.dst[edges])
-        runs = np.split(c.dst.ids, c.starts[1:])
-        assert all(np.all(run == run[0]) for run in runs)
-        assert len({run[0] for run in runs}) == len(runs)
-    assert plan.chunks(1) is chunks  # kept with the graph
 
 
 def test_a_graph_without_edges_scores_nothing_and_aggregates_zeros():
@@ -203,7 +187,8 @@ def _max_grads(graph, z, alpha, fused, g):
 
 @pytest.mark.parametrize("chunk_edges", [None, 2, 3])
 def test_max_pooling_ties_go_to_the_lowest_edge(monkeypatch, chunk_edges):
-    if chunk_edges:
+    if chunk_edges:  # walked, in blocks of that many ids
+        monkeypatch.setattr(ad, "WALK_MIN_BYTES", 0)
         monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 2 * chunk_edges)
     # Node 0 gets four equal maxima in column 0 (from nodes 1, 2, 3 and 4),
     # and node 1's own row ties with node 4's in column 1.
@@ -222,7 +207,8 @@ def test_max_pooling_ties_go_to_the_lowest_edge(monkeypatch, chunk_edges):
 @pytest.mark.parametrize("chunk_edges", [None, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_max_pooling_lets_non_finite_messages_through(monkeypatch, chunk_edges, bad):
-    if chunk_edges:
+    if chunk_edges:  # walked, in blocks of that many ids
+        monkeypatch.setattr(ad, "WALK_MIN_BYTES", 0)
         monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 2 * chunk_edges)
     rows = [[1.0, 2.0], [bad, 0.5], [3.0, bad], [0.0, 4.0]]
     graph, z, alpha = _max_case(rows, [[1, 0], [2, 0], [3, 0], [0, 2], [3, 2]])
@@ -260,8 +246,8 @@ def test_a_layer_records_a_handful_of_tape_nodes(graph):
 def test_wide_child_step_memory_does_not_grow_with_edges(first):
     """One training step of an 8 x 128 child on a 400-node SBM, and on one
     with twice the edges. The op chains peaked at 540 and 360 MB (an
-    [E, K, D] array is 43 MB here); chunked, the peak is about 80 and
-    50 MB on both graphs."""
+    [E, K, D] array is 43 MB here); walked, the peak is about 50 and
+    40 MB on both graphs."""
     peaks = []
     for p_in, p_out in ((0.06, 0.02), (0.12, 0.04)):
         dataset = generate_sbm(block_count=4, nodes_per_block=100, p_in=p_in, p_out=p_out,
@@ -269,7 +255,7 @@ def test_wide_child_step_memory_does_not_grow_with_edges(first):
         model = build_model(decode(f"first-order,{first},relu,8,128;first-order,gcn,sum,relu,1,8"),
                             dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
         graph = dataset.graphs[0]
-        graph.plan.chunks(8 * 128)  # built before measuring: it outlives the step
+        graph.plan.into_dst, graph.plan.into_src  # built before measuring: they outlive the step
         with traced_memory() as memory:
             logits = forward(model, graph, training=True, rng=np.random.default_rng(1))
             ad.loss(dataset.task_kind, logits, dataset.labels[0], dataset.masks[0].train).backward()

@@ -631,20 +631,19 @@ def test_forwards_build_the_graph_plan_once(tiny_graph, monkeypatch):
     built = []
     original = ad.IndexPlan.__init__
 
-    def counted(self, ids, n):
+    def counted(self, ids, n, kept=False):
         built.append(n)
-        original(self, ids, n)
+        original(self, ids, n, kept)
 
     monkeypatch.setattr(ad.IndexPlan, "__init__", counted)
     arch = _arch("first-order,gcn,max-pooling,relu,2,4;first-order,gat,mean-pooling,linear,1,4")
     model = build_model(arch, 5, 3, np.random.default_rng(0))
     first = forward(model, tiny_graph)
-    # the graph's source and destination plans, and those of its one chunk
-    # (both layers' widths fit all edges in one chunk, so they share it)
-    assert built == [6, 6, 6, 6]
+    # the graph's source and destination plans, which every layer reduces through
+    assert built == [6, 6]
     plan = tiny_graph.plan
     second = forward(model, tiny_graph)
-    assert built == [6, 6, 6, 6] and tiny_graph.plan is plan
+    assert built == [6, 6] and tiny_graph.plan is plan
     assert first.data.tobytes() == second.data.tobytes()
 
 

@@ -252,29 +252,23 @@ def test_level_sum_is_bitwise_add_at_into_zeros(id_draw, width, special_rate, se
     n, ids = id_draw
     ids = np.array(ids, dtype=np.int64)
     values = _values(seed, ids.size, width, special_rate)
-    plan = ad.IndexPlan(ids, n)
-    ref = _ref_add_at(values, ids, n)
+    kept = ad.IndexPlan(ids, n, kept=True)
     with np.errstate(invalid="ignore", over="ignore"):
+        ref = _ref_add_at(values, ids, n)
         # the size rule's pick, and each path whatever the rule says
-        for got in (ad._scatter_add(values, plan, n), plan.levels.sum(values, n), ad._scatter_add(values, ids, n)):
+        for got in (kept.sum(values), kept.levels.sum(values), ad.IndexPlan(ids, n).sum(values)):
             assert _same_bits(got, ref)
-        # a running total over chunks, as the fused ops build one
-        cuts = sorted(np.random.default_rng(seed).integers(0, ids.size + 1, 3).tolist())
-        total = None
-        for lo, hi in zip([0] + cuts, cuts + [ids.size]):
-            total = ad._add_rows(total, values[lo:hi], ad.IndexPlan(ids[lo:hi], n), n)
-    assert _same_bits(total, ref)
 
 
 def test_level_sum_keeps_shape_and_takes_strided_rows(rng):
     seg = _interleaved_ids(rng)
     x = _strided(rng, (E, K, D))
     plan = ad.IndexPlan(seg, N)
-    assert _bitwise(plan.levels.sum(x, N), _ref_add_at(x, seg, N))
+    assert _bitwise(plan.levels.sum(x), _ref_add_at(x, seg, N))
 
 
 def _grouped(n, ids):
-    """Ids grouped as a chunk's destinations are, with their run starts."""
+    """Sorted ids, with their run starts and their levels."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     return ids, starts, ad.IndexPlan(ids, n).levels
@@ -289,16 +283,17 @@ def test_level_max_and_first_winner_are_bitwise_the_reduceat_forms(id_draw, widt
     values = _values(seed, ids.size, width, special_rate)
     values[np.random.default_rng(seed).random(ids.size) < 0.3] = values[0]  # whole-row ties
     rows = ids[starts]
-    top = np.empty((n, width))
-    top[levels.rows] = levels.max(values)
+    top = levels.max(values)
     assert _bitwise(top[rows], np.maximum.reduceat(values, starts, axis=0))
     with np.errstate(invalid="ignore"):
         hit = values == top[ids]
-    hit[starts] |= np.isnan(top[rows])
-    first = np.empty((n, width), dtype=np.int64)
-    first[levels.rows] = levels.first(hit)
     ref = np.minimum.reduceat(np.where(hit, np.arange(ids.size)[:, None], ids.size), starts, axis=0)
-    assert _bitwise(first[rows], ref)
+    ref = np.where(ref == ids.size, starts[:, None], ref)  # a NaN max: the id's first row
+    assert _bitwise(levels.first(hit)[rows], ref)
+    # the winner method through reduceat, over the ids that have rows
+    with np.errstate(invalid="ignore"):
+        winners = ad.IndexPlan(np.searchsorted(rows, ids), len(rows)).winners(values, top[rows])
+    assert _bitwise(winners, ref)
 
 
 def test_level_max_pins_nan_signed_zeros_and_ties():
@@ -315,7 +310,6 @@ def test_level_max_pins_nan_signed_zeros_and_ties():
     assert np.isnan(top[0, 2]) and np.isnan(top[0, 3]) and top[0, 4] == 2.0
     with np.errstate(invalid="ignore"):
         hit = values == top[ids]
-    hit[starts] |= np.isnan(top)
     assert levels.first(hit).tolist() == [[0, 0, 0, 0, 0]]
 
 
@@ -323,7 +317,8 @@ def test_level_max_pins_nan_signed_zeros_and_ties():
 @pytest.mark.parametrize("kind", ["sum", "max-pooling"])
 def test_a_layer_gives_the_same_bits_through_levels_and_reduceat(monkeypatch, kind, chunk_edges):
     """gat scores, softmax and aggregation, forward and backward, with every
-    reduction walked through levels, then with none."""
+    reduction walked through levels, then with none; with ``chunk_edges``,
+    the levels walk in blocks of that many ids."""
     graph = generate_sbm(block_count=2, nodes_per_block=10, p_in=0.5, p_out=0.1, feature_dim=2,
                          signal_strength=1.0, seed=4).graphs[0]
     rng = np.random.default_rng(5)
@@ -356,36 +351,44 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
     """Float32 children: on the 400-node SBM of sbm-share, every
     aggregation and the cos and gene-linear scores of K x D >= 64 walk the
     graph's levels, forward and backward (one [E, K, D] temporary is 1 MB
-    or more there); narrower messages reduce each chunk through its own
-    levels, and scores then reduce nothing in the forward. On a 60-node
-    graph of multigraph-share no width of its space (up to 4 x 32) walks,
-    and 1 x 4 takes the bincount and reduceat. 4-head softmax scores
-    reach no levels."""
+    or more there); narrower messages make one pass over the edges and
+    reduce it through the levels of the graph's plans, and scores then
+    reduce nothing in the forward. On a 60-node graph of multigraph-share
+    no width of its space (up to 4 x 32) walks, and 1 x 4 takes the
+    bincount and reduceat. 4-head softmax scores reach no levels, and the
+    segment ops given raw ids reach none at any width."""
     sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                        signal_strength=0.3, seed=1).graphs[0]
     small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
                                 feature_dim=16, seed=1).graphs[0]
-    seen = []
-    real = ad.Levels.blocks  # every level reduction walks its blocks
-    monkeypatch.setattr(ad.Levels, "blocks", lambda self, width: seen.append(self) or real(self, width))
+    seen, reduced = [], []
+    real_blocks, real_taken = ad.Levels.blocks, ad.Levels._taken
+    # every level walk runs its blocks; a plan's sum or max takes its rows first
+    monkeypatch.setattr(ad.Levels, "blocks", lambda self, width: seen.append(self) or real_blocks(self, width))
+    monkeypatch.setattr(ad.Levels, "_taken", lambda self, values: reduced.append(self) or real_taken(self, values))
 
     def taken(plan):
-        walked = any(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
-        path = "walk" if walked else "chunk levels" if seen else "flat"
+        assert all(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
+        path = "walk" if len(seen) > len(reduced) else "levels" if seen else "flat"
         seen.clear()
+        reduced.clear()
         return path
 
     scores = kind in ("cos", "gene-linear")
-    cases = [(sbm, 1, 8, "chunk levels"), (sbm, 1, 32, "chunk levels"), (sbm, 2, 32, "walk"), (sbm, 4, 16, "walk"),
-             (sbm, 4, 32, "walk"), (small, 1, 4, "flat"), (small, 4, 32, "chunk levels")]
+    cases = [(sbm, 1, 8, "levels"), (sbm, 1, 32, "levels"), (sbm, 2, 32, "walk"), (sbm, 4, 16, "walk"),
+             (sbm, 4, 32, "walk"), (small, 1, 4, "flat"), (small, 4, 32, "levels")]
     for graph, heads, width, path in cases:
-        plan = graph.plan
+        plan, n = graph.plan, graph.node_count
         assert plan.walks(heads * width, 4) == (path == "walk") == (graph.edge_count * heads * width * 4 >= 2**20)
         rng = np.random.default_rng(0)
-        seen.clear()
-        ad.segment_softmax(Tensor(rng.standard_normal((graph.edge_count, 4))), plan.dst, graph.node_count)
+        ad.segment_softmax(Tensor(rng.standard_normal((graph.edge_count, 4))), plan.dst, n)
         assert taken(plan) == "flat"
-        z = Tensor(rng.standard_normal((graph.node_count, heads, width)).astype(np.float32), requires_grad=True)
+        rows = Tensor(rng.standard_normal((graph.edge_count, heads * width)).astype(np.float32), requires_grad=True)
+        for ids, expected in ((graph.dst, "flat"), (plan.dst, "flat" if path == "flat" else "levels")):
+            out = ad.add(ad.segment_softmax(rows, ids, n), ad.gather_rows(ad.segment_max(rows, ids, n), ids))
+            out.backward(np.ones(out.shape, dtype=np.float32))
+            assert taken(plan) == expected, (graph.node_count, heads, width, type(ids))
+        z = Tensor(rng.standard_normal((n, heads, width)).astype(np.float32), requires_grad=True)
         weights = [Tensor(rng.standard_normal((heads, width, width)).astype(np.float32), requires_grad=True)
                    for _ in range(2 if kind in ("mlp", "cos", "gene-linear") else 0)]
         if kind == "gene-linear":
@@ -433,14 +436,12 @@ def _walk_case(attention, aggregation, dtype, seed=21):
 @pytest.mark.parametrize("blocks", ["one", "several"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_the_level_walk_gives_the_chunked_bits_for_every_kind(monkeypatch, dtype, blocks):
-    """Every attention x aggregation kind, walked and chunked. Chunk sums
-    go through their levels here, so one row block and one chunk give the
-    same bits, NaNs included; with 4 ids per row block (so each level
-    spans several) against chunks of 4 (float64) or 8 (float32) edges, a
-    NaN may differ in sign and payload, as the chunks' row-by-row running
-    sum already may."""
+    """Every attention x aggregation kind, walked and in one pass over the
+    edges, whose reductions go through the graph's levels here: the same
+    bits, NaNs included, with one row block or with 4 ids per row block (so
+    each level spans several), where gene-linear's w_a sum also restarts
+    every 4 (float64) or 8 (float32) edges on both paths."""
     monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", 0)
-    same = _bitwise if blocks == "one" else _same_bits
     if blocks == "several":
         monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 6 * 4)
     for attention, aggregation in itertools.product(ATTENTION, AGGREGATION):
@@ -448,10 +449,10 @@ def test_the_level_walk_gives_the_chunked_bits_for_every_kind(monkeypatch, dtype
         for walk_min in (0, 2**62):
             monkeypatch.setattr(ad, "WALK_MIN_BYTES", walk_min)
             runs.append(_walk_case(attention, aggregation, dtype))
-        walked, chunked = runs
-        assert len(walked) == len(chunked) and all(x is not None for x in walked), (attention, aggregation)
-        for i, (got, ref) in enumerate(zip(walked, chunked)):
-            assert got.dtype == dtype and same(got, ref), (attention, aggregation, i)
+        walked, one_pass = runs
+        assert len(walked) == len(one_pass) and all(x is not None for x in walked), (attention, aggregation)
+        for i, (got, ref) in enumerate(zip(walked, one_pass)):
+            assert got.dtype == dtype and _bitwise(got, ref), (attention, aggregation, i)
 
 
 def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
@@ -465,17 +466,18 @@ def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
         values = _values(7, ids.size, 5, 0.05).astype(np.float32)
         values[-1] = -0.0
         ref = _ref_add_at(values.astype(np.float64), ids, n)
-        got = ad.IndexPlan(ids, n).levels.sum(values, n, np.float32)
+        got = ad.IndexPlan(ids, n).levels.sum(values, np.float32)
         assert _same_bits(got, ref.astype(np.float32))
 
 
 @pytest.mark.parametrize("min_cells", [0, 10**9], ids=["chunk-levels", "chunk-reduceat"])
 def test_max_pooling_ties_route_to_the_same_edge_walked_and_chunked(monkeypatch, min_cells):
     """Many equal messages into each destination, ties of 0.0 and -0.0,
-    NaN maxima and infinite gradients, with 3 ids per row block and 3
-    edges per chunk: the walk and the chunks route each (destination,
-    column)'s gradient to its first edge equal to the max, or to its
-    first edge where the max is NaN, bitwise as an inline reference."""
+    NaN maxima and infinite gradients, with 3 ids per row block: the walk
+    and the one pass (through the graph's levels, or through reduceat)
+    route each (destination, column)'s gradient to its first edge equal to
+    the max, or to its first edge where the max is NaN, bitwise as an
+    inline reference."""
     graph = generate_sbm(block_count=2, nodes_per_block=15, p_in=0.5, p_out=0.1, feature_dim=2,
                          signal_strength=1.0, seed=4).graphs[0]
     n, e_count = graph.node_count, graph.edge_count
@@ -518,8 +520,8 @@ def test_max_pooling_ties_route_to_the_same_edge_walked_and_chunked(monkeypatch,
             out = ad.edge_aggregate("max-pooling", alpha, z, graph.plan)
             out.backward(g)
         runs.append([out.data, z.grad, alpha.grad])
-    for walked, chunked, expected in zip(*runs, ref):
-        assert _bitwise(walked, chunked)
+    for walked, one_pass, expected in zip(*runs, ref):
+        assert _bitwise(walked, one_pass)
         assert _same_bits(walked, expected)
 
 
@@ -545,8 +547,8 @@ def _step_peak(arch: str) -> int:
 
 def test_a_walked_training_step_keeps_no_edge_sized_temporaries():
     """One float32 training step of a 4 x 32 gat,sum child on the 400-node
-    SBM: its [E, K, D] temporaries were 2.7 MB each, and the chunked
-    kernels peaked at 7.6 MB; walked, the step peaks at 2.7 MB."""
+    SBM: its [E, K, D] temporaries are 2.7 MB each, and one pass over the
+    edges peaks at 6.7 MB; walked, the step peaks at 2.7 MB."""
     peak = _step_peak("first-order,gat,sum,elu,4,32;first-order,gat,sum,elu,1,32")
     assert peak < 4e6, f"{peak / 1e6:.1f} MB"
 
@@ -555,8 +557,8 @@ def test_a_walked_training_step_keeps_no_edge_sized_temporaries():
                                   "first-order,cos,mlp,leaky_relu,4,32;first-order,gcn,max-pooling,tanh,2,32"],
                          ids=["max-pooling", "cos"])
 def test_walked_max_pooling_and_cos_steps_keep_no_edge_sized_temporaries(arch):
-    """Max-pooling and the cos scores walk too: the chunked kernels peaked
-    at 9.9 MB (max-pooling) and 5.8 MB (cos with max-pooling)."""
+    """Max-pooling and the cos scores walk too: one pass over the edges
+    peaks at 9.5 MB (max-pooling) and 10.9 MB (cos with max-pooling)."""
     peak = _step_peak(arch)
     assert peak < 4e6, f"{peak / 1e6:.1f} MB"
 
@@ -574,10 +576,11 @@ def test_narrow_sums_by_column_are_bitwise_add_at(dtype, width):
     values[ids == 3] = -0.0  # a row of -0.0 sums only -0.0s
     values = values.astype(dtype)
     ref = _ref_add_at(values.astype(np.float64), ids, N).astype(dtype)
-    assert _bitwise(ad._scatter_add(values, ids, N), ref)
-    assert _bitwise(ad._scatter_add(np.asfortranarray(values), ids, N), ref)
-    assert not np.signbit(ad._scatter_add(values, ids, N)[3]).any()
-    assert _bitwise(ad._scatter_add(values[:0], ids[:0], N), np.zeros((N, width), dtype=dtype))
+    plan = ad.IndexPlan(ids, N)
+    assert _bitwise(plan.sum(values), ref)
+    assert _bitwise(plan.sum(np.asfortranarray(values)), ref)
+    assert not np.signbit(plan.sum(values)[3]).any()
+    assert _bitwise(ad.IndexPlan(ids[:0], N).sum(values[:0]), np.zeros((N, width), dtype=dtype))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -594,14 +597,6 @@ def test_gathering_every_row_in_order_returns_the_array(dtype):
     assert _bitwise(x.grad, ref) and not np.signbit(x.grad[4]).any()
     for ids in ([0, 1, 2, 3, 4], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4]):  # not every row in order
         assert not np.shares_memory(ad.gather_rows(x, ids).data, x.data)
-
-
-def test_widths_that_fit_one_chunk_share_it():
-    graph = generate_sbm(block_count=2, nodes_per_block=10, p_in=0.5, p_out=0.1, feature_dim=2,
-                         signal_strength=1.0, seed=4).graphs[0]
-    plan = graph.plan
-    assert len(plan.chunks(8)) == 1 and plan.chunks(8) is plan.chunks(128)
-    assert plan.chunks(1) is plan.chunks(ad.EDGE_CHUNK_BYTES // (8 * graph.edge_count))
 
 
 # ---------------------------------------------------------------------------

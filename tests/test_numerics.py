@@ -94,7 +94,8 @@ def test_every_op_keeps_its_inputs_dtype(dtype):
 @pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
 def test_fused_edge_ops_keep_the_dtype_for_every_kind(dtype, chunked, monkeypatch):
     if chunked:
-        monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 2 * 3 * 5)  # a handful of edges per chunk
+        # a handful of ids per level block and of edges per w_a partial sum
+        monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 2 * 3 * 5)
         monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", 1)  # and the level walks, not the bincount
     rng = np.random.default_rng(5)
     graph = make_graph(6, EDGES, rng.standard_normal((6, 4)))
@@ -139,9 +140,8 @@ def test_float32_gradients_of_the_criterion_1_archs_match_float64():
 
 
 def test_float32_sums_are_one_float64_sum_rounded_once(monkeypatch):
-    """The bincount, the level walk and a running total built chunk by
-    chunk give the same float32 bits: each adds in float64 in index order
-    and rounds once."""
+    """The bincount and the level walk give the same float32 bits: each
+    adds in float64 in index order and rounds once."""
     rng = np.random.default_rng(9)
     n, rows = 7, 300
     ids = np.sort(rng.integers(0, n, rows))
@@ -150,42 +150,47 @@ def test_float32_sums_are_one_float64_sum_rounded_once(monkeypatch):
     np.add.at(ref, ids, values.astype(np.float64))
     ref = ref.astype(np.float32)
     monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", 1)
-    plan = ad.IndexPlan(ids, n)
-    assert plan.levels.fits(values)
-    for got in (ad._scatter_add(values, ids, n), ad._scatter_add(values, plan, n)):
+    kept = ad.IndexPlan(ids, n, kept=True)
+    assert kept.levels.fits(values)
+    for got in (ad.IndexPlan(ids, n).sum(values), kept.sum(values), kept.levels.sum(values, np.float32)):
         assert _bitwise(got, ref)
-    total = None
-    for lo, hi in [(0, 40), (40, 41), (41, 200), (200, rows)]:
-        total = ad._add_rows(total, values[lo:hi], ad.IndexPlan(ids[lo:hi], n), n)
-    assert _bitwise(total.astype(np.float32), ref)
     # width 1 takes the ids as the bincount's cells
-    assert _bitwise(ad._scatter_add(values[:, :1, 0], ids, n), ref[:, :1, 0])
+    assert _bitwise(ad.IndexPlan(ids, n).sum(values[:, :1, 0]), ref[:, :1, 0])
 
 
-def test_float32_chunks_hold_twice_the_edges_and_keep_the_one_chunk_bits(monkeypatch):
+def test_float32_w_a_sums_restart_at_twice_the_edges(monkeypatch):
+    """gene-linear's w_a gradient sums g h over the edges grouped by
+    destination, onto a fresh total every EDGE_CHUNK_BYTES // (itemsize K D)
+    edges: 14 float32 edges where float64 takes 7. Each partial sum has one
+    einsum's bits, carried over blocks of 7 edges. Below the walk size
+    nothing else depends on EDGE_CHUNK_BYTES."""
     dataset = generate_sbm(2, 15, 0.4, 0.05, 4, 1.0, seed=3).with_feature_dtype(np.float32)
     graph = dataset.graphs[0]
+    plan = graph.plan
     width = 2 * 3
     monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * width * 7)
-    plan = graph.plan
-    narrow, wide = plan.chunks(width, 4), plan.chunks(width, 8)
-    assert len(narrow) > 3 and {len(c.dst.ids) for c in narrow[:-1]} == {14}
-    assert {len(c.dst.ids) for c in wide[:-1]} == {7}
 
-    def run():
+    def run(span):
         rng = np.random.default_rng(1)
         z = _param(rng, (graph.node_count, 2, 3), np.float32)
         w_l, w_r = _param(rng, (2, 3, 3), np.float32), _param(rng, (2, 3, 3), np.float32)
+        w_a = _param(rng, (2, 3), np.float32)
         alpha = _param(rng, (graph.edge_count, 2), np.float32)
         out = ad.edge_aggregate("sum", alpha, z, plan)
-        scores = ad.edge_scores("cos", z, plan, w_l, w_r)
-        ad.add(ad.reduce_sum(out), ad.reduce_sum(scores)).backward()
-        return out.data, scores.data, z.grad
+        scores = ad.edge_scores("gene-linear", z, plan, w_l, w_r, w_a)
+        g = rng.standard_normal(scores.shape).astype(np.float32)
+        ad.add(ad.reduce_sum(out), ad.reduce_sum(ad.mul(scores, Tensor(g)))).backward()
+        edges = plan.order  # grouped by destination
+        assert np.array_equal(edges, np.argsort(graph.dst, kind="stable"))
+        h = np.tanh(ad.head_matmul(z, w_l).data[graph.dst[edges]] + ad.head_matmul(z, w_r).data[graph.src[edges]])
+        parts = [np.einsum("ek,ekd->kd", g[edges][lo:lo + span], h[lo:lo + span]) for lo in range(0, len(edges), span)]
+        assert _bitwise(w_a.grad, sum(parts[1:], parts[0]))
+        return out.data, scores.data, z.grad, w_l.grad, w_r.grad
 
-    chunked = run()
+    assert graph.edge_count > 3 * 14
+    sliced = run(14)
     monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 2**30)
-    assert len(plan.chunks(width, 4)) == 1
-    for got, ref in zip(chunked, run()):
+    for got, ref in zip(sliced, run(graph.edge_count)):
         assert got.dtype == np.float32 and _bitwise(got, ref)
 
 

@@ -181,7 +181,8 @@ def test_backward_peak_stays_near_the_tape():
                            feature_dim=16, signal_strength=0.3, seed=1)
     arch = decode("first-order,cos,max-pooling,relu,16,256;first-order,gcn,sum,relu,1,8")
     model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
-    dataset.graphs[0].plan.chunks(16 * 256)  # built before measuring: it outlives the step
+    plan = dataset.graphs[0].plan
+    plan.into_dst, plan.into_src  # built before measuring: they outlive the step
     with traced_memory() as memory:
         _, objective = _child_loss(model, dataset, seed=1)
         held = memory.current()
