@@ -322,9 +322,9 @@ class Levels:
     rows, signed zeros and infinities included (a sum adds in float64, so
     on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
     is NaN, with the sign and payload left to numpy. ``walk`` is the one
-    such reduction, for rows that are built level by level; ``sum`` and
-    ``max`` walk rows taken from one array, and ``first`` finds each max's
-    winning row. Results are in id order. Building the plan costs about
+    such reduction, for rows that are built level by level, and a max
+    walk can note each winning row as it goes; ``sum`` walks rows taken
+    from one array. Results are in id order. Building the plan costs about
     two stable sorts of the ids, so only a kept ``IndexPlan`` builds one.
     """
 
@@ -409,28 +409,6 @@ class Levels:
         ``dtype``, [n, ...]."""
         return self.walk(np.zeros((self.n,) + values.shape[1:], dtype=dtype), self._taken(values))
 
-    def max(self, values: np.ndarray) -> np.ndarray:
-        """The elementwise max of each id's rows, [n, ...]; an id without
-        rows gets no value."""
-        out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
-        return self.walk(out, self._taken(values), np.maximum)
-
-    def first(self, hit: np.ndarray) -> np.ndarray:
-        """Per id and column of the [rows, cols] ``hit``, [n, cols]: the
-        first row where it is set, or the id's first row where none is."""
-        depth = len(self.spans)
-        # the largest depth - k over the levels k that hit is the first
-        # such level; 0 where none does, which picks level 0's row
-        mark = np.zeros((len(self.rows), hit.shape[1]), dtype=np.min_scalar_type(depth))
-        for k, (lo, m) in enumerate(self.spans):
-            hits = hit.take(self.order[lo:lo + m], axis=0)
-            np.maximum(mark[:m], np.multiply(hits, depth - k, dtype=mark.dtype), out=mark[:m])
-        place = np.array([lo for lo, _ in self.spans] + [0]).take(depth - mark)
-        place += np.arange(len(self.rows))[:, None]
-        first = np.empty((self.n, hit.shape[1]), dtype=self.order.dtype)
-        first[self.rows] = self.order.take(place)
-        return first
-
 
 def _ids(ids, what: str) -> np.ndarray:
     """``ids`` as int64; a bool or float id is refused, not truncated."""
@@ -442,7 +420,7 @@ def _ids(ids, what: str) -> np.ndarray:
 
 class IndexPlan:
     """Row ids into ``n`` rows, range-checked once, when built, and the
-    reductions of rows by id: ``sum``, ``max`` and ``winners``.
+    reductions of rows by id: ``sum`` and ``max`` (with its winners).
 
     What the reductions need from the ids (rows per id, a stable row order
     grouped by id, where each id's rows begin, and the ``Levels``) is
@@ -524,24 +502,25 @@ class IndexPlan:
         # bincount returns int64 for an empty input, weights or not.
         return out.astype(values.dtype, copy=False).reshape((self.n,) + rest)
 
-    def max(self, values: np.ndarray) -> np.ndarray:
-        """The elementwise max of each id's rows, [n, ...]: bitwise
-        ``np.maximum.reduceat`` over the grouped rows."""
+    def max(self, values: np.ndarray, winners: bool = False) -> tuple:
+        """(max, winners): the elementwise max of each id's rows, [n, ...],
+        bitwise ``np.maximum.reduceat`` over the grouped rows, and with
+        ``winners`` each cell's first row equal to it, [n, ...], or the
+        id's first row where the max is NaN and so equals none (else None).
+        """
         order, starts = self.grouping  # raises on an id without rows
         if self._walks(values):
-            return self.levels.max(values)
-        return np.maximum.reduceat(values.take(order, axis=0), starts, axis=0)
-
-    def winners(self, values: np.ndarray, top: np.ndarray) -> np.ndarray:
-        """Per id and column of the [rows, cols] ``values``, [n, cols]: the
-        first row equal to the id's max in ``top`` [n, cols], or the id's
-        first row where that max is NaN and so equals none."""
-        hit = values == top.take(self.ids, axis=0)
-        if self._walks(hit):
-            return self.levels.first(hit)
-        order, starts = self.grouping
-        first = np.minimum.reduceat(np.where(hit.take(order, axis=0), order[:, None], len(hit)), starts, axis=0)
-        return np.where(first == len(hit), order.take(starts)[:, None], first)
+            out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
+            won = np.empty(out.shape, dtype=order.dtype) if winners else None
+            return self.levels.walk(out, self.levels._taken(values), np.maximum, won), won
+        grouped = values.take(order, axis=0)
+        out = np.maximum.reduceat(grouped, starts, axis=0)
+        if not winners:
+            return out, None
+        rows = order.reshape((-1,) + (1,) * (values.ndim - 1))
+        hit = grouped == out.repeat(self.counts, axis=0)
+        first = np.minimum.reduceat(np.where(hit, rows, len(order)), starts, axis=0)
+        return out, np.where(first == len(order), rows.take(starts, axis=0), first)
 
 
 # Bytes of one float64 block of ids of the fused edge ops' level walks
@@ -799,24 +778,23 @@ def segment_max(x: Tensor, segment_ids, n_segments: int) -> Tensor:
 
     The max folds each segment's rows in row order, so values are bitwise
     those of ``np.maximum.at``. The winner is the lowest row equal to the
-    max (``IndexPlan.winners``), so ties go to the lowest row index and
-    results do not depend on edge ordering beyond the canonical one. A NaN
-    max equals no row; its gradient goes to the segment's first row, and
-    the NaN flows on to the loss check. Each (winner, column) pair is
-    distinct, so the backward is a plain assignment. Winners are found in
-    the backward, so a forward that is only evaluated does not pay for
-    them.
+    max, so ties go to the lowest row index and results do not depend on
+    edge ordering beyond the canonical one. A NaN max equals no row; its
+    gradient goes to the segment's first row, and the NaN flows on to the
+    loss check. The max notes the winners as it folds, and only where
+    ``x`` needs a gradient. Each (winner, column) pair is distinct, so the
+    backward is a plain assignment.
     """
     plan = _segments(x, segment_ids, n_segments)
     rows = x.data.shape[0]
     rest = x.data.shape[1:]
     flat = x.data.reshape(rows, -1)
     width = flat.shape[1]
-    out = plan.max(flat)
+    out, winners = plan.max(flat, x.requires_grad)
 
     def grad_fn(g):
         gx = np.zeros((rows, width), dtype=flat.dtype)
-        gx[plan.winners(flat, out), np.arange(width)] = g.reshape(n_segments, width)
+        gx[winners, np.arange(width)] = g.reshape(n_segments, width)
         return (gx.reshape((rows,) + rest),)
 
     return record(out.reshape((n_segments,) + rest), (x,), grad_fn)
@@ -834,7 +812,7 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     """
     plan = _segments(scores, segment_ids, n_segments)
     ids = plan.ids
-    seg_max = plan.max(scores.data.reshape(scores.data.shape[0], -1))
+    seg_max, _ = plan.max(scores.data.reshape(scores.data.shape[0], -1))
     exp_scores = np.exp(scores.data - seg_max.reshape((n_segments,) + scores.data.shape[1:]).take(ids, axis=0))
     denom = plan.sum(exp_scores).take(ids, axis=0)
     data = exp_scores / denom
@@ -1083,13 +1061,13 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     weights mlp_w1, mlp_w2 [K, D, D]; it is computed as
     (sum of relu(alpha[e] (z w1)[src e])) w2, so both products run on
     node rows, and agrees with the per-message form up to rounding.
-    Mean and max need every node to have an in-edge.
+    Mean and max need every node to have an in-edge. Where a gradient is
+    needed, max-pooling's forward notes each (destination, column)'s
+    winning edge, [N, K, D], and keeps it for the backward.
 
     Where ``plan.walks`` an [E, K, D] temporary, every kind walks the
     graph's levels: the forward folds ``z.take(sources in destination
-    level order) * alpha`` into the destinations (max-pooling records each
-    (destination, column)'s winning edge as it goes, an int32 [N, K, D]
-    array kept for the backward), and the backward sums
+    level order) * alpha`` into the destinations, and the backward sums
     ``g.take(destinations in source level order) * alpha`` into the
     sources (max-pooling's ``g`` is its value at the winners and 0.0
     elsewhere). Position j of every source level is an edge out of source
@@ -1137,7 +1115,7 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         else:
             data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_rows)
     elif kind == "max-pooling":
-        data = plan.dst.max(messages(alpha.data, plan.src.ids))
+        data, winners = plan.dst.max(messages(alpha.data, plan.src.ids), need_alpha or need_z)
     else:
         data = plan.dst.sum(messages(alpha.data, plan.src.ids))
     if inv is not None:
@@ -1145,8 +1123,8 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
     if kind == "mlp":
         hidden, data = data, _heads(data, w2)
     need_w = [w.requires_grad for w in weights]
-    # sum and mean need the neighbour rows only for alpha's gradient
-    need_rows = need_alpha or kind in ("max-pooling", "mlp")
+    # only mlp's relu mask needs the neighbour rows beyond alpha's gradient
+    need_rows = need_alpha or kind == "mlp"
 
     def message_grads(g_m, a, z_m):
         """The gradients of C messages alpha z_m [C, K, D] from theirs,
@@ -1194,9 +1172,8 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             z_m = z_val.take(plan.src.ids, axis=0) if need_rows else None
             if kind == "max-pooling":
                 cols = heads * width
-                won = plan.dst.winners((a * z_m).reshape(-1, cols), data.reshape(n, cols))
                 g_m = np.zeros((plan.edge_count, cols), dtype=dtype)
-                g_m[won, np.arange(cols)] = g.reshape(n, cols)
+                g_m[winners.reshape(n, cols), np.arange(cols)] = g.reshape(n, cols)
                 g_m = g_m.reshape(-1, heads, width)
             else:
                 g_m = g.take(plan.dst.ids, axis=0)

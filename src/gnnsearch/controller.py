@@ -8,8 +8,9 @@ input. Logits are softened by a temperature then squashed to
 caps how deterministic the policy can become.
 
 One walk serves sampling, teacher forcing and batch scoring. It runs in
-plain numpy. The four gates' weights are stacked into [H, 4H] matrices
-once per walk, so each slot's pre-activations are one product per input.
+plain numpy. The four gates' weights are kept stacked, as [H, 4H] matrices
+``w_x`` and ``w_h`` and a [1, 4H] bias ``b_``, so each slot's
+pre-activations are one product per input.
 A live walk (``sample``, ``teacher_force``) records its log-prob as a
 single tape node whose backward is hand-written backpropagation through
 time over the slots; batched walks record nothing.
@@ -38,9 +39,9 @@ from .errors import ParameterError, ShapeError
 INIT_BOUND = 0.1
 CHECKPOINT_VERSION = 1
 
-_GATES = ("i", "f", "g", "o")  # the order their parameters are drawn in
-# The column order of the walk's stacked [H, 4H] gate weights: the three
-# sigmoid gates first, so one sigmoid covers 3H columns and one tanh the rest.
+_GATES = ("i", "f", "g", "o")  # the order their parameters are drawn and saved in
+# The column order of the stacked gate weights and bias: the three sigmoid
+# gates first, so one sigmoid covers 3H columns and one tanh the rest.
 _STACKED = ("i", "f", "o", "g")
 
 
@@ -103,11 +104,10 @@ class Controller:
         self.temperature = temperature
         self.logit_clip = logit_clip
         h = hidden_size
-        self._params: dict[str, Tensor] = {}
-        for gate in _GATES:
-            self._params[f"w_x{gate}"] = ad.uniform_param(rng, (h, h), INIT_BOUND)
-            self._params[f"w_h{gate}"] = ad.uniform_param(rng, (h, h), INIT_BOUND)
-            self._params[f"b_{gate}"] = ad.uniform_param(rng, (1, h), INIT_BOUND)
+        self._params: dict[str, Tensor] = {kind: Tensor(np.empty((rows, 4 * h)), requires_grad=True)
+                                           for kind, rows in (("w_x", h), ("w_h", h), ("b_", 1))}
+        for _, tensor, cols in _entries(self):  # the gate blocks, in the order they are drawn in
+            tensor.data[:, cols] = rng.uniform(-INIT_BOUND, INIT_BOUND, (tensor.shape[0], h))
         self._params["start"] = ad.uniform_param(rng, (1, h), INIT_BOUND)
         for s, slot in enumerate(self.slots):
             n = len(slot.options)
@@ -123,9 +123,10 @@ class Controller:
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
-        for name in sorted(self._params):
+        # over format 1's entries, so equal weights hash alike across layouts
+        for name, tensor, cols in sorted(_entries(self), key=lambda entry: entry[0]):
             digest.update(name.encode())
-            digest.update(self._params[name].data.tobytes())
+            digest.update(tensor.data[:, cols].tobytes())
         return digest.hexdigest()
 
     # -- the LSTM walk -----------------------------------------------------
@@ -137,15 +138,12 @@ class Controller:
         [rows, options] probabilities. With a ``count`` the walk scores
         ``count`` independent rows and records nothing. Without one it is
         live: one row, whose log-prob is a scalar tape node with ``_bptt``
-        as its backward; the node drops the stacked gate weights once
-        ``_bptt``'s slot loop has read them. Returns (tokens [rows,
-        slots], log-prob, entropy [rows]).
+        as its backward. The gate weights are read where they are kept.
+        Returns (tokens [rows, slots], log-prob, entropy [rows]).
         """
         rows = 1 if count is None else count
         size = self.hidden_size
         p = {name: t.data for name, t in self._params.items()}
-        w_x, w_h, b = (np.concatenate([p[f"{kind}{gate}"] for gate in _STACKED], axis=1)
-                       for kind in ("w_x", "w_h", "b_"))
         h = np.zeros((rows, size))
         c = np.zeros((rows, size))
         x = p["start"]
@@ -155,7 +153,7 @@ class Controller:
         tokens = np.empty((rows, len(self.slots)), dtype=np.int64)
         steps = []
         for s in range(len(self.slots)):
-            pre = x @ w_x + h @ w_h + b
+            pre = x @ p["w_x"] + h @ p["w_h"] + p["b_"]
             gates = np.concatenate([ad.stable_sigmoid(pre[:, :3 * size]), np.tanh(pre[:, 3 * size:])], axis=1)
             i, f, o, g = (gates[:, k * size:(k + 1) * size] for k in range(4))
             h_prev, c_prev = h, c
@@ -178,25 +176,19 @@ class Controller:
                 x = p[f"slot{s}.emb"].take(tokens[:, s], axis=0)
         if count is not None:
             return tokens, Tensor(log_prob), entropy
-        stacked = [w_x, w_h]
         node = ad.record(log_prob.reshape(()), tuple(self._params.values()),
-                         lambda grad: self._bptt(grad, p, stacked, steps))
+                         lambda grad: self._bptt(grad, p, steps))
         return tokens, node, entropy
 
-    def _bptt(self, grad: np.ndarray, p: dict, stacked: list, steps: list) -> tuple:
+    def _bptt(self, grad: np.ndarray, p: dict, steps: list) -> tuple:
         """Gradients of a live walk's log-prob, one per parameter.
 
-        ``stacked`` holds the walk's stacked [H, 4H] gate weights ``w_x``
-        and ``w_h``; it is emptied on entry, and they are dropped once the
-        slot loop has read them. Each step, last slot first, forms one
-        [1, 4H] gate gradient and takes the gradients of its input and of
-        the previous h from it with one product each; the eight gate
-        weights then get theirs from two [H, T] @ [T, 4H] products, and
-        the four biases from one column sum. The last slot's embedding
-        gets None: no step reads it.
+        Each step, last slot first, forms one [1, 4H] gate gradient and
+        takes the gradients of its input and of the previous h from it
+        with one product each; ``w_x`` and ``w_h`` then get theirs from
+        one [H, T] @ [T, 4H] product each, and ``b_`` from one column sum.
+        The last slot's embedding gets None: no step reads it.
         """
-        w_x, w_h = stacked
-        stacked.clear()
         size, scale = self.hidden_size, float(grad)
         d_pres = np.empty((len(steps), 4 * size))
         grads = {}
@@ -219,22 +211,18 @@ class Controller:
             sig = st.gates[:, :3 * size]
             d_pre[:, :3 * size] = np.concatenate([dc * g, dc * st.c_prev, dh * st.tanh_c], axis=1) * sig * (1.0 - sig)
             d_pre[:, 3 * size:] = dc * i * (1.0 - g * g)
-            dx = d_pre @ w_x.T
+            dx = d_pre @ p["w_x"].T
             if s == 0:
                 grads["start"] = dx
             else:
                 emb = np.zeros_like(p[f"slot{s - 1}.emb"])
                 emb[steps[s - 1].token] = dx[0]
                 grads[f"slot{s - 1}.emb"] = emb
-                dh_next = d_pre @ w_h.T
+                dh_next = d_pre @ p["w_h"].T
                 dc_next = dc * f
-        del w_x, w_h
-        d_w = {"w_x": np.concatenate([st.x for st in steps]).T @ d_pres,
-               "w_h": np.concatenate([st.h_prev for st in steps]).T @ d_pres,
-               "b_": d_pres.sum(axis=0, keepdims=True)}
-        for kind, stacked in d_w.items():
-            for k, gate in enumerate(_STACKED):
-                grads[f"{kind}{gate}"] = stacked[:, k * size:(k + 1) * size]
+        grads["w_x"] = np.concatenate([st.x for st in steps]).T @ d_pres
+        grads["w_h"] = np.concatenate([st.h_prev for st in steps]).T @ d_pres
+        grads["b_"] = d_pres.sum(axis=0, keepdims=True)
         return tuple(grads.get(name) for name in self._params)
 
     def _token_rows(self, tokens) -> np.ndarray:
@@ -364,6 +352,22 @@ def open_npz(path) -> np.lib.npyio.NpzFile:
     return bundle
 
 
+def _entries(controller: Controller):
+    """Checkpoint format 1's entries, in its order: (entry name, tensor,
+    column slice). A gate's weights and bias (``w_xi`` ... ``b_o``) are
+    its column block of ``w_x``, ``w_h`` and ``b_``; every other entry is
+    a whole tensor, under its name with "." written "__" in the file."""
+    params = controller.named_parameters()
+    stacked = {kind: params.pop(kind) for kind in ("w_x", "w_h", "b_")}
+    size = controller.hidden_size
+    for gate in _GATES:
+        k = _STACKED.index(gate)
+        for kind, tensor in stacked.items():
+            yield f"{kind}{gate}", tensor, slice(k * size, (k + 1) * size)
+    for name, tensor in params.items():
+        yield name, tensor, slice(None)
+
+
 def save_controller(controller: Controller, path) -> None:
     """Write parameters plus enough metadata to rebuild the controller."""
     meta = {
@@ -373,7 +377,7 @@ def save_controller(controller: Controller, path) -> None:
         "logit_clip": controller.logit_clip,
         "space": asdict(controller.space),
     }
-    arrays = {name.replace(".", "__"): t.data for name, t in controller.named_parameters().items()}
+    arrays = {name.replace(".", "__"): tensor.data[:, cols] for name, tensor, cols in _entries(controller)}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
@@ -408,15 +412,15 @@ def load_controller(path) -> Controller:
         raise ParameterError(f"controller checkpoint {path} has no __meta__ field {err}") from None
     except (TypeError, ParameterError) as err:
         raise ParameterError(f"controller checkpoint {path} has a bad __meta__: {err}") from None
-    for name, tensor in controller.named_parameters().items():
-        entry = stored.get(name.replace(".", "__"))
+    for name, tensor, cols in _entries(controller):
+        entry, target = stored.get(name.replace(".", "__")), tensor.data[:, cols]
         if entry is None:
             raise ParameterError(f"controller checkpoint {path} has no entry {name}")
-        if entry.shape != tensor.data.shape:
-            raise ShapeError(f"controller checkpoint {path} entry {name}: shape {entry.shape} != {tensor.data.shape}")
+        if entry.shape != target.shape:
+            raise ShapeError(f"controller checkpoint {path} entry {name}: shape {entry.shape} != {target.shape}")
         if entry.dtype.kind not in "biuf":
             raise ParameterError(f"controller checkpoint {path} entry {name} holds {entry.dtype} values, not numbers")
         if not np.isfinite(entry).all():
             raise ParameterError(f"controller checkpoint {path} entry {name} holds a value that is not finite")
-        tensor.data = entry.astype(np.float64)
+        target[...] = entry
     return controller

@@ -9,6 +9,7 @@ and with a precomputed ``IndexPlan``, the form message passing passes.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,33 +268,40 @@ def test_level_sum_keeps_shape_and_takes_strided_rows(rng):
     assert _bitwise(plan.levels.sum(x), _ref_add_at(x, seg, N))
 
 
-def _grouped(n, ids):
-    """Sorted ids, with their run starts and their levels."""
+def _grouped(ids):
+    """Sorted ids, relabelled to the ids that have rows, and their run starts."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    return ids, starts, ad.IndexPlan(ids, n).levels
+    return np.searchsorted(ids[starts], ids), starts
+
+
+def _maxima(ids, n, values):
+    """``IndexPlan.max(values, winners=True)`` on a kept plan that walks
+    its levels, then on a plan that calls reduceat."""
+    kept, unkept = ad.IndexPlan(ids, n, kept=True), ad.IndexPlan(ids, n)
+    with mock.patch.object(ad, "LEVEL_MIN_CELLS", 0):
+        assert kept._walks(values)
+        walked = kept.max(values, winners=True)
+    assert not unkept._walks(values)
+    return walked, unkept.max(values, winners=True)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_id_draws().filter(lambda d: d[1]), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]),
        st.integers(0, 2**32 - 1))
 def test_level_max_and_first_winner_are_bitwise_the_reduceat_forms(id_draw, width, special_rate, seed):
-    n, ids = id_draw
-    ids, starts, levels = _grouped(n, ids)
+    _, ids = id_draw
+    ids, starts = _grouped(ids)
     values = _values(seed, ids.size, width, special_rate)
     values[np.random.default_rng(seed).random(ids.size) < 0.3] = values[0]  # whole-row ties
-    rows = ids[starts]
-    top = levels.max(values)
-    assert _bitwise(top[rows], np.maximum.reduceat(values, starts, axis=0))
+    ref_top = np.maximum.reduceat(values, starts, axis=0)
     with np.errstate(invalid="ignore"):
-        hit = values == top[ids]
+        hit = values == ref_top[ids]
     ref = np.minimum.reduceat(np.where(hit, np.arange(ids.size)[:, None], ids.size), starts, axis=0)
     ref = np.where(ref == ids.size, starts[:, None], ref)  # a NaN max: the id's first row
-    assert _bitwise(levels.first(hit)[rows], ref)
-    # the winner method through reduceat, over the ids that have rows
-    with np.errstate(invalid="ignore"):
-        winners = ad.IndexPlan(np.searchsorted(rows, ids), len(rows)).winners(values, top[rows])
-    assert _bitwise(winners, ref)
+    for top, winners in _maxima(ids, len(starts), values):
+        assert _bitwise(top, ref_top)
+        assert _bitwise(winners, ref)
 
 
 def test_level_max_pins_nan_signed_zeros_and_ties():
@@ -303,14 +311,28 @@ def test_level_max_pins_nan_signed_zeros_and_ties():
     # the first row, and a NaN max sends its gradient to the first row.
     values = np.array([[0.0, -0.0, np.nan, 1.0, 2.0],
                        [-0.0, 0.0, 1.0, np.nan, 2.0]])
-    ids, starts, levels = _grouped(1, [0, 0])
-    top = levels.max(values)
-    assert _bitwise(top, np.maximum.reduceat(values, starts, axis=0))
-    assert _bitwise(top[0], np.maximum(values[0], values[1]))
-    assert np.isnan(top[0, 2]) and np.isnan(top[0, 3]) and top[0, 4] == 2.0
-    with np.errstate(invalid="ignore"):
-        hit = values == top[ids]
-    assert levels.first(hit).tolist() == [[0, 0, 0, 0, 0]]
+    ids, starts = _grouped([0, 0])
+    for top, winners in _maxima(ids, 1, values):
+        assert _bitwise(top, np.maximum.reduceat(values, starts, axis=0))
+        assert _bitwise(top[0], np.maximum(values[0], values[1]))
+        assert np.isnan(top[0, 2]) and np.isnan(top[0, 3]) and top[0, 4] == 2.0
+        assert winners.tolist() == [[0, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("min_cells", [0, ad.LEVEL_MIN_CELLS])
+def test_segment_max_builds_winners_only_for_a_gradient(monkeypatch, min_cells):
+    # Through a level walk and through reduceat: an input that needs no
+    # gradient gets its max alone, and one that does gets the winners the
+    # backward scatters to.
+    monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", min_cells)
+    plan = ad.IndexPlan(_interleaved_ids(np.random.default_rng(0)), N, kept=True)
+    asked, max_ = [], ad.IndexPlan.max
+    monkeypatch.setattr(ad.IndexPlan, "max", lambda self, *args: asked.append(args[1:]) or max_(self, *args))
+    x = np.random.default_rng(1).standard_normal((E, K, D))
+    assert _bitwise(ad.segment_max(Tensor(x), plan, N).data, _ref_max_at(x, plan.ids, N)[0])
+    assert asked == [(False,)]
+    ad.segment_max(Tensor(x, requires_grad=True), plan, N).backward(np.ones((N, K, D)))
+    assert asked == [(False,), (True,)]
 
 
 @pytest.mark.parametrize("chunk_edges", [None, 5])

@@ -1,7 +1,8 @@
 """The controller's walk as one tape node, against the per-op chain it replaced.
 
-Since numerics version 2 the walk stacks the gate weights and sums the
-weight gradients with GEMMs, so it agrees with the chain to rounding: log-
+Since numerics version 2 the walk takes each input's product with all four
+gates at once and sums the weight gradients with GEMMs, so it agrees with
+the chain of per-gate products to rounding: log-
 probs, entropies and gradients within 1e-12 norm-relative, and the same
 tokens drawn from the same stream.
 """
@@ -26,11 +27,15 @@ SPACES = {
 
 
 def _chain_step(p, x, h, c):
-    """One LSTM step as it was recorded before the walk became one node."""
+    """One LSTM step recorded op by op on the stacked gate tensors: one
+    product per input, then each gate's [1, H] block of the [4, H]
+    pre-activations, in the stacked order (i, f, o, g)."""
+    pre = ad.add(ad.add(ad.matmul(x, p["w_x"]), ad.matmul(h, p["w_h"])), p["b_"])
+    blocks = ad.reshape(pre, (4, -1))
     gates = {}
-    for gate in ("i", "f", "g", "o"):
-        pre = ad.add(ad.add(ad.matmul(x, p[f"w_x{gate}"]), ad.matmul(h, p[f"w_h{gate}"])), p[f"b_{gate}"])
-        gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
+    for k, gate in enumerate("ifog"):
+        pre_gate = ad.gather_rows(blocks, [k])
+        gates[gate] = ad.tanh(pre_gate) if gate == "g" else ad.sigmoid(pre_gate)
     c_next = ad.add(ad.mul(gates["f"], c), ad.mul(gates["i"], gates["g"]))
     h_next = ad.mul(gates["o"], ad.tanh(c_next))
     return h_next, c_next
