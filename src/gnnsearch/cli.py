@@ -31,7 +31,7 @@ from .arch import (
 )
 from .controller import load_controller, save_controller
 from .errors import ConfigError, GnnSearchError, ParameterError
-from .gnn import TrainHyperparams, build_model, train_child
+from .gnn import TrainHyperparams, build_model, median, train_child
 from .graphs import LabeledDataset, generate_multigraph, generate_sbm, load_citation
 from .search import (
     STRATEGIES,
@@ -194,7 +194,9 @@ def cmd_search(cfg: dict, out_dir: Path, forced_strategy: str | None = None) -> 
         cfg = dict(cfg, strategy=forced_strategy)
     config = build_search_config(cfg)
     space = build_space(cfg)
-    dataset = make_dataset(cfg)
+    # Held in a list that search pops from, so that search holds the only
+    # reference and frees the float64 features once it has cast them.
+    datasets = [make_dataset(cfg)]
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "search.log"
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -203,7 +205,7 @@ def cmd_search(cfg: dict, out_dir: Path, forced_strategy: str | None = None) -> 
             fh.write(record.to_line() + "\n")
             fh.flush()
 
-        log = search(config, dataset=dataset, space=space, record_sink=sink)
+        log = search(config, dataset=datasets.pop(), space=space, record_sink=sink)
     _write_topk(log, config.top_k, out_dir / "topk.csv")
     if log.controller is not None:
         save_controller(log.controller, out_dir / "controller.npz")
@@ -220,14 +222,14 @@ def cmd_search(cfg: dict, out_dir: Path, forced_strategy: str | None = None) -> 
 
 def cmd_derive(cfg: dict, out_dir: Path) -> int:
     config = build_search_config(cfg)
-    dataset = make_dataset(cfg)
+    datasets = [make_dataset(cfg)]  # popped into derive, as in cmd_search
     controller_path = out_dir / "controller.npz"
     if not controller_path.exists():
         raise ConfigError(f"no controller checkpoint at {controller_path}; run search first")
     controller = load_controller(controller_path)
     store_path = out_dir / "store.npz"
     store = load_store(store_path) if store_path.exists() else None
-    result = derive(controller, store, dataset, config)
+    result = derive(controller, store, datasets.pop(), config)
     arch_text = encode(result.arch)
     (out_dir / "derived.txt").write_text(arch_text + "\n", encoding="utf-8")
     print(arch_text)
@@ -274,7 +276,7 @@ def _report_row(name: str, depth: int, params: int, seconds: list, metrics: list
         name,
         depth,
         params,
-        f"{float(np.median(seconds)):.10g}",
+        f"{median(seconds):.10g}",
         f"{float(np.mean(metrics)):.10g}",
         std,
     ]
@@ -324,7 +326,7 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
         model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
         top = [reward for _arch, reward in top_k_report(records, top_k)]
         wall = [r.wall_ms / 1000.0 for r in records[1:]] or [records[0].wall_ms / 1000.0]
-        rows.append(_report_row(stem, arch.depth, model.param_count(), [float(np.median(wall))], top))
+        rows.append(_report_row(stem, arch.depth, model.param_count(), wall, top))
 
         best_so_far = -np.inf
         above = 0

@@ -342,6 +342,17 @@ class TrainedResult:
     best_logits: dict
 
 
+def median(values) -> float:
+    """The median of a non-empty list of floats in np.median's arithmetic
+    (the middle value, or (a + b) / 2 of the middle two), without the
+    numpy.ma import np.median makes."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams) -> TrainedResult:
     """Adam on the training loss with validation-metric early stopping.
 
@@ -415,7 +426,7 @@ def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams
     model.restore(best_snapshot)
     test_metric = evaluate(model, dataset, "test", dict(best_logits))
     if len(epoch_seconds) > 1:
-        sec = float(np.median(epoch_seconds[1:]))  # first epoch pays warm-up costs
+        sec = median(epoch_seconds[1:])  # first epoch pays warm-up costs
     else:
         sec = float(epoch_seconds[0])
     return TrainedResult(

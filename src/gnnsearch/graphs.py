@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import EdgePlan
+from .autodiff import EdgePlan, _ids
 from .errors import IngestionError, ParameterError
 
 TASK_KINDS = ("single", "multi")
@@ -60,9 +60,20 @@ class Graph:
         return replace(self, features=features)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, flattened, in ascending order:
+    np.unique's result, without the numpy.ma import np.unique makes."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarray:
-    """Dedupe, optionally add reverse edges, always add self-loops, sort."""
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    """Dedupe, optionally add reverse edges, always add self-loops, sort.
+    Endpoints must be integers; a bool or float one is refused."""
+    arr = _ids(edges, "edge endpoints").reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= node_count):
         raise ParameterError(f"edge endpoint out of range for {node_count} nodes")
     src, dst = arr[:, 0], arr[:, 1]
@@ -71,7 +82,7 @@ def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarr
     if symmetrize:
         parts.append(dst * node_count + src)
     # A pair's code src * n + dst sorts as the (src, dst) tuple does.
-    codes = np.unique(np.concatenate(parts))
+    codes = _sorted_unique(np.concatenate(parts))
     return np.stack([codes // node_count, codes % node_count], axis=1)
 
 
@@ -103,23 +114,20 @@ class SplitMask:
 
 
 def make_mask(node_count: int, train, val, test) -> SplitMask:
+    """Sorted, deduped train/val/test ids; they must be integers in range
+    and the three sets disjoint."""
     parts = []
     for name, ids in (("train", train), ("val", val), ("test", test)):
-        arr = np.unique(np.asarray(ids, dtype=np.int64))
+        arr = _sorted_unique(_ids(ids, f"{name} mask ids"))
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ParameterError(f"{name} mask id out of range for {node_count} nodes")
         parts.append(arr)
-    train_a, val_a, test_a = parts
-    overlap = (
-        np.intersect1d(train_a, val_a).size
-        or np.intersect1d(train_a, test_a).size
-        or np.intersect1d(val_a, test_a).size
-    )
-    if overlap:
+    # Each part is deduped, so the three overlap iff joining them repeats an id.
+    if _sorted_unique(np.concatenate(parts)).size < sum(part.size for part in parts):
         raise ParameterError("train/val/test masks overlap")
     for arr in parts:
         arr.setflags(write=False)
-    return SplitMask(train=train_a, val=val_a, test=test_a)
+    return SplitMask(*parts)
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,9 @@ def generate_sbm(
         members = rng.permutation(np.nonzero(labels == b)[0])
         train_ids.extend(members[:train_per_class])
     train_ids = np.array(sorted(train_ids), dtype=np.int64)
-    rest = rng.permutation(np.setdiff1d(np.arange(n), train_ids))
+    free = np.ones(n, dtype=bool)
+    free[train_ids] = False
+    rest = rng.permutation(np.nonzero(free)[0])
     if val_count is None:
         val_count = max(1, n // 4)
     if val_count >= rest.size:

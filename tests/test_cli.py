@@ -1,14 +1,24 @@
 """End-to-end command tests: exit codes, artifacts, and overrides."""
 
 import csv
+import gc
+import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gnnsearch import cli
 from gnnsearch.cli import build_search_config, load_config, main
-from gnnsearch.search import SearchConfig
+from gnnsearch.search import EpisodeRecord, SearchConfig
+
+search_module = importlib.import_module("gnnsearch.search")
 
 BASE_CFG = {
     "dataset": "sbm",
@@ -111,6 +121,83 @@ def test_strategy_flag_overrides_config(tmp_path, capsys):
     assert main(["search", "--config", str(cfg), "--out", str(out), "--strategy", "random"]) == 0
     capsys.readouterr()
     assert not (out / "controller.npz").exists()
+
+
+def _assert_all_freed(refs):
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs), "a float64 dataset is still alive"
+
+
+def test_search_and_derive_free_the_float64_dataset(tmp_path, capsys, monkeypatch):
+    # Both work on their float32 cast, so the float64 features must not
+    # outlive it: by the first record and the first child they are freed.
+    refs = []
+    make_dataset = cli.make_dataset
+
+    def watched_make_dataset(cfg):
+        dataset = make_dataset(cfg)
+        refs.append(weakref.ref(dataset))
+        return dataset
+
+    monkeypatch.setattr(cli, "make_dataset", watched_make_dataset)
+    checked = []
+    to_line = EpisodeRecord.to_line
+
+    def checked_to_line(record):
+        _assert_all_freed(refs)
+        checked.append("search")
+        return to_line(record)
+
+    monkeypatch.setattr(EpisodeRecord, "to_line", checked_to_line)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+
+    train_child = search_module.train_child
+
+    def checked_train_child(model, dataset, hp):
+        _assert_all_freed(refs)
+        checked.append("derive")
+        return train_child(model, dataset, hp)
+
+    monkeypatch.setattr(search_module, "train_child", checked_train_child)
+    assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(refs) == 2 and checked.count("search") == 4 and "derive" in checked
+
+
+_COMMANDS_WITHOUT_NUMPY_MA = """
+import json, sys
+from pathlib import Path
+from gnnsearch.cli import main
+work = Path(sys.argv[1])
+for name, cfg in json.loads(sys.argv[2]).items():
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = work / name
+    args = ["--config", str(path), "--out", str(out)]
+    for command, *extra in (["search"], ["derive"], ["train", "--arch", "first-order,gcn,sum,relu,1,4"],
+                            ["report", str(out / "search.log")]):
+        assert main([command, *args, *extra]) == 0, (name, command)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique, np.setdiff1d, np.intersect1d and np.median each import
+    # numpy.ma, about 0.4 MB of modules that nothing here uses. A fresh
+    # interpreter, so that no test or plugin has loaded it already.
+    configs = {
+        "sbm": {**BASE_CFG, "param_sharing": True},
+        "multigraph": {**BASE_CFG, "dataset": "multigraph", "graph_count": 3, "nodes_per_graph": 8,
+                       "label_count": 2},
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_NUMPY_MA, str(tmp_path), json.dumps(configs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from gnnsearch.gnn import (
     forward,
     init_layer_params,
     layer_shapes,
+    median,
     node_metric,
     train_child,
 )
@@ -439,6 +440,15 @@ def test_training_fits_easy_blocks(easy_sbm):
     assert result.test_metric > 0.8
     assert result.seconds_per_epoch > 0
     assert result.opt_steps == result.epochs_ran
+
+
+def test_median_is_np_median():
+    rng = np.random.default_rng(2)
+    for n in range(1, 40):
+        values = [float(v) for v in rng.exponential(rng.uniform(1e-4, 10.0), size=n)]
+        assert median(values) == float(np.median(values))
+        assert type(median(values)) is float
+    assert median([3.0, 1.0]) == 2.0 and median([0.1, 0.2]) == (0.1 + 0.2) / 2
 
 
 def test_training_restores_best_snapshot(easy_sbm):

@@ -62,6 +62,24 @@ def test_canonical_edges_endpoint_out_of_range():
         canonical_edges(3, [[0, 3]])
 
 
+@pytest.mark.parametrize("edges", [[[0, 1.7], [True, 2]], [[True, False]], np.ones((2, 2), dtype=bool)],
+                         ids=["float", "bool-list", "bool-array"])
+def test_canonical_edges_refuse_ids_that_are_not_integers(edges):
+    # np.asarray(..., dtype=int64) read the first as edges (0, 1) and (1, 2).
+    with pytest.raises(ParameterError, match="edge endpoints must hold integers"):
+        canonical_edges(3, edges)
+    with pytest.raises(ParameterError, match="edge endpoints must hold integers"):
+        make_graph(3, edges, np.zeros((3, 2)))
+
+
+def test_canonical_edges_accept_empty_and_unsigned_ids():
+    loops = [[0, 0], [1, 1], [2, 2]]
+    assert canonical_edges(3, []).tolist() == loops
+    assert canonical_edges(3, np.zeros((0, 2))).tolist() == loops
+    out = canonical_edges(3, np.array([[2, 0]], dtype=np.uint8))
+    assert out.dtype == np.int64 and out.tolist() == [[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]]
+
+
 def test_make_graph_degrees_are_in_degrees(rng):
     g = make_graph(4, [[0, 1], [2, 1]], rng.standard_normal((4, 3)))
     # Each node gets a self-loop; node 1 additionally receives from 0 and 2.
@@ -98,6 +116,30 @@ def test_make_mask_rejects_overlap_and_bad_ids():
         make_mask(10, [1, 2], [2], [3])
     with pytest.raises(ParameterError, match="out of range"):
         make_mask(10, [1], [11], [3])
+
+
+@pytest.mark.parametrize("kind, ids", [("train", [0.9]), ("val", [1.2]), ("test", [2.5]), ("val", [True])])
+def test_make_mask_refuses_ids_that_are_not_integers(kind, ids):
+    parts = {"train": [], "val": [], "test": [], kind: ids}
+    with pytest.raises(ParameterError, match=f"{kind} mask ids must hold integers"):
+        make_mask(3, parts["train"], parts["val"], parts["test"])
+
+
+def test_make_mask_matches_the_unique_and_intersect_forms():
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 40):
+        for _ in range(50):
+            train, val, test = (rng.integers(0, n, size=rng.integers(0, n + 1)) for _ in range(3))
+            disjoint = not (set(train) & set(val) or set(train) & set(test) or set(val) & set(test))
+            if not disjoint:
+                with pytest.raises(ParameterError, match="overlap"):
+                    make_mask(n, train, val, test)
+                continue
+            mask = make_mask(n, train, val, test)
+            for got, ids in zip((mask.train, mask.val, mask.test), (train, val, test)):
+                want = np.unique(ids.astype(np.int64))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert make_mask(4, [], [], []).train.tolist() == []
 
 
 def test_mask_of_unknown_kind():
