@@ -14,12 +14,18 @@ A primitive whose inputs need a gradient stores them and its backward
 rule on its output tensor, so every recorded output is a tape node;
 ``Tensor.backward`` replays the tape in reverse topological order and
 accumulates gradients on every leaf tensor that requires them. A tape
-is single-use: the backward frees it as it goes. Each node gives up its inputs and its backward rule
-(and so the arrays the rule saved) once it has run, and each
-intermediate gradient is dropped once its node has consumed it, so only
-the leaves and the root keep a ``.grad``. A second backward through a
-consumed tape raises ``ParameterError``. An op computes no gradient for
-an operand that needs none.
+is single-use: the backward frees it as it goes. Each node gives up its
+inputs and its backward rule (and so the arrays the rule saved) once it
+has run, and the rule is handed the only reference to an intermediate
+gradient, so a rule that rebinds it (``g = g * inv``) frees it while it
+runs; only the leaves and the root keep a ``.grad``. A second backward
+through a consumed tape raises ``ParameterError``. An op computes no
+gradient for an operand that needs none.
+
+A rule keeps no more than it needs of a node-sized array: ``relu``,
+``leaky_relu`` and ``dropout`` keep bool masks, and a ``Levels`` walk
+allocates its output only once its first block's levels are folded and
+frees each level's rows before it builds the next.
 
 No op writes into an existing array: an op's output is a new array, a
 view of its input (``reshape``, ``head_matmul``) or its input's array
@@ -107,25 +113,28 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
         while nodes:
             node = nodes.pop()
-            out_grad = node.grad
+            out_grad = [node.grad]
             if node is not self:
                 node.grad = None
             inputs, grad_fn = node.inputs, node.grad_fn
             node.inputs, node.grad_fn = None, _consumed
             del node  # do not keep its array alive while the rule runs
-            if out_grad is None:
-                continue
-            for tensor, contribution in zip(inputs, grad_fn(out_grad)):
-                if contribution is None or not tensor.requires_grad:
-                    continue
-                if tensor.grad is None:
-                    tensor.grad = contribution
-                else:
-                    tensor.grad = tensor.grad + contribution
+            if out_grad[0] is not None:
+                # The rule gets the only reference to an intermediate
+                # gradient, so a rule that rebinds it frees it.
+                _add_grads(inputs, grad_fn(out_grad.pop()))
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
+
+
+def _add_grads(inputs: tuple, grads) -> None:
+    """Add a rule's gradients (one or None per input) to its inputs that
+    need one."""
+    for tensor, grad in zip(inputs, grads):
+        if grad is not None and tensor.requires_grad:
+            tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _consumed(_grad=None):
@@ -359,21 +368,28 @@ class Levels:
             yield slice(b0, b1), self.spans if b1 - b0 == ranked else [
                 (lo + b0, min(m, b1) - b0) for lo, m in self.spans if m > b0]
 
-    def walk(self, out: np.ndarray, level_rows, fold=np.add, winners: np.ndarray | None = None) -> np.ndarray:
-        """Reduce rows into ``out``, by id, level by level, block by block.
+    def walk(self, rest: tuple, dtype, level_rows, fold=np.add, winners: np.ndarray | None = None) -> np.ndarray:
+        """Reduce rows by id, level by level, block by block, into a new
+        [n, *rest] array of ``dtype``.
 
         ``level_rows(block, steps)`` yields, for each step of a block (see
-        ``blocks``), that step's rows as a new array. ``fold`` is
-        ``np.add``, a sum in a float64 accumulator that starts at 0.0, or
-        ``np.maximum``, a max in the rows' dtype. Each block's result is
-        rounded into ``out`` as it is assigned; ids without rows keep
-        ``out``'s values. For a max, ``winners`` (shaped as ``out``), if
-        given, gets each (id, column)'s first row equal to the max, as a
-        position in the ids the plan was built from, or the id's first row
-        where the max is NaN.
+        ``blocks``), that step's rows as a new array; the walk drops them
+        (and a block's accumulator) once they are folded, before it asks
+        for the next step's. ``fold`` is ``np.add``, a sum in a float64
+        accumulator that starts at 0.0, or ``np.maximum``, a max in the
+        rows' dtype. The output is allocated once the first block's levels
+        are folded, so it is not alive while they are built; each block's
+        result is rounded into it as it is assigned, and ids without rows
+        get 0.0 (all of them where there are no rows). For a max,
+        ``winners`` ([n, *rest]), if given, gets each (id, column)'s first
+        row equal to the max, as a position in the ids the plan was built
+        from, or the id's first row where the max is NaN.
         """
-        for block, steps in self.blocks(math.prod(out.shape[1:])):
-            for k, rows in enumerate(level_rows(block, steps)):
+        shape = (self.n,) + rest
+        out = None
+        for block, steps in self.blocks(math.prod(rest)):
+            k = 0  # not enumerate: its result tuple keeps the last rows alive
+            for rows in level_rows(block, steps):
                 if k == 0:
                     if fold is np.add:
                         acc = rows.astype(np.float64, copy=False)
@@ -382,22 +398,28 @@ class Levels:
                         acc = rows
                     if winners is not None:  # each (id, column)'s winning level
                         level = np.zeros(rows.shape, dtype=np.min_scalar_type(len(steps)))
-                    continue
-                m = len(rows)
-                top = acc[:m]
-                if winners is not None:
-                    # the last level to exceed the running max holds the
-                    # first row equal to the max
-                    np.maximum(level[:m], np.multiply(rows > top, k, dtype=level.dtype), out=level[:m])
-                fold(top, rows, out=top)
+                else:
+                    m = len(rows)
+                    top = acc[:m]
+                    if winners is not None:
+                        # the last level to exceed the running max holds the
+                        # first row equal to the max
+                        np.maximum(level[:m], np.multiply(rows > top, k, dtype=level.dtype), out=level[:m])
+                    fold(top, rows, out=top)
+                    del top
+                del rows  # freed before the next level's rows are built
+                k += 1
             ids = self.rows[block]
+            if out is None:
+                out = (np.zeros if len(self.rows) < self.n else np.empty)(shape, dtype=dtype)
             out[ids] = acc
             if winners is not None:
                 level *= acc == acc  # a NaN max: the id's first row, at level 0
                 place = np.array([lo for lo, _ in steps]).take(level)
                 place += np.arange(block.stop - block.start).reshape((-1,) + (1,) * (level.ndim - 1))
                 winners[ids] = self.order.take(place)
-        return out
+            del acc  # freed before the next block's rows are built
+        return np.zeros(shape, dtype=dtype) if out is None else out
 
     def _taken(self, values: np.ndarray):
         """``level_rows`` for ``walk`` that takes each step's rows of ``values``."""
@@ -407,11 +429,19 @@ class Levels:
     def sum(self, values: np.ndarray, dtype=np.float64) -> np.ndarray:
         """The rows of ``values`` summed by id in float64 and rounded to
         ``dtype``, [n, ...]."""
-        return self.walk(np.zeros((self.n,) + values.shape[1:], dtype=dtype), self._taken(values))
+        return self.walk(values.shape[1:], dtype, self._taken(values))
+
+
+def _holds_bool(values) -> bool:
+    """Whether a (nested) list or tuple holds a bool."""
+    return any(_holds_bool(v) if isinstance(v, (list, tuple)) else isinstance(v, (bool, np.bool_)) for v in values)
 
 
 def _ids(ids, what: str) -> np.ndarray:
-    """``ids`` as int64; a bool or float id is refused, not truncated."""
+    """``ids`` as int64; a bool or float id is refused, not truncated. A
+    bool in a list is refused before numpy reads it as 0 or 1 among ints."""
+    if isinstance(ids, (list, tuple)) and _holds_bool(ids):
+        raise ParameterError(f"{what} must hold integers, got a bool")
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
         raise ParameterError(f"{what} must hold integers, got dtype {ids.dtype}")
@@ -510,9 +540,8 @@ class IndexPlan:
         """
         order, starts = self.grouping  # raises on an id without rows
         if self._walks(values):
-            out = np.empty((self.n,) + values.shape[1:], dtype=values.dtype)
-            won = np.empty(out.shape, dtype=order.dtype) if winners else None
-            return self.levels.walk(out, self.levels._taken(values), np.maximum, won), won
+            won = np.empty((self.n,) + values.shape[1:], dtype=order.dtype) if winners else None
+            return self.levels.walk(values.shape[1:], values.dtype, self.levels._taken(values), np.maximum, won), won
         grouped = values.take(order, axis=0)
         out = np.maximum.reduceat(grouped, starts, axis=0)
         if not winners:
@@ -693,9 +722,19 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
-    data = np.where(x.data > 0.0, x.data, slope * x.data)
-    scale = np.where(x.data > 0.0, 1.0, slope).astype(x.data.dtype, copy=False)
-    return record(data, (x,), lambda g: (g * scale,))
+    """``x`` where it is positive, ``slope * x`` elsewhere (NaN included),
+    for a slope in [0, 1]. The node keeps a bool mask, as ``relu`` does;
+    values and gradients are bitwise those of a float scale of 1.0 or
+    ``slope`` in ``x``'s dtype, rebuilt from the mask by one max."""
+    if not 0.0 <= slope <= 1.0:
+        raise ParameterError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+    positive = x.data > 0.0
+    slope = x.data.dtype.type(slope)
+
+    def scaled(a):  # max(True, slope) = 1.0, max(False, slope) = slope
+        return a * np.maximum(positive, slope)
+
+    return record(scaled(x.data), (x,), lambda g: (scaled(g),))
 
 
 def relu6(x: Tensor) -> Tensor:
@@ -995,7 +1034,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
                     ends = (near[:m], far) if name == "dst" else (far, near[:m])
                     yield g_pre(g_walk[lo:lo + m], hidden(*ends, out=far))
 
-        return into.levels.walk(np.zeros(left.shape, dtype=left.dtype), level_rows)
+        return into.levels.walk(left.shape[1:], left.dtype, level_rows)
 
     def totals(g):  # (end, the gradient of that end's head product)
         if walked:
@@ -1111,9 +1150,9 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         if kind == "max-pooling":
             # each (destination, column)'s winning edge, for the backward
             winners = np.empty((n, heads, width), dtype=np.int32) if need_alpha or need_z else None
-            data = into.levels.walk(np.empty((n, heads, width), dtype=dtype), level_rows, np.maximum, winners)
+            data = into.levels.walk((heads, width), dtype, level_rows, np.maximum, winners)
         else:
-            data = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_rows)
+            data = into.levels.walk((heads, width), dtype, level_rows)
     elif kind == "max-pooling":
         data, winners = plan.dst.max(messages(alpha.data, plan.src.ids), need_alpha or need_z)
     else:
@@ -1162,7 +1201,7 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
                         g_walk[lo:lo + m] = g_a
                     yield g_m
 
-            g_rows = into.levels.walk(np.zeros((n, heads, width), dtype=dtype), level_grads)
+            g_rows = into.levels.walk((heads, width), dtype, level_grads)
             g_alpha = None
             if need_alpha:
                 g_alpha = np.empty_like(g_walk)
@@ -1266,15 +1305,29 @@ def uniform_param(rng: np.random.Generator, shape, bound: float = 0.1) -> Tensor
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
-    """Inverted dropout: kept entries scaled by 1/(1-p). Identity at inference."""
+    """Inverted dropout: kept entries scaled by 1/(1-p). Identity at inference.
+
+    Each entry is kept where its draw of one ``rng.random(x.shape)`` is at
+    least ``p``; the draws are taken ``ADAM_BLOCK`` at a time, the same
+    stream, straight into a bool mask, which is all the node keeps. Values
+    and gradients are bitwise ``x * mask`` with ``mask = (draw >= p) /
+    (1 - p)`` cast to ``x``'s dtype, a mask rebuilt from the bool one as
+    ``keep * scale`` in that dtype: a dropped entry is ``x * 0.0`` (-0.0
+    for a negative x, NaN for inf and NaN).
+    """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, constant(mask, x))
+    keep = np.empty(x.data.size, dtype=bool)
+    for lo in range(0, keep.size, ADAM_BLOCK):  # the stream of one rng.random(shape)
+        block = keep[lo:lo + ADAM_BLOCK]
+        np.greater_equal(rng.random(block.size), p, out=block)
+    keep = keep.reshape(x.data.shape)
+    scale = x.data.dtype.type(1.0 / (1.0 - p))  # finite: 1 - p >= 2**-53
+    return record(x.data * (keep * scale), (x,), lambda g: (g * (keep * scale),))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -1285,7 +1338,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # x86_64, numpy 2.4.6, median step of 500 in each of 3 processes):
 # 0.79-1.04 ms per step at 2**14, against 1.04-1.18 ms at 2**12,
 # 1.11-1.15 ms at 2**13 and 0.79-0.97 ms at 2**16, whose rows are 4x
-# larger.
+# larger. ``dropout`` draws its mask in blocks of as many values, so its
+# float64 draws take one such row, not one value per input entry.
 ADAM_BLOCK = 2**14
 
 

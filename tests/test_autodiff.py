@@ -365,6 +365,66 @@ def test_dropout_rate_and_scaling():
     assert np.allclose(kept, 1.0 / (1.0 - p))
 
 
+def _with_specials(values, rng):
+    """``values`` with -0.0, 0.0, +-inf and NaN sprinkled in, each at
+    several positions."""
+    values = values.copy()
+    flat = values.reshape(-1)
+    for special in (-0.0, 0.0, np.inf, -np.inf, np.nan):
+        flat[rng.choice(flat.size, 40, replace=False)] = special
+    return values
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_dropout_is_one_draw_and_keeps_every_bit(dtype):
+    """Past one draw block, the kept entries are those whose draw of one
+    ``rng.random(shape)`` is at least p, and the generator ends where that
+    call leaves it. Values and gradients are bitwise ``x * mask``, with
+    ``mask = (draw >= p) / (1 - p)`` in float64 cast to x's dtype, so
+    -0.0, inf and NaN inputs keep the bits of that product."""
+    p, shape = 0.6, (3, ad.ADAM_BLOCK // 2 + 7)
+    draw = np.random.default_rng(5).random(shape)
+    mask = ((draw >= p) / (1.0 - p)).astype(dtype)
+    rng = np.random.default_rng(7)
+    x = _with_specials(rng.standard_normal(shape), rng).astype(dtype)
+    g = _with_specials(rng.standard_normal(shape), rng).astype(dtype)
+
+    ones = ad.dropout(Tensor(np.ones(shape, dtype=dtype)), p, np.random.default_rng(5))
+    assert np.array_equal(ones.data != 0.0, draw >= p)
+    t = Tensor(x, requires_grad=True)
+    drawn = np.random.default_rng(5)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        out = ad.dropout(t, p, drawn)
+        out.backward(g)
+        assert _same_bits(out.data, x * mask)
+        assert _same_bits(t.grad, g * mask)
+    reference = np.random.default_rng(5)
+    reference.random(shape)
+    assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_leaky_relu_keeps_the_bits_of_a_float_scale(dtype):
+    """Values are x where it is positive and 0.2 x elsewhere; the gradient
+    is g times a float scale of 1.0 or 0.2 in x's dtype, for -0.0, inf and
+    NaN in both x and g."""
+    rng = np.random.default_rng(3)
+    x = _with_specials(rng.standard_normal((50, 40)), rng).astype(dtype)
+    g = _with_specials(rng.standard_normal((50, 40)), rng).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    out = ad.leaky_relu(t)
+    out.backward(g)
+    scale = np.where(x > 0.0, 1.0, 0.2).astype(dtype)
+    assert _same_bits(out.data, np.where(x > 0.0, x, 0.2 * x))
+    assert _same_bits(t.grad, g * scale)
+    with pytest.raises(ParameterError, match="slope"):
+        ad.leaky_relu(t, 1.5)
+
+
 def test_dropout_validation(rng):
     x = Tensor(np.ones(3))
     with pytest.raises(ParameterError):

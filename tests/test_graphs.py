@@ -62,10 +62,12 @@ def test_canonical_edges_endpoint_out_of_range():
         canonical_edges(3, [[0, 3]])
 
 
-@pytest.mark.parametrize("edges", [[[0, 1.7], [True, 2]], [[True, False]], np.ones((2, 2), dtype=bool)],
-                         ids=["float", "bool-list", "bool-array"])
+@pytest.mark.parametrize("edges", [[[0, 1.7], [True, 2]], [[True, False]], np.ones((2, 2), dtype=bool),
+                                   [[0, 1], [True, 2]]],
+                         ids=["float", "bool-list", "bool-array", "bool-among-ints"])
 def test_canonical_edges_refuse_ids_that_are_not_integers(edges):
-    # np.asarray(..., dtype=int64) read the first as edges (0, 1) and (1, 2).
+    # np.asarray(..., dtype=int64) read the first as edges (0, 1) and (1, 2);
+    # np.asarray reads the last as int64 and would build the edge (1, 2).
     with pytest.raises(ParameterError, match="edge endpoints must hold integers"):
         canonical_edges(3, edges)
     with pytest.raises(ParameterError, match="edge endpoints must hold integers"):

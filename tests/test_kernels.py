@@ -585,6 +585,34 @@ def test_walked_max_pooling_and_cos_steps_keep_no_edge_sized_temporaries(arch):
     assert peak < 4e6, f"{peak / 1e6:.1f} MB"
 
 
+# Step peaks bounded in units of one [N, K, D] float32 array at N = 400,
+# K = 4, D = 32 (204,800 bytes), per attention kind, in AGGREGATION's
+# order: each is a reading plus about 0.2 units. A backward that kept its
+# gradients through a rule, walks that allocated their output before
+# folding, and float dropout and leaky_relu scales read 9.2-18.9.
+STEP_PEAK_UNITS = {
+    "const": (7.4, 7.4, 9.9, 10.6),
+    "gcn": (7.4, 7.4, 9.6, 10.6),
+    "gat": (10.9, 10.9, 12.5, 13.2),
+    "sym-gat": (11.3, 11.3, 13.0, 13.6),
+    "cos": (12.5, 12.5, 14.1, 14.8),
+    "linear": (10.5, 10.5, 12.1, 12.8),
+    "gene-linear": (12.5, 12.5, 14.1, 14.8),
+}
+
+
+@pytest.mark.parametrize("aggregation", AGGREGATION)
+@pytest.mark.parametrize("attention", ATTENTION)
+def test_a_training_step_holds_few_node_sized_arrays(attention, aggregation):
+    """One float32 step (dropout 0.6) of a 4 x 32 leaky_relu first layer
+    and a gcn,sum second layer: its tracemalloc peak stays under the
+    kind's bound."""
+    unit = 400 * 4 * 32 * 4
+    bound = STEP_PEAK_UNITS[attention][AGGREGATION.index(aggregation)] * unit
+    peak = _step_peak(f"first-order,{attention},{aggregation},leaky_relu,4,32;first-order,gcn,sum,relu,1,8")
+    assert peak < bound, f"{peak / unit:.2f} units"
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_narrow_sums_by_column_are_bitwise_add_at(dtype, width):

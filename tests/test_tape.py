@@ -125,6 +125,34 @@ def test_backward_frees_every_intermediate_while_the_root_lives(small_sbm):
     assert all(p.grad is not None for p in params)  # leaves keep theirs
 
 
+@pytest.mark.parametrize("consumers", [1, 2], ids=["chain", "two-consumers"])
+def test_a_rule_that_drops_its_gradient_frees_it(consumers):
+    """The backward keeps no reference to a rule's incoming gradient while
+    the rule runs, so a rule that rebinds ``g`` (mean-pooling's ``g *
+    inv``, mlp's head product) frees the array it was given. With two
+    consumers the gradient is their sum, made when the second adds in."""
+    x = Tensor(np.ones(4), requires_grad=True)
+    gone = []
+
+    def rule(g):
+        ref = weakref.ref(g)
+        del g
+        gone.append(ref() is None)
+        return (np.full(4, 2.0),)
+
+    mid = ad.record(x.data * 2.0, (x,), rule)
+    tops = [ad.record(mid.data * 3.0, (mid,), lambda g: (g * 3.0,)) for _ in range(consumers)]
+    root = ad.reduce_sum(tops[0] if consumers == 1 else ad.add(*tops))
+    del tops
+    gc.disable()  # reference counting alone must free it
+    try:
+        root.backward()
+    finally:
+        gc.enable()
+    assert gone == [True]
+    assert np.array_equal(x.grad, np.full(4, 2.0))
+
+
 def test_second_backward_through_a_consumed_tape_raises(rng):
     x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     shared = ad.tanh(ad.mul(x, x))
