@@ -721,20 +721,21 @@ def relu(x: Tensor) -> Tensor:
     return record(data, (x,), lambda g: (g * mask,))
 
 
+def _leaky(a: np.ndarray, positive: np.ndarray, slope: float = _LEAKY_SLOPE) -> np.ndarray:
+    """``a`` where the bool mask ``positive`` holds, ``slope * a``
+    elsewhere, in ``a``'s dtype: bitwise ``a`` times a float scale of 1.0
+    or ``slope``, rebuilt from the mask by one max (max(True, slope) = 1.0,
+    max(False, slope) = slope, for a slope in [0, 1])."""
+    return a * np.maximum(positive, a.dtype.type(slope))
+
+
 def leaky_relu(x: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
     """``x`` where it is positive, ``slope * x`` elsewhere (NaN included),
-    for a slope in [0, 1]. The node keeps a bool mask, as ``relu`` does;
-    values and gradients are bitwise those of a float scale of 1.0 or
-    ``slope`` in ``x``'s dtype, rebuilt from the mask by one max."""
+    for a slope in [0, 1]. The node keeps a bool mask, as ``relu`` does."""
     if not 0.0 <= slope <= 1.0:
         raise ParameterError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     positive = x.data > 0.0
-    slope = x.data.dtype.type(slope)
-
-    def scaled(a):  # max(True, slope) = 1.0, max(False, slope) = slope
-        return a * np.maximum(positive, slope)
-
-    return record(scaled(x.data), (x,), lambda g: (scaled(g),))
+    return record(_leaky(x.data, positive, slope), (x,), lambda g: (_leaky(g, positive, slope),))
 
 
 def relu6(x: Tensor) -> Tensor:
@@ -934,10 +935,11 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
     else:
         # (aggregating end, neighbour end) of each direction scored
         ends = [(dst, src), (src, dst)] if kind == "sym-gat" else [(dst, src)]
-        pres = [proj[0].take(i.ids, axis=0) + proj[1].take(j.ids, axis=0) for i, j in ends]
-        data = None
-        for pre in pres:
-            data = _accumulate(data, np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre))
+        data, positives = None, []  # a bool mask per direction, as leaky_relu keeps
+        for i, j in ends:
+            pre = proj[0].take(i.ids, axis=0) + proj[1].take(j.ids, axis=0)
+            positives.append(pre > 0.0)
+            data = _accumulate(data, _leaky(pre, positives[-1]))
     need_z = z.requires_grad
 
     def grad_fn(g):
@@ -945,8 +947,8 @@ def _projected_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> T
             g_proj = [src.sum(g * (1.0 - data * data))]
         else:
             g_proj = [None, None]
-            for (i, j), pre in zip(ends, pres):
-                g_pre = g * np.where(pre > 0.0, 1.0, _LEAKY_SLOPE).astype(g.dtype, copy=False)
+            for (i, j), positive in zip(ends, positives):
+                g_pre = _leaky(g, positive)
                 g_proj[0] = _accumulate(g_proj[0], i.sum(g_pre))
                 g_proj[1] = _accumulate(g_proj[1], j.sum(g_pre))
         gz, grads = None, []

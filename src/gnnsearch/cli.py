@@ -34,7 +34,6 @@ from .errors import ConfigError, GnnSearchError, ParameterError
 from .gnn import TrainHyperparams, build_model, median, train_child
 from .graphs import LabeledDataset, generate_multigraph, generate_sbm, load_citation
 from .search import (
-    STRATEGIES,
     EpisodeRecord,
     SearchConfig,
     derive,
@@ -189,9 +188,7 @@ def _write_topk(log, k: int, path: Path) -> None:
             writer.writerow([rank, arch, f"{reward:.10g}"])
 
 
-def cmd_search(cfg: dict, out_dir: Path, forced_strategy: str | None = None) -> int:
-    if forced_strategy is not None:
-        cfg = dict(cfg, strategy=forced_strategy)
+def cmd_search(cfg: dict, out_dir: Path) -> int:
     config = build_search_config(cfg)
     space = build_space(cfg)
     # Held in a list that search pops from, so that search holds the only
@@ -361,7 +358,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run an architecture search")
     common(p_search)
-    p_search.add_argument("--strategy", choices=STRATEGIES)
+    p_search.add_argument("--strategy", help="override the config strategy")
 
     p_random = sub.add_parser("random", help="random-search baseline (strategy forced to random)")
     common(p_random)
@@ -395,7 +392,7 @@ def main(argv=None) -> int:
         if args.command == "search":
             return cmd_search(cfg, out_dir)
         if args.command == "random":
-            return cmd_search(cfg, out_dir, forced_strategy="random")
+            return cmd_search(dict(cfg, strategy="random"), out_dir)
         if args.command == "derive":
             return cmd_derive(cfg, out_dir)
         if args.command == "train":

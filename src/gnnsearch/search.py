@@ -1,15 +1,13 @@
 """Search strategies, the shared-parameter store, and derivation.
 
-Four strategies produce one reward per episode:
+Two strategies produce one reward per episode:
 
-- ``graphnas``: controller-sampled architectures; with sharing enabled,
-  children start from store copies, train a few epochs, and merge back
-  when the shaped reward is positive.
-- ``random``: uniform architectures, each trained from scratch.
-- ``nas-like``: controller, but every child trained from scratch for
-  the full epoch budget (no store).
-- ``enas-like``: controller plus store, zero child optimizer steps; the
-  reward comes from evaluating store copies directly.
+- ``graphnas``: controller-sampled architectures. With sharing enabled,
+  children start from store copies, train ``child_epochs`` epochs, and
+  merge back when the shaped reward is positive; without it, each trains
+  from scratch for up to ``child_epochs``.
+- ``random``: uniform architectures, each trained from scratch for up to
+  the full ``max_epochs``.
 
 Passing a surrogate ``reward_table`` (keyed by the encoded architecture)
 bypasses all child training, which makes controller behavior cheap to
@@ -41,7 +39,6 @@ from .gnn import (
     ShareKey,
     TrainHyperparams,
     build_model,
-    evaluate,
     init_layer_params,
     layer_shapes,
     pooled_metric,
@@ -49,7 +46,7 @@ from .gnn import (
 )
 from .graphs import LabeledDataset
 
-STRATEGIES = ("graphnas", "random", "nas-like", "enas-like")
+STRATEGIES = ("graphnas", "random")
 
 
 class SharedParamStore:
@@ -178,6 +175,12 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
+            equivalent = {
+                "nas-like": "strategy 'graphnas' with param_sharing false and child_epochs equal to max_epochs",
+                "enas-like": "none",
+            }.get(self.strategy)
+            if equivalent is not None:
+                raise ConfigError(f"strategy: {self.strategy!r} was removed; equivalent config: {equivalent}")
             raise ConfigError(f"strategy: {self.strategy!r} not in {STRATEGIES}")
         positives = (
             ("layer_count", self.layer_count),
@@ -214,7 +217,7 @@ class SearchConfig:
         return self.strategy != "random"
 
     def uses_store(self) -> bool:
-        return (self.strategy == "graphnas" and self.param_sharing) or self.strategy == "enas-like"
+        return self.strategy == "graphnas" and self.param_sharing
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,7 @@ def top_k_report(log, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# child evaluation per strategy
+# child training per strategy
 
 
 def _shared_hp(config: SearchConfig, epochs: int, seed: int) -> TrainHyperparams:
@@ -316,7 +319,8 @@ def _scratch_hp(config: SearchConfig, max_epochs: int, seed: int) -> TrainHyperp
 
 
 class _ChildRunner:
-    """Builds, trains, and scores children for one search run."""
+    """Builds, trains, and scores children for one search run. The store
+    is None exactly when the run does not share weights."""
 
     def __init__(self, config: SearchConfig, dataset: LabeledDataset, store: SharedParamStore | None):
         self.config = config
@@ -324,38 +328,24 @@ class _ChildRunner:
         self.store = store
         self.opt_steps = 0
 
-    def _build(self, arch: ArchDescription, rng, with_store: bool) -> ChildModel:
-        return build_model(
-            arch,
-            self.dataset.feature_dim,
-            self.dataset.class_count,
-            rng,
-            store=self.store if with_store else None,
-            dtype=self.dataset.feature_dtype,
-        )
-
     def reward(self, arch: ArchDescription, rng: np.random.Generator):
         """Returns (raw_reward, trained_model_or_None). Divergence or
         running out of memory gives 0."""
-        config = self.config
+        config, dataset = self.config, self.dataset
         seed = int(rng.integers(2**31))
+        if self.store is not None:
+            hp = _shared_hp(config, config.child_epochs, seed)
+        else:  # from scratch: graphnas at child_epochs, random at the full budget
+            epochs = config.child_epochs if config.strategy == "graphnas" else config.hp.max_epochs
+            hp = _scratch_hp(config, epochs, seed)
         try:
-            if config.strategy == "enas-like":
-                model = self._build(arch, rng, with_store=True)
-                return evaluate(model, self.dataset, "val"), model
-            if config.strategy == "graphnas" and config.param_sharing:
-                model = self._build(arch, rng, with_store=True)
-                result = train_child(model, self.dataset, _shared_hp(config, config.child_epochs, seed))
-            elif config.strategy == "graphnas":
-                model = self._build(arch, rng, with_store=False)
-                result = train_child(model, self.dataset, _scratch_hp(config, config.child_epochs, seed))
-            else:  # random, nas-like: from scratch, full budget
-                model = self._build(arch, rng, with_store=False)
-                result = train_child(model, self.dataset, _scratch_hp(config, config.hp.max_epochs, seed))
-            self.opt_steps += result.opt_steps
-            return result.best_val_metric, result.model
+            model = build_model(arch, dataset.feature_dim, dataset.class_count, rng,
+                                store=self.store, dtype=dataset.feature_dtype)
+            result = train_child(model, dataset, hp)
         except (TrainingError, MemoryError):
             return 0.0, None
+        self.opt_steps += result.opt_steps
+        return result.best_val_metric, result.model
 
     def merge(self, model: ChildModel, shaped_reward: float) -> None:
         if self.store is None or model is None:
@@ -368,21 +358,15 @@ class _ChildRunner:
 # the main loops
 
 
-def exploration_phase(
-    store: SharedParamStore,
-    space: ActionSpace,
-    dataset: LabeledDataset,
-    config: SearchConfig,
-    rng: np.random.Generator,
-    baseline: Baseline,
-) -> int:
-    """Warm the store with uniformly sampled architectures.
+def exploration_phase(runner: _ChildRunner, space: ActionSpace, rng: np.random.Generator, baseline: Baseline) -> int:
+    """Warm the runner's store with uniformly sampled architectures.
 
     The controller is never consulted, so its parameters stay
-    bit-identical. Rewards still feed the shared baseline. Returns the
-    number of merged rounds.
+    bit-identical. Rewards still feed the shared baseline, and the
+    children's optimizer steps count in the runner's. Returns the number
+    of merged rounds.
     """
-    runner = _ChildRunner(config, dataset, store)
+    config = runner.config
     merged = 0
     for _ in range(config.exploration_epochs):
         arch = random_arch(space, rng)
@@ -436,8 +420,8 @@ def search(
     baseline = Baseline(decay=config.baseline_decay)
     runner = _ChildRunner(config, dataset, store) if dataset is not None else None
 
-    if config.exploration_epochs > 0 and store is not None:
-        exploration_phase(store, space, dataset, config, rng, baseline)
+    if config.exploration_epochs > 0:  # only graphnas with sharing on a dataset: the checks above refuse the rest
+        exploration_phase(runner, space, rng, baseline)
 
     records = []
     batch: list[Episode] = []

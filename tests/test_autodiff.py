@@ -1,6 +1,7 @@
 """Tensor ops: forward values against hand/numpy oracles, gradients against
 central finite differences, and the tape's traversal guarantees."""
 
+import functools
 import gc
 import weakref
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gnnsearch import autodiff as ad
 from gnnsearch.autodiff import Tensor
 from gnnsearch.errors import ParameterError, ShapeError
+from gnnsearch.graphs import make_graph
 
 from conftest import check_grads, finite_diff, rel_err
 
@@ -423,6 +425,41 @@ def test_leaky_relu_keeps_the_bits_of_a_float_scale(dtype):
     assert _same_bits(t.grad, g * scale)
     with pytest.raises(ParameterError, match="slope"):
         ad.leaky_relu(t, 1.5)
+
+
+@pytest.mark.parametrize("kind", ["gat", "sym-gat"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_attention_scores_keep_the_bits_of_a_float_scale(kind, dtype):
+    """gat and sym-gat scores apply leaky_relu's rule to each direction's
+    pre-activation: values and gradients are bitwise the old formula,
+    ``np.where(pre > 0, pre, 0.2 pre)`` and ``g`` times a float scale of 1.0
+    or 0.2, for zero, inf, NaN and subnormal pre-activations (a sum over D
+    never gives -0.0; ``leaky_relu``'s test covers it for the shared rule)."""
+    rng = np.random.default_rng(8)
+    n, heads = 100, 4
+    graph = make_graph(n, rng.integers(0, n, (300, 2)), np.zeros((n, 1)))
+    z_val = _with_specials(rng.standard_normal((n, heads, 1)), rng).astype(dtype)
+    z_val.reshape(-1)[rng.choice(z_val.size, 40, replace=False)] = np.finfo(dtype).smallest_subnormal
+    a_vals = [np.ones((heads, 1), dtype=dtype), np.full((heads, 1), -1.0, dtype=dtype)]
+    plan = graph.plan
+    g = _with_specials(rng.standard_normal((plan.edge_count, heads)), rng).astype(dtype)
+    z = Tensor(z_val, requires_grad=True)
+    a_l, a_r = (Tensor(a, requires_grad=True) for a in a_vals)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = ad.edge_scores(kind, z, plan, a_l, a_r)
+        out.backward(g)
+        ends = [(plan.dst, plan.src), (plan.src, plan.dst)] if kind == "sym-gat" else [(plan.dst, plan.src)]
+        proj = [(z_val * a).sum(axis=-1) for a in a_vals]
+        pres = [proj[0].take(i.ids, axis=0) + proj[1].take(j.ids, axis=0) for i, j in ends]
+        g_pres = [g * np.where(pre > 0.0, 1.0, 0.2).astype(dtype) for pre in pres]
+        g_proj = [functools.reduce(np.add, [ids.sum(g_pre) for ids, g_pre in zip(side, g_pres)]) for side in zip(*ends)]
+        assert _same_bits(out.data, functools.reduce(np.add, [np.where(pre > 0.0, pre, 0.2 * pre) for pre in pres]))
+        assert _same_bits(z.grad, functools.reduce(np.add, [g_p[:, :, None] * a for g_p, a in zip(g_proj, a_vals)]))
+        for tensor, g_p in zip((a_l, a_r), g_proj):
+            assert _same_bits(tensor.grad, np.einsum("nk,nkd->kd", g_p, z_val))
+    pre = np.concatenate(pres)
+    assert (pre == 0.0).any() and np.isnan(pre).any() and np.isinf(pre).any()
+    assert (np.abs(pre) == np.finfo(dtype).smallest_subnormal).any()
 
 
 def test_dropout_validation(rng):

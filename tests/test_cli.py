@@ -5,6 +5,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 from gnnsearch import cli
 from gnnsearch.cli import build_search_config, load_config, main
-from gnnsearch.search import EpisodeRecord, SearchConfig
+from gnnsearch.search import STRATEGIES, EpisodeRecord, SearchConfig
 
 search_module = importlib.import_module("gnnsearch.search")
 
@@ -300,6 +301,28 @@ def test_non_finite_number_flags_exit_cleanly(tmp_path, capsys, flag):
 
 def test_default_config_is_the_search_config_default():
     assert build_search_config(load_config(None)) == SearchConfig()
+
+
+def test_readme_config_table_lists_every_key_and_strategy():
+    # The key column names each key in backticks; quoted values are not keys.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| group | key (default) |", 1)[1].split("\n\n", 1)[0]
+    cells = [line.split("|")[2] for line in table.splitlines()[2:]]
+    keys = [key for cell in cells for key in re.findall(r"`([a-z_0-9]+)`", cell)]
+    assert sorted(keys) == sorted(cli._SCHEMA)
+    strategy_cell = re.search(r"`strategy` \(([^)]*)\)", table).group(1)
+    assert tuple(re.findall(r'`"([^"]+)"`', strategy_cell)) == STRATEGIES
+
+
+@pytest.mark.parametrize("strategy, named", [("nas-like", ("child_epochs", "max_epochs")), ("enas-like", ("none",))])
+def test_a_removed_strategy_exits_2_naming_its_equivalent(tmp_path, capsys, strategy, named):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["search", "--config", str(cfg), "--out", str(out), "--strategy", strategy]) == 2
+    err = capsys.readouterr().err
+    assert f"strategy: {strategy!r} was removed" in err
+    assert all(word in err for word in named)
+    assert not out.exists()
 
 
 def test_strategy_config_conflicts_exit_cleanly(tmp_path, capsys):

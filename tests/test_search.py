@@ -248,8 +248,21 @@ def test_config_reward_source_routing():
     assert tiny_config().uses_controller() is True
     assert tiny_config().uses_store() is False
     assert tiny_config(param_sharing=True).uses_store() is True
-    assert tiny_config(strategy="enas-like").uses_store() is True
-    assert tiny_config(strategy="nas-like").uses_store() is False
+    assert tiny_config(strategy="random", param_sharing=True).uses_store() is False
+
+
+@pytest.mark.parametrize(
+    "strategy, equivalent",
+    [
+        ("nas-like", "strategy 'graphnas' with param_sharing false and child_epochs equal to max_epochs"),
+        ("enas-like", "none"),
+    ],
+    ids=["nas-like", "enas-like"],
+)
+def test_config_refuses_a_removed_strategy_naming_its_equivalent(strategy, equivalent):
+    with pytest.raises(ConfigError) as caught:
+        tiny_config(strategy=strategy)
+    assert str(caught.value) == f"strategy: {strategy!r} was removed; equivalent config: {equivalent}"
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +428,28 @@ def test_random_strategy_runs_without_controller(easy_sbm):
     assert log.child_opt_steps > 0
 
 
-def test_nas_like_uses_full_scratch_budget(easy_sbm):
-    log = search(tiny_config(strategy="nas-like", episodes=2), dataset=easy_sbm, space=TINY)
-    assert log.controller is not None
-    assert log.store is None
-    # Full budget: 2 episodes x up to hp.max_epochs (2) epochs, 1 step each.
-    assert log.child_opt_steps > 0
+@pytest.mark.parametrize(
+    "strategy, sharing, epochs, dropout",
+    [("graphnas", True, 1, 0.0), ("graphnas", False, 1, 0.5), ("random", False, 3, 0.5)],
+    ids=["graphnas-shared", "graphnas-scratch", "random"],
+)
+def test_each_child_trains_under_its_strategys_budget(easy_sbm, monkeypatch, strategy, sharing, epochs, dropout):
+    # Shared children train child_epochs without regularization; scratch
+    # ones keep the config's hyperparameters, graphnas at child_epochs and
+    # random at the full max_epochs.
+    hp = dataclasses.replace(FAST_HP, dropout=0.5, max_epochs=3, patience=3)
+    config = tiny_config(strategy=strategy, param_sharing=sharing, child_epochs=1, episodes=2, hp=hp)
+    seen = []
+    train_child = search_module.train_child
 
+    def recorded(model, dataset, hp):
+        seen.append(hp)
+        return train_child(model, dataset, hp)
 
-def test_enas_like_never_trains_children(easy_sbm):
-    log = search(tiny_config(strategy="enas-like", episodes=3), dataset=easy_sbm, space=TINY)
-    assert log.store is not None
-    assert log.child_opt_steps == 0
-    assert log.store.misses > 0  # evaluation built children from store copies
+    monkeypatch.setattr(search_module, "train_child", recorded)
+    log = search(config, dataset=easy_sbm, space=TINY)
+    assert (log.store is not None) == sharing
+    assert [(hp.max_epochs, hp.dropout) for hp in seen] == [(epochs, dropout)] * 2
 
 
 def test_dataset_search_is_deterministic(easy_sbm):
@@ -470,11 +492,27 @@ def test_exploration_updates_store_and_baseline_only(easy_sbm):
     store = SharedParamStore()
     baseline = Baseline(decay=config.baseline_decay)
     rng = np.random.default_rng(0)
-    merged = exploration_phase(store, TINY, easy_sbm, config, rng, baseline)
+    merged = exploration_phase(search_module._ChildRunner(config, easy_sbm, store), TINY, rng, baseline)
     assert baseline.initialized
     assert 0 <= merged <= config.exploration_epochs
     # One layer per arch here: a merged round writes at most one key.
     assert len(store) <= merged
+
+
+def test_exploration_children_count_in_the_optimizer_steps(easy_sbm, monkeypatch):
+    # A run that only explores still trains children: their steps count.
+    config = tiny_config(param_sharing=True, exploration_epochs=3, child_epochs=1, episodes=0, seed=7)
+    steps = []
+    train_child = search_module.train_child
+
+    def counted(model, dataset, hp):
+        result = train_child(model, dataset, hp)
+        steps.append(result.opt_steps)
+        return result
+
+    monkeypatch.setattr(search_module, "train_child", counted)
+    log = search(config, dataset=easy_sbm, space=TINY)
+    assert len(steps) == 3 and log.child_opt_steps == sum(steps) > 0
 
 
 def test_exploration_never_disturbs_controller_initialization(easy_sbm):
