@@ -314,7 +314,9 @@ def test_readme_config_table_lists_every_key_and_strategy():
     assert tuple(re.findall(r'`"([^"]+)"`', strategy_cell)) == STRATEGIES
 
 
-@pytest.mark.parametrize("strategy, named", [("nas-like", ("child_epochs", "max_epochs")), ("enas-like", ("none",))])
+@pytest.mark.parametrize(
+    "strategy, named", [("nas-like", ("child_epochs", "max_epochs")), ("enas-like", ("none",))], ids=["nas-like", "enas-like"]
+)
 def test_a_removed_strategy_exits_2_naming_its_equivalent(tmp_path, capsys, strategy, named):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
