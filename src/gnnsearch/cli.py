@@ -3,7 +3,7 @@
 Configuration is one flat JSON object; every key has a default, unknown
 keys are rejected, and the few flags (--seed, --strategy, --out, ...)
 override the file. All commands exit 0 on success and 2 on any
-validation or ingestion error, printing the reason to stderr.
+validation, ingestion or allocation error, printing the reason to stderr.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p_search)
     p_search.add_argument("--strategy", help="override the config strategy")
 
-    p_random = sub.add_parser("random", help="random-search baseline (strategy forced to random)")
+    p_random = sub.add_parser("random", help="random-search baseline: strategy random, which ignores graphnas keys")
     common(p_random)
 
     p_derive = sub.add_parser("derive", help="derive the best architecture from a finished search")
@@ -379,13 +379,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "strategy", None) is not None:
-        overrides["strategy"] = args.strategy
-    if getattr(args, "threshold", None) is not None:
-        overrides["threshold"] = args.threshold
+    overrides = {key: getattr(args, key, None) for key in ("seed", "strategy", "threshold")}  # None: not given
     try:
         cfg = load_config(args.config, overrides)
         out_dir = Path(args.out)
@@ -402,6 +396,10 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except GnnSearchError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        where = f"train --arch {';'.join(args.arch.split())}" if args.command == "train" else args.command
+        print(f"error: {where}: out of memory", file=sys.stderr)
         return 2
 
 

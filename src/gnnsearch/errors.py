@@ -26,8 +26,8 @@ class ConfigError(GnnSearchError):
 
 
 class TrainingError(GnnSearchError):
-    """Child-model training diverged (non-finite loss)."""
+    """Child-model training diverged (non-finite loss), or no derive candidate trained."""
 
-    def __init__(self, message: str, epoch: int):
+    def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch

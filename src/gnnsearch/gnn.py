@@ -353,6 +353,7 @@ def median(values) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging child raises TrainingError below instead
 def train_child(model: ChildModel, dataset: LabeledDataset, hp: TrainHyperparams) -> TrainedResult:
     """Adam on the training loss with validation-metric early stopping.
 

@@ -3,11 +3,12 @@
 Two strategies produce one reward per episode:
 
 - ``graphnas``: controller-sampled architectures. With sharing enabled,
+  ``exploration_epochs`` uniform children warm the store first, then
   children start from store copies, train ``child_epochs`` epochs, and
   merge back when the shaped reward is positive; without it, each trains
   from scratch for up to ``child_epochs``.
 - ``random``: uniform architectures, each trained from scratch for up to
-  the full ``max_epochs``.
+  the full ``max_epochs``. It ignores the graphnas keys.
 
 Passing a surrogate ``reward_table`` (keyed by the encoded architecture)
 bypasses all child training, which makes controller behavior cheap to
@@ -200,10 +201,6 @@ class SearchConfig:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         if self.exploration_epochs < 0:
             raise ConfigError("exploration_epochs: must be non-negative")
-        if self.exploration_epochs > 0 and not (self.strategy == "graphnas" and self.param_sharing):
-            raise ConfigError(
-                "exploration_epochs: exploration only applies to the graphnas strategy with sharing"
-            )
         for name in ("controller_lr", "temperature", "logit_clip"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -395,8 +392,6 @@ def search(
     """
     if (dataset is None) == (reward_table is None):
         raise ConfigError("search needs exactly one of dataset or reward_table")
-    if reward_table is not None and config.exploration_epochs > 0:
-        raise ConfigError("exploration_epochs: exploration has no effect with a surrogate reward table")
     if space is None:
         space = default_space(config.layer_count, config.skip_enabled)
     if space.layer_count != config.layer_count or space.skip_enabled != config.skip_enabled:
@@ -420,7 +415,7 @@ def search(
     baseline = Baseline(decay=config.baseline_decay)
     runner = _ChildRunner(config, dataset, store) if dataset is not None else None
 
-    if config.exploration_epochs > 0:  # only graphnas with sharing on a dataset: the checks above refuse the rest
+    if runner is not None and runner.store is not None:
         exploration_phase(runner, space, rng, baseline)
 
     records = []
@@ -526,7 +521,9 @@ def derive(
     Each candidate starts from store copies (when a store exists), takes
     ``derive_train_epochs`` epochs, and is scored on one seeded
     validation minibatch. Score ties keep the earliest sample. The
-    winner retrains from scratch under the full hyperparameters.
+    winner retrains from scratch under the full hyperparameters. A
+    candidate that diverges or runs out of memory scores -inf; when all
+    do, ``TrainingError`` is raised and nothing retrains.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed + 1)
@@ -535,15 +532,17 @@ def derive(
     seeds = [(int(rng.integers(2**31)), rng.integers(2**31)) for _ in candidates]
     scores = []
     for episode, (child_seed, batch_seed) in zip(candidates, seeds):
-        model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
-                            np.random.default_rng(child_seed), store=store, dtype=CHILD_DTYPE)
         try:
+            model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
+                                np.random.default_rng(child_seed), store=store, dtype=CHILD_DTYPE)
             trained = train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
         except (TrainingError, MemoryError):
             scores.append(-np.inf)
             continue
         # The best epoch's validation logits are the restored model's.
         scores.append(_minibatch_metric(model, dataset, np.random.default_rng(batch_seed), logits=trained.best_logits))
+    if max(scores) == -np.inf:
+        raise TrainingError(f"no candidate trained: all {len(scores)} derive candidates diverged or ran out of memory")
 
     winner = int(np.argmax(np.asarray(scores)))  # first index wins ties
     best_arch = candidates[winner].arch

@@ -18,6 +18,7 @@ import pytest
 from gnnsearch import cli
 from gnnsearch.cli import build_search_config, load_config, main
 from gnnsearch.search import STRATEGIES, EpisodeRecord, SearchConfig
+from goldens import workloads
 
 search_module = importlib.import_module("gnnsearch.search")
 
@@ -327,11 +328,77 @@ def test_a_removed_strategy_exits_2_naming_its_equivalent(tmp_path, capsys, stra
     assert not out.exists()
 
 
-def test_strategy_config_conflicts_exit_cleanly(tmp_path, capsys):
-    # exploration without sharing is a config-level contradiction
-    cfg = write_cfg(tmp_path, exploration_epochs=3)
-    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "exploration" in capsys.readouterr().err
+def test_search_and_random_ignore_exploration_without_sharing(tmp_path, capsys):
+    # A strategy ignores the keys it does not use: with no store to warm,
+    # exploration_epochs changes nothing.
+    for command in ("search", "random"):
+        logs = []
+        for extra in ({}, {"exploration_epochs": 3}):
+            out = tmp_path / f"{command}{len(logs)}"
+            assert main([command, "--config", str(write_cfg(tmp_path, **extra)), "--out", str(out)]) == 0
+            assert not (out / "store.npz").exists()
+            logs.append(stripped_log(out / "search.log"))
+        assert logs[0] == logs[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["sbm-share", "multigraph-share"])
+def test_every_command_runs_a_benchmark_workload_config(tmp_path, capsys, name):
+    # The workload's own config, cut short: graphnas keys such as
+    # param_sharing and exploration_epochs stay in it for random too.
+    cfg = dict(workloads().dataset_config(name, 1, 0), episodes=3, derive_samples=2, max_epochs=3, patience=1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    searched, randomized = tmp_path / "search", tmp_path / "random"
+    common = ["--config", str(path), "--out"]
+    assert main(["search", *common, str(searched)]) == 0
+    assert main(["random", *common, str(randomized)]) == 0
+    assert main(["derive", *common, str(searched)]) == 0
+    arch = (searched / "derived.txt").read_text(encoding="utf-8")
+    assert main(["train", *common, str(tmp_path / "train"), "--arch", arch]) == 0
+    logs = [str(out / "search.log") for out in (searched, randomized)]
+    assert main(["report", *common, str(tmp_path / "report"), *logs]) == 0
+    assert len(read_csv(tmp_path / "report" / "report.csv")) == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["search", "random", "derive", "train", "report"])
+def test_every_command_exits_2_on_memory_error(tmp_path, capsys, monkeypatch, command):
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_dataset", no_memory)
+    extra = {"train": ["--arch", "first-order,gcn,sum,relu,1,4"], "report": ["search.log"]}.get(command, [])
+    assert main([command, "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "out"), *extra]) == 2
+    where = "train --arch first-order,gcn,sum,relu,1,4" if command == "train" else command
+    assert capsys.readouterr().err == f"error: {where}: out of memory\n"
+
+
+_TRAIN_UNDER_AN_ADDRESS_SPACE_LIMIT = """
+import resource, sys
+from gnnsearch.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+limit = mapped + (256 << 20)  # set after the imports, with 256 MB to spare
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_train_exits_2_naming_the_arch_when_its_first_layer_cannot_be_allocated(tmp_path):
+    # A real failed allocation: the first layer's w_t is [20000, 16 * 256]
+    # float64, 655 MB, in a process allowed 256 MB more than it maps.
+    cfg = write_cfg(tmp_path, feature_dim=20000, layer_count=2, head_options=[1, 16], hidden_options=[4, 256])
+    arch = "first-order,gcn,sum,relu,16,256;first-order,gcn,sum,linear,1,4"
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _TRAIN_UNDER_AN_ADDRESS_SPACE_LIMIT,
+         "train", "--config", str(cfg), "--out", str(tmp_path / "out"), "--arch", arch],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.splitlines() == [f"error: train --arch {arch}: out of memory"]
 
 
 # ---------------------------------------------------------------------------

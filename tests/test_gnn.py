@@ -692,7 +692,7 @@ def test_overflowing_max_pooling_child_raises_training_error(easy_sbm, attention
     # instead of tripping a kernel's own check.
     model = build_model(_overflowing_arch(attention), easy_sbm.feature_dim, easy_sbm.class_count,
                         np.random.default_rng(0))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+    with pytest.raises(TrainingError):
         train_child(_blown_up(model, 1e200), easy_sbm, OVERFLOW_HP)
 
 
@@ -704,7 +704,7 @@ def test_overflowing_float32_child_raises_training_error_and_scores_zero(easy_sb
     dataset = easy_sbm.with_feature_dtype(np.float32)
     model = build_model(_overflowing_arch(attention), dataset.feature_dim, dataset.class_count,
                         np.random.default_rng(0), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+    with pytest.raises(TrainingError):
         train_child(_blown_up(model, 1e30), dataset, OVERFLOW_HP)
 
     built = []
@@ -716,6 +716,5 @@ def test_overflowing_float32_child_raises_training_error_and_scores_zero(easy_sb
     monkeypatch.setattr(search_module, "build_model", blown_up_build)
     config = search_module.SearchConfig(strategy="graphnas", child_epochs=3, hp=OVERFLOW_HP)
     runner = search_module._ChildRunner(config, dataset, None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert runner.reward(_overflowing_arch(attention), np.random.default_rng(0)) == (0.0, None)
+    assert runner.reward(_overflowing_arch(attention), np.random.default_rng(0)) == (0.0, None)
     assert [p.data.dtype for p in built[0].parameters()] == [np.float32] * len(built[0].parameters())

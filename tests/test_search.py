@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gnnsearch.arch import AGGREGATION, ATTENTION, ActionSpace, decode, default_
 from gnnsearch.controller import Baseline, Controller
 from gnnsearch.errors import ConfigError, ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import TrainHyperparams, build_model, init_layer_params
-from gnnsearch.graphs import make_graph
+from gnnsearch.graphs import generate_sbm, make_graph
 from gnnsearch.search import (
     EpisodeRecord,
     SearchConfig,
@@ -54,6 +55,11 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return SearchConfig(**base)
+
+
+def log_columns(log):
+    """Each record's line without its wall-time column."""
+    return [record.to_line().rsplit("\t", 1)[0] for record in log]
 
 
 def full_table(space, seed=0):
@@ -218,15 +224,15 @@ def test_config_validation_messages():
         tiny_config(episodes=-1)
     with pytest.raises(ConfigError, match="seed"):
         tiny_config(seed=-1)
-    with pytest.raises(ConfigError, match="exploration"):
-        tiny_config(exploration_epochs=5)  # sharing disabled
-    with pytest.raises(ConfigError, match="exploration"):
-        tiny_config(strategy="random", exploration_epochs=5)
+    with pytest.raises(ConfigError, match="exploration_epochs"):
+        tiny_config(exploration_epochs=-1)
     with pytest.raises(ConfigError, match="baseline_decay"):
         tiny_config(baseline_decay=1.0)
     with pytest.raises(ConfigError, match="entropy_weight"):
         tiny_config(entropy_weight=-0.1)
-    # exploration is legal exactly for graphnas with sharing on
+    # a strategy ignores the keys it does not use, so none of these is refused
+    tiny_config(exploration_epochs=5)
+    tiny_config(strategy="random", param_sharing=True, exploration_epochs=5)
     tiny_config(param_sharing=True, exploration_epochs=5)
 
 
@@ -351,10 +357,14 @@ def test_search_needs_exactly_one_reward_source(easy_sbm):
         search(tiny_config(), dataset=easy_sbm, reward_table=full_table(TINY))
 
 
-def test_surrogate_rejects_exploration():
-    config = tiny_config(param_sharing=True, exploration_epochs=2)
-    with pytest.raises(ConfigError, match="surrogate"):
-        search(config, space=TINY, reward_table=full_table(TINY))
+def test_surrogate_ignores_exploration():
+    # Exploration warms a store of trained weights; a surrogate trains none.
+    config = tiny_config(param_sharing=True, episodes=6)
+    plain = search(config, space=TINY, reward_table=full_table(TINY))
+    explored = search(dataclasses.replace(config, exploration_epochs=2), space=TINY, reward_table=full_table(TINY))
+    assert log_columns(explored) == log_columns(plain)
+    assert explored.controller.checksum() == plain.controller.checksum()
+    assert len(explored.store) == len(plain.store) == 0
 
 
 def test_space_must_agree_with_config():
@@ -462,25 +472,22 @@ def test_dataset_search_is_deterministic(easy_sbm):
 
 def test_divergent_children_score_zero(easy_sbm, monkeypatch):
     # A child that diverges or runs out of memory scores 0 in search and
-    # -inf among derive's candidates; derive's retrain still runs.
-    train_child = search_module.train_child
+    # -inf among derive's candidates; with none trained, derive retrains none.
     config = tiny_config(episodes=3, derive_samples=4)
     for error in (TrainingError("non-finite training loss at epoch 0", 0), MemoryError()):
         calls = []
 
         def explode(model, dataset, hp):
             calls.append(hp)
-            if len(calls) > config.derive_samples:
-                return train_child(model, dataset, hp)
             raise error
 
         monkeypatch.setattr(search_module, "train_child", explode)
         log = search(config, dataset=easy_sbm, space=TINY)
         assert [r.raw_reward for r in log] == [0.0, 0.0, 0.0]
         calls.clear()
-        result = derive(log.controller, None, easy_sbm, config)
-        assert result.candidate_scores == [-np.inf] * config.derive_samples
-        assert len(calls) == config.derive_samples + 1
+        with pytest.raises(TrainingError, match="^no candidate trained: all 4 derive candidates"):
+            derive(log.controller, None, easy_sbm, config)
+        assert len(calls) == config.derive_samples
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +520,27 @@ def test_exploration_children_count_in_the_optimizer_steps(easy_sbm, monkeypatch
     monkeypatch.setattr(search_module, "train_child", counted)
     log = search(config, dataset=easy_sbm, space=TINY)
     assert len(steps) == 3 and log.child_opt_steps == sum(steps) > 0
+
+
+# Keys only graphnas reads, each set away from its default.
+GRAPHNAS_KEYS = dict(
+    param_sharing=True, child_epochs=1, exploration_epochs=3, controller_hidden=4,
+    controller_lr=0.1, temperature=1.0, logit_clip=1.0, entropy_weight=0.5, batch_size=2,
+)
+
+
+@pytest.mark.parametrize(
+    "strategy, keys",
+    [("graphnas", {"exploration_epochs": 3}), ("random", GRAPHNAS_KEYS)],
+    ids=["graphnas-exploration-without-sharing", "random-graphnas-keys"],
+)
+def test_a_strategy_ignores_the_keys_it_does_not_use(easy_sbm, strategy, keys):
+    config = tiny_config(strategy=strategy)
+    plain = search(config, dataset=easy_sbm, space=TINY)
+    keyed = search(dataclasses.replace(config, **keys), dataset=easy_sbm, space=TINY)
+    assert log_columns(keyed) == log_columns(plain)
+    assert keyed.child_opt_steps == plain.child_opt_steps > 0
+    assert keyed.store is None and plain.store is None
 
 
 def test_exploration_never_disturbs_controller_initialization(easy_sbm):
@@ -551,6 +579,45 @@ def test_derive_retrains_winner_from_scratch(easy_sbm):
     assert len(result.candidate_scores) == 3
     assert 0.0 <= result.trained.best_val_metric <= 1.0
     assert result.trained.epochs_ran <= config.hp.max_epochs
+
+
+def test_diverging_children_score_zero_without_warnings_and_derive_retrains_none(monkeypatch):
+    # At lr 1e38 every child's loss turns non-finite after its first step.
+    dataset = generate_sbm(2, 30, 0.2, 0.02, 8, 1.0, seed=0)
+    config = tiny_config(episodes=4, derive_samples=4, derive_train_epochs=2, hp=dataclasses.replace(FAST_HP, lr=1e38))
+    trained = []
+    train_child = search_module.train_child
+    monkeypatch.setattr(search_module, "train_child", lambda *args: trained.append(1) or train_child(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = search(config, dataset=dataset, space=TINY)
+        assert [record.raw_reward for record in log] == [0.0] * 4
+        trained.clear()
+        with pytest.raises(TrainingError, match="^no candidate trained: all 4 derive candidates"):
+            derive(log.controller, log.store, dataset, config)
+    assert len(trained) == config.derive_samples
+
+
+def test_derive_chooses_among_the_rest_when_a_build_runs_out_of_memory(easy_sbm, monkeypatch):
+    config = tiny_config(derive_samples=3, derive_train_epochs=1)
+    controller = Controller(TINY, np.random.default_rng(4), hidden_size=8)
+    expected = derive(controller, None, easy_sbm, config).candidate_scores
+    failing = int(np.argmax(expected))  # the winner of the run without a failure
+    built = []
+    build_model = search_module.build_model
+
+    def build(arch, *args, **kwargs):
+        built.append(arch)
+        if len(built) == failing + 1:
+            raise MemoryError
+        return build_model(arch, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "build_model", build)
+    result = derive(controller, None, easy_sbm, config)
+    rest = [-np.inf if k == failing else score for k, score in enumerate(expected)]
+    assert result.candidate_scores == rest
+    assert len(built) == config.derive_samples + 1  # the candidates, then the winner's retrain
+    assert result.arch == built[-1] == built[int(np.argmax(rest))]
 
 
 def test_minibatch_metric_is_seeded(easy_sbm, rng):
