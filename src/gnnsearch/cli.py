@@ -31,7 +31,7 @@ from .arch import (
 )
 from .controller import load_controller, save_controller
 from .errors import ConfigError, GnnSearchError, ParameterError
-from .gnn import TrainHyperparams, build_model, median, train_child
+from .gnn import CHILD_DTYPE, TrainHyperparams, build_model, median, param_count, train_child
 from .graphs import LabeledDataset, generate_multigraph, generate_sbm, load_citation
 from .search import (
     EpisodeRecord,
@@ -191,9 +191,7 @@ def _write_topk(log, k: int, path: Path) -> None:
 def cmd_search(cfg: dict, out_dir: Path) -> int:
     config = build_search_config(cfg)
     space = build_space(cfg)
-    # Held in a list that search pops from, so that search holds the only
-    # reference and frees the float64 features once it has cast them.
-    datasets = [make_dataset(cfg)]
+    dataset = make_dataset(cfg).with_feature_dtype(CHILD_DTYPE)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "search.log"
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -202,7 +200,7 @@ def cmd_search(cfg: dict, out_dir: Path) -> int:
             fh.write(record.to_line() + "\n")
             fh.flush()
 
-        log = search(config, dataset=datasets.pop(), space=space, record_sink=sink)
+        log = search(config, dataset=dataset, space=space, record_sink=sink)
     _write_topk(log, config.top_k, out_dir / "topk.csv")
     if log.controller is not None:
         save_controller(log.controller, out_dir / "controller.npz")
@@ -219,14 +217,14 @@ def cmd_search(cfg: dict, out_dir: Path) -> int:
 
 def cmd_derive(cfg: dict, out_dir: Path) -> int:
     config = build_search_config(cfg)
-    datasets = [make_dataset(cfg)]  # popped into derive, as in cmd_search
+    dataset = make_dataset(cfg).with_feature_dtype(CHILD_DTYPE)
     controller_path = out_dir / "controller.npz"
     if not controller_path.exists():
         raise ConfigError(f"no controller checkpoint at {controller_path}; run search first")
     controller = load_controller(controller_path)
     store_path = out_dir / "store.npz"
     store = load_store(store_path) if store_path.exists() else None
-    result = derive(controller, store, datasets.pop(), config)
+    result = derive(controller, store, dataset, config)
     arch_text = encode(result.arch)
     (out_dir / "derived.txt").write_text(arch_text + "\n", encoding="utf-8")
     print(arch_text)
@@ -240,17 +238,16 @@ def cmd_derive(cfg: dict, out_dir: Path) -> int:
 def cmd_train(cfg: dict, out_dir: Path, arch_text: str) -> int:
     space = build_space(cfg)
     arch = decode(arch_text, space)
-    dataset = make_dataset(cfg)
+    dataset = make_dataset(cfg).with_feature_dtype(CHILD_DTYPE)
     hp = build_search_config(cfg).hp
     repeat = cfg["repeat"]
     if repeat < 1:
         raise ConfigError("config key 'repeat' must be at least 1")
     metrics, seconds = [], []
-    params = None
     for i in range(repeat):
         run_hp = replace(hp, seed=hp.seed + i)
-        model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(run_hp.seed))
-        params = model.param_count()
+        model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(run_hp.seed),
+                            dtype=dataset.feature_dtype)
         result = train_child(model, dataset, run_hp)
         metrics.append(result.test_metric)
         seconds.append(result.seconds_per_epoch)
@@ -263,16 +260,16 @@ def cmd_train(cfg: dict, out_dir: Path, arch_text: str) -> int:
     with open(out_dir / "train.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "depth", "params", "sec_per_epoch", "metric_mean", "metric_std"])
-        writer.writerow(_report_row(encode(arch, sep=";"), arch.depth, params, seconds, metrics))
+        writer.writerow(_report_row(encode(arch, sep=";"), arch, dataset, seconds, metrics))
     return 0
 
 
-def _report_row(name: str, depth: int, params: int, seconds: list, metrics: list) -> list:
+def _report_row(name: str, arch, dataset: LabeledDataset, seconds: list, metrics: list) -> list:
     std = f"{np.std(metrics):.10g}" if len(metrics) > 1 else ""
     return [
         name,
-        depth,
-        params,
+        arch.depth,
+        param_count(arch, dataset.feature_dim, dataset.class_count),
         f"{median(seconds):.10g}",
         f"{float(np.mean(metrics)):.10g}",
         std,
@@ -320,10 +317,9 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
             skip_enabled=len(layer_texts[0].split(",")) == len(SLOT_ORDER) + 2,
         )
         arch = decode(best.arch, log_space)
-        model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
         top = [reward for _arch, reward in top_k_report(records, top_k)]
         wall = [r.wall_ms / 1000.0 for r in records[1:]] or [records[0].wall_ms / 1000.0]
-        rows.append(_report_row(stem, arch.depth, model.param_count(), wall, top))
+        rows.append(_report_row(stem, arch, dataset, wall, top))
 
         best_so_far = -np.inf
         above = 0

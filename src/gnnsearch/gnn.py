@@ -6,8 +6,8 @@ in-neighborhood (self-loop included), aggregates the weighted messages,
 merges heads (concatenation on hidden layers, average on the last one),
 applies an optional residual, then the activation.
 
-A model computes in its features' dtype. Search and derivation train
-children in ``CHILD_DTYPE``; everything else defaults to float64.
+A model computes in its features' dtype. Every command that trains a
+child casts its dataset to ``CHILD_DTYPE``; the library defaults to float64.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .autodiff import Tensor
 from .errors import ParameterError, ShapeError, TrainingError
 from .graphs import Graph, LabeledDataset
 
-# The dtype search and derivation train children in (numerics version 3).
+# The dtype every command trains children in (numerics version 3).
 CHILD_DTYPE = np.dtype(np.float32)
 
 
@@ -117,9 +117,6 @@ class ChildModel:
     def parameters(self) -> list:
         return [t for layer in self.layers for t in layer.tensors.values()]
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def snapshot(self) -> list:
         return [{name: t.data.copy() for name, t in layer.tensors.items()} for layer in self.layers]
 
@@ -156,9 +153,8 @@ class LayerPlan:
     activation: str
     skip_from: int | None
     concat: bool  # the skip source is concatenated rather than added
-    base_out: int  # width of the merged heads, before any skip merge
     out_dim: int
-    skip_dim: int | None
+    w_res: tuple | None  # the residual projection's shape, when the added skip source is another width
     last: bool
 
 
@@ -176,10 +172,22 @@ def _layer_plan(arch: ArchDescription, in_dim: int, out_classes: int) -> list:
         # layer always merges additively.
         concat = skip_dim is not None and layer.merge == "concat" and not last
         out_dim = base_out + skip_dim if concat else base_out
+        w_res = None if skip_dim in (None, base_out) or concat else (skip_dim, base_out)
         key = ShareKey(i, layer.attention, layer.aggregation, dims[i], layer.heads, width)
-        plan.append(LayerPlan(key, layer.activation, layer.skip_from, concat, base_out, out_dim, skip_dim, last))
+        plan.append(LayerPlan(key, layer.activation, layer.skip_from, concat, out_dim, w_res, last))
         dims.append(out_dim)
     return plan
+
+
+def param_count(arch: ArchDescription, in_dim: int, out_classes: int) -> int:
+    """How many parameters ``build_model`` gives this architecture, counted
+    from its plan's ``layer_shapes`` and residual projections, drawing none."""
+    total = 0
+    for step in _layer_plan(arch, in_dim, out_classes):
+        key = step.key
+        shapes = layer_shapes(key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
+        total += sum(map(math.prod, shapes.values())) + (math.prod(step.w_res) if step.w_res else 0)
+    return total
 
 
 def build_model(
@@ -209,8 +217,8 @@ def build_model(
             params = store.layer_params(key, rng)
         else:
             params = init_layer_params(rng, key.attention, key.aggregation, key.in_dim, key.heads, key.hidden)
-        if step.skip_from is not None and not step.concat and step.skip_dim != step.base_out:
-            params.tensors["w_res"] = ad.glorot(rng, step.skip_dim, step.base_out)
+        if step.w_res:
+            params.tensors["w_res"] = ad.glorot(rng, *step.w_res)
         for tensor in params.tensors.values():
             tensor.data = tensor.data.astype(dtype, copy=False)
         layers.append(params)

@@ -52,9 +52,15 @@ class Graph:
 
     def with_feature_dtype(self, dtype) -> "Graph":
         """This graph with its features in ``dtype``: itself when they
-        already are, else a new graph over the same edges."""
+        already are, else a new graph over the same edges. A cast that
+        would turn a finite feature into an infinity raises ``ParameterError``."""
         if self.features.dtype == dtype:
             return self
+        finite = np.isfinite(self.features)
+        largest = max(self.features.max(where=finite, initial=0.0), -self.features.min(where=finite, initial=0.0))
+        with np.errstate(over="ignore"):
+            if np.isinf(np.asarray(largest).astype(dtype)):
+                raise ParameterError(f"largest |feature| {largest:.6g} overflows {np.dtype(dtype).name}")
         features = self.features.astype(dtype)
         features.setflags(write=False)
         return replace(self, features=features)
@@ -162,11 +168,17 @@ class LabeledDataset:
     def with_feature_dtype(self, dtype) -> "LabeledDataset":
         """This dataset with every graph's features in ``dtype``: itself
         when they already are, else a new dataset over new graphs. This
-        one is never changed."""
-        graphs = tuple(graph.with_feature_dtype(dtype) for graph in self.graphs)
+        one is never changed. A cast that would turn a finite feature into
+        an infinity raises ``ParameterError`` naming the graph."""
+        graphs = []
+        for index, graph in enumerate(self.graphs):
+            try:
+                graphs.append(graph.with_feature_dtype(dtype))
+            except ParameterError as err:
+                raise ParameterError(f"graph {index}: {err}") from None
         if all(cast is graph for cast, graph in zip(graphs, self.graphs)):
             return self
-        return replace(self, graphs=graphs)
+        return replace(self, graphs=tuple(graphs))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +310,7 @@ def generate_multigraph(
         features = rng.standard_normal((n, feature_dim))
         graph = make_graph(n, edges, features, symmetrize=True)
 
-        # bincount adds each column's edges in edge order, as a scatter-add would.
-        messages = features[graph.src]
-        neighbor_sum = np.stack(
-            [np.bincount(graph.dst, weights=messages[:, j], minlength=n) for j in range(feature_dim)], axis=1
-        )
+        neighbor_sum = graph.plan.dst.sum(features[graph.src])
         context = 0.5 * (features + neighbor_sum / graph.degrees[:, None])
         labels.append((context @ rule > 0.0).astype(np.int64))
         graphs.append(graph)

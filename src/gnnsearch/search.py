@@ -15,8 +15,8 @@ bypasses all child training, which makes controller behavior cheap to
 study and fully deterministic.
 
 Children train in ``CHILD_DTYPE`` (float32): ``search`` and ``derive``
-cast the dataset's features into a new dataset once. The controller,
-its REINFORCE step, rewards and metrics stay float64.
+cast the dataset once, and a child is built in its dataset's dtype. The
+controller, its REINFORCE step, rewards and metrics stay float64.
 """
 
 from __future__ import annotations
@@ -534,7 +534,7 @@ def derive(
     for episode, (child_seed, batch_seed) in zip(candidates, seeds):
         try:
             model = build_model(episode.arch, dataset.feature_dim, dataset.class_count,
-                                np.random.default_rng(child_seed), store=store, dtype=CHILD_DTYPE)
+                                np.random.default_rng(child_seed), store=store, dtype=dataset.feature_dtype)
             trained = train_child(model, dataset, _shared_hp(config, config.derive_train_epochs, child_seed))
         except (TrainingError, MemoryError):
             scores.append(-np.inf)
@@ -548,6 +548,6 @@ def derive(
     best_arch = candidates[winner].arch
     final_seed = int(rng.integers(2**31))
     model = build_model(best_arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(final_seed),
-                        dtype=CHILD_DTYPE)
+                        dtype=dataset.feature_dtype)
     trained = train_child(model, dataset, replace(config.hp, seed=final_seed))
     return DeriveResult(arch=best_arch, candidate_scores=scores, trained=trained)

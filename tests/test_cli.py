@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, and overrides."""
 
 import csv
+import dataclasses
 import gc
 import importlib
 import json
@@ -9,6 +10,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 
 from gnnsearch import cli
 from gnnsearch.cli import build_search_config, load_config, main
+from gnnsearch.graphs import generate_sbm, make_graph, save_citation
 from gnnsearch.search import STRATEGIES, EpisodeRecord, SearchConfig
 from goldens import workloads
 
@@ -374,6 +378,22 @@ def test_every_command_exits_2_on_memory_error(tmp_path, capsys, monkeypatch, co
     assert capsys.readouterr().err == f"error: {where}: out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["search", "random", "derive", "train"])
+def test_every_training_command_refuses_features_float32_cannot_hold(tmp_path, capsys, command):
+    # The refusal comes from the one cast, before numpy can warn and, for
+    # derive, before it looks for a controller.
+    dataset = generate_sbm(2, 12, 0.3, 0.02, 6, 3.0, seed=1)
+    graph = dataset.graphs[0]
+    huge = dataclasses.replace(dataset, graphs=(make_graph(graph.node_count, graph.edges, graph.features * 1e200),))
+    save_citation(huge, tmp_path / "huge.txt")
+    cfg = write_cfg(tmp_path, dataset="citation", path=str(tmp_path / "huge.txt"))
+    extra = ["--arch", "first-order,gcn,sum,relu,1,4"] if command == "train" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert re.fullmatch(r"error: graph 0: largest \|feature\| \S+e\+20\d overflows float32\n", capsys.readouterr().err)
+
+
 _TRAIN_UNDER_AN_ADDRESS_SPACE_LIMIT = """
 import resource, sys
 from gnnsearch.cli import main
@@ -421,6 +441,21 @@ def test_train_single_run(tmp_path, capsys):
     # Single layer, last layer width equals the 2 classes: w_t is 6 x 2.
     assert params == "12"
     assert std == ""
+
+
+def test_train_builds_float32_children_from_a_float64_dataset(tmp_path, capsys, monkeypatch):
+    trained = []
+    train_child = cli.train_child
+
+    def recorded(model, dataset, hp):
+        trained.append((dataset.feature_dtype, {p.data.dtype for p in model.parameters()}))
+        return train_child(model, dataset, hp)
+
+    monkeypatch.setattr(cli, "train_child", recorded)
+    cfg = write_cfg(tmp_path, repeat=2)
+    assert cli.make_dataset(load_config(str(cfg))).feature_dtype == np.float64
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path), "--arch", "first-order,gcn,sum,relu,1,4"]) == 0
+    assert trained == [(np.float32, {np.dtype(np.float32)})] * 2
 
 
 def test_train_repeat_fills_std(tmp_path, capsys):
@@ -624,6 +659,23 @@ def test_report_over_two_logs(tmp_path, capsys):
     assert best == sorted(best)
     assert above == sorted(above)
     assert (report_dir / "curve_beta.csv").exists()
+
+
+def test_report_counts_params_without_drawing_them(tmp_path, capsys):
+    # Over 1,433 features and 7 classes this arch holds 10,096,640
+    # parameters: 81 MB in float64, were they drawn to be counted.
+    arch = "first-order,gene-linear,mlp,relu,16,256;first-order,gcn,sum,relu,1,8"
+    (tmp_path / "one.log").write_text(EpisodeRecord(0, arch, 0.5, 0.1, 0.4, 12.0).to_line() + "\n", encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"feature_dim": 1433, "block_count": 7, "nodes_per_block": 10}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "report"), str(tmp_path / "one.log")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_csv(tmp_path / "report" / "report.csv")[1][2] == "10096640"
+    assert peak < 10e6
 
 
 def test_report_gives_seconds_per_episode(tmp_path, capsys):

@@ -22,6 +22,7 @@ from gnnsearch.gnn import (
     layer_shapes,
     median,
     node_metric,
+    param_count,
     train_child,
 )
 from gnnsearch.gnn import _edge_scores
@@ -220,8 +221,20 @@ def test_hand_counted_param_total(rng):
     arch = _arch("first-order,const,sum,relu,1,8;first-order,const,sum,relu,1,8")
     model = build_model(arch, in_dim=16, out_classes=3, rng=rng)
     # layer 0: w_t is 16 x (1*8) = 128; layer 1 maps 8 -> 3 classes = 24.
-    assert model.param_count() == 152
+    assert param_count(arch, 16, 3) == sum(p.size for p in model.parameters()) == 152
     assert _layer_dims(model) == [(16, 8), (8, 3)]
+
+
+@pytest.mark.parametrize("attention,aggregation", list(itertools.product(ATTENTION, AGGREGATION)))
+@pytest.mark.parametrize("in_dim,out_classes,projected", [(5, 3, True), (8, 8, False)])
+def test_param_count_is_the_count_build_model_draws(attention, aggregation, in_dim, out_classes, projected):
+    # Each layer adds a skip source to its 2 x 4 = 8 (last: out_classes)
+    # wide output, through a w_res unless the source is as wide.
+    layer = f"first-order,{attention},{aggregation},relu,2,4"
+    arch = decode(f"{layer},0,add;{layer},1,add", default_space(layer_count=2, skip_enabled=True))
+    model = build_model(arch, in_dim, out_classes, np.random.default_rng(0))
+    assert ["w_res" in params.tensors for params in model.layers] == [projected, projected]
+    assert param_count(arch, in_dim, out_classes) == sum(p.size for p in model.parameters())
 
 
 def test_output_width_is_class_count(tiny_graph, rng):

@@ -16,7 +16,7 @@ from gnnsearch.arch import AGGREGATION, ATTENTION, ActionSpace, decode, default_
 from gnnsearch.controller import Baseline, Controller
 from gnnsearch.errors import ConfigError, ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import TrainHyperparams, build_model, init_layer_params
-from gnnsearch.graphs import generate_sbm, make_graph
+from gnnsearch.graphs import generate_multigraph, generate_sbm, make_graph
 from gnnsearch.search import (
     EpisodeRecord,
     SearchConfig,
@@ -714,11 +714,33 @@ def test_built_child_hits_the_keys_its_merge_wrote(easy_sbm):
             assert np.array_equal(again.tensors[name].data, tensor.data)
 
 
+def _scaled(dataset, scale, index=0):
+    """``dataset`` with graph ``index``'s features times ``scale``."""
+    graphs = list(dataset.graphs)
+    graph = graphs[index]
+    graphs[index] = make_graph(graph.node_count, graph.edges, graph.features * scale)
+    return dataclasses.replace(dataset, graphs=tuple(graphs))
+
+
 def test_search_scores_an_overflowing_child_zero(easy_sbm):
-    # No monkeypatching: huge features overflow every cos/max-pooling child.
-    graphs = tuple(make_graph(g.node_count, g.edges, g.features * 1e200) for g in easy_sbm.graphs)
-    huge = dataclasses.replace(easy_sbm, graphs=graphs)
+    # No monkeypatching: features of 1e30 fit float32 but overflow every
+    # cos/max-pooling child, which scores 0 without a warning.
     space = dataclasses.replace(TINY, attention=("cos",), aggregation=("max-pooling",))
-    with np.errstate(over="ignore", invalid="ignore"):
-        log = search(tiny_config(episodes=3), dataset=huge, space=space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = search(tiny_config(episodes=3), dataset=_scaled(easy_sbm, 1e30), space=space)
     assert [r.raw_reward for r in log] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_search_and_derive_refuse_features_float32_cannot_hold(easy_sbm, index):
+    dataset = easy_sbm if index == 0 else generate_multigraph(4, 10, 3.0, 8, 2, seed=1)
+    huge = _scaled(dataset, 1e200, index)
+    controller = Controller(TINY, np.random.default_rng(4), hidden_size=8)
+    message = rf"^graph {index}: largest \|feature\| \S+e\+20\d overflows float32$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=message):
+            search(tiny_config(), dataset=huge, space=TINY)
+        with pytest.raises(ParameterError, match=message):
+            derive(controller, None, huge, tiny_config())
