@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -491,11 +490,10 @@ class IndexPlan:
         return np.argsort(self.ids.astype(np.min_scalar_type(self.n - 1)), kind="stable")
 
     @cached_property
-    def grouping(self) -> tuple:
-        """(order, starts): ``order``, and the position where each id's
-        group begins in it."""
+    def starts(self) -> np.ndarray:
+        """The position in ``order`` where each id's group begins."""
         counts = self.counts
-        return self.order, np.cumsum(counts) - counts
+        return np.cumsum(counts) - counts
 
     @cached_property
     def levels(self) -> Levels:
@@ -538,7 +536,7 @@ class IndexPlan:
         ``winners`` each cell's first row equal to it, [n, ...], or the
         id's first row where the max is NaN and so equals none (else None).
         """
-        order, starts = self.grouping  # raises on an id without rows
+        starts, order = self.starts, self.order  # raises on an id without rows
         if self._walks(values):
             won = np.empty((self.n,) + values.shape[1:], dtype=order.dtype) if winners else None
             return self.levels.walk(values.shape[1:], values.dtype, self.levels._taken(values), np.maximum, won), won
@@ -568,23 +566,15 @@ EDGE_CHUNK_BYTES = 8 * 2**20
 WALK_MIN_BYTES = 2**20
 
 
-class LevelWalk(NamedTuple):
-    """A sum by one end of the edges, walked level by level: the ``Levels``
-    of that end's ids, and the other end's node of every edge in their
-    ``order``."""
-
-    levels: Levels
-    far: np.ndarray
-
-
 class EdgePlan:
     """What message passing needs from a graph's edges, worked out once.
 
     ``src`` and ``dst`` are kept ``IndexPlan``s over the ``n`` nodes;
+    ``dst_far`` and ``src_far`` hold the other end's node of every edge in
+    ``dst.levels.order`` and ``src.levels.order``, for the level walks that
+    the fused edge ops take where their temporaries are wide (``walks``);
     ``gcn_norm`` is 1/sqrt(deg(dst) deg(src)) per edge, from the given
-    in-degrees; ``order`` lists the edges stably grouped by destination.
-    ``into_dst``/``into_src`` are the level walks that the fused edge ops
-    take where their temporaries are wide (``walks``).
+    in-degrees.
     """
 
     def __init__(self, src, dst, n: int, degrees):
@@ -592,16 +582,11 @@ class EdgePlan:
         self.dst = IndexPlan(dst, n, kept=True)
         if self.src.ids.shape != self.dst.ids.shape:
             raise ShapeError(f"{self.src.ids.shape[0]} sources for {self.dst.ids.shape[0]} destinations")
-        self.n = n
         self._degrees = degrees
 
     @property
     def edge_count(self) -> int:
         return self.src.ids.shape[0]
-
-    @property
-    def order(self) -> np.ndarray:
-        return self.dst.order
 
     @cached_property
     def gcn_norm(self) -> np.ndarray:
@@ -614,12 +599,12 @@ class EdgePlan:
         return self.edge_count * width * itemsize >= WALK_MIN_BYTES
 
     @cached_property
-    def into_dst(self) -> LevelWalk:
-        return LevelWalk(self.dst.levels, self.src.ids.take(self.dst.levels.order))
+    def dst_far(self) -> np.ndarray:
+        return self.src.ids.take(self.dst.levels.order)
 
     @cached_property
-    def into_src(self) -> LevelWalk:
-        return LevelWalk(self.src.levels, self.dst.ids.take(self.src.levels.order))
+    def src_far(self) -> np.ndarray:
+        return self.dst.ids.take(self.src.levels.order)
 
 
 def _plan(index, n: int) -> IndexPlan:
@@ -721,21 +706,19 @@ def relu(x: Tensor) -> Tensor:
     return record(data, (x,), lambda g: (g * mask,))
 
 
-def _leaky(a: np.ndarray, positive: np.ndarray, slope: float = _LEAKY_SLOPE) -> np.ndarray:
-    """``a`` where the bool mask ``positive`` holds, ``slope * a``
+def _leaky(a: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """``a`` where the bool mask ``positive`` holds, ``_LEAKY_SLOPE * a``
     elsewhere, in ``a``'s dtype: bitwise ``a`` times a float scale of 1.0
-    or ``slope``, rebuilt from the mask by one max (max(True, slope) = 1.0,
-    max(False, slope) = slope, for a slope in [0, 1])."""
-    return a * np.maximum(positive, a.dtype.type(slope))
+    or the slope, rebuilt from the mask by one max (max(True, 0.2) = 1.0,
+    max(False, 0.2) = 0.2)."""
+    return a * np.maximum(positive, a.dtype.type(_LEAKY_SLOPE))
 
 
-def leaky_relu(x: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
-    """``x`` where it is positive, ``slope * x`` elsewhere (NaN included),
-    for a slope in [0, 1]. The node keeps a bool mask, as ``relu`` does."""
-    if not 0.0 <= slope <= 1.0:
-        raise ParameterError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+def leaky_relu(x: Tensor) -> Tensor:
+    """``x`` where it is positive, ``_LEAKY_SLOPE * x`` elsewhere (NaN
+    included). The node keeps a bool mask, as ``relu`` does."""
     positive = x.data > 0.0
-    return record(_leaky(x.data, positive, slope), (x,), lambda g: (_leaky(g, positive, slope),))
+    return record(_leaky(x.data, positive), (x,), lambda g: (_leaky(g, positive),))
 
 
 def relu6(x: Tensor) -> Tensor:
@@ -976,7 +959,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     way gene-linear's w_a gradient sums the edges in destination-grouped
     order (``w_a_grad``).
     """
-    z_val, n = z.data, plan.n
+    z_val, n = z.data, plan.dst.n
     src, dst = plan.src, plan.dst
     w_l, w_r = weights[0].data, weights[1].data
     w_a = weights[2].data if kind == "gene-linear" else None
@@ -997,12 +980,12 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
         return pair.sum(axis=-1)
 
     if walked:
-        into = plan.into_dst
+        levels, far = plan.dst.levels, plan.dst_far
         data = np.empty((plan.edge_count, heads), dtype=left.dtype)
-        for block, steps in into.levels.blocks(heads * width):
-            near = left.take(into.levels.rows[block], axis=0)
+        for block, steps in levels.blocks(heads * width):
+            near = left.take(levels.rows[block], axis=0)
             for lo, m in steps:
-                data[into.levels.order[lo:lo + m]] = scores(near[:m], right.take(into.far[lo:lo + m], axis=0))
+                data[levels.order[lo:lo + m]] = scores(near[:m], right.take(far[lo:lo + m], axis=0))
     else:
         data = scores(left.take(dst.ids, axis=0), right.take(src.ids, axis=0))
     need_z = z.requires_grad
@@ -1021,14 +1004,14 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
         return rows
 
     def walked_total(name, g):
-        into = plan.into_dst if name == "dst" else plan.into_src
+        levels, far_ids = (plan.dst.levels, plan.dst_far) if name == "dst" else (plan.src.levels, plan.src_far)
         own, other = (left, right) if name == "dst" else (right, left)
-        g_walk = g.take(into.levels.order, axis=0)
+        g_walk = g.take(levels.order, axis=0)
 
         def level_rows(block, steps):
-            near = own.take(into.levels.rows[block], axis=0) if w_a is not None else None
+            near = own.take(levels.rows[block], axis=0) if w_a is not None else None
             for lo, m in steps:
-                far = other.take(into.far[lo:lo + m], axis=0)
+                far = other.take(far_ids[lo:lo + m], axis=0)
                 if w_a is None:
                     far *= g_walk[lo:lo + m, :, None]
                     yield far
@@ -1036,7 +1019,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
                     ends = (near[:m], far) if name == "dst" else (far, near[:m])
                     yield g_pre(g_walk[lo:lo + m], hidden(*ends, out=far))
 
-        return into.levels.walk(left.shape[1:], left.dtype, level_rows)
+        return levels.walk(left.shape[1:], left.dtype, level_rows)
 
     def totals(g):  # (end, the gradient of that end's head product)
         if walked:
@@ -1065,7 +1048,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
         for lo in range(0, max(plan.edge_count, 1), span):
             total = np.zeros((1, heads, width), dtype=left.dtype)
             for b in range(lo, min(lo + span, plan.edge_count), size):
-                edges = plan.order[b:min(b + size, lo + span)]
+                edges = dst.order[b:min(b + size, lo + span)]
                 h = right.take(src.ids.take(edges), axis=0)
                 hidden(left.take(dst.ids.take(edges), axis=0), h, out=h)
                 terms = np.empty((len(h) + 1, heads, width), dtype=h.dtype)
@@ -1143,18 +1126,18 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
         return np.maximum(m, 0.0, out=m) if kind == "mlp" else m
 
     if walked:
-        into = plan.into_dst
-        a_walk = alpha.data.take(into.levels.order, axis=0)
+        levels, far = plan.dst.levels, plan.dst_far
+        a_walk = alpha.data.take(levels.order, axis=0)
 
         def level_rows(_, steps):
-            return (messages(a_walk[lo:lo + m], into.far[lo:lo + m]) for lo, m in steps)
+            return (messages(a_walk[lo:lo + m], far[lo:lo + m]) for lo, m in steps)
 
         if kind == "max-pooling":
             # each (destination, column)'s winning edge, for the backward
             winners = np.empty((n, heads, width), dtype=np.int32) if need_alpha or need_z else None
-            data = into.levels.walk((heads, width), dtype, level_rows, np.maximum, winners)
+            data = levels.walk((heads, width), dtype, level_rows, np.maximum, winners)
         else:
-            data = into.levels.walk((heads, width), dtype, level_rows)
+            data = levels.walk((heads, width), dtype, level_rows)
     elif kind == "max-pooling":
         data, winners = plan.dst.max(messages(alpha.data, plan.src.ids), need_alpha or need_z)
     else:
@@ -1184,30 +1167,30 @@ def edge_aggregate(kind: str, alpha: Tensor, z: Tensor, plan: EdgePlan, *weights
             g = g * inv
         g = np.ascontiguousarray(g)  # take copies a strided input whole, on every call
         if walked:
-            into = plan.into_src
-            a_walk = alpha.data.take(into.levels.order, axis=0)
+            levels, far = plan.src.levels, plan.src_far
+            a_walk = alpha.data.take(levels.order, axis=0)
             g_walk = np.empty_like(a_walk) if need_alpha else None
 
             def level_grads(block, steps):
                 # position j of every source level is an edge out of rows[j]
-                z_b = z_val.take(into.levels.rows[block], axis=0) if need_rows else None
+                z_b = z_val.take(levels.rows[block], axis=0) if need_rows else None
                 for lo, m in steps:
                     z_m = z_b[:m] if need_rows else None
-                    g_m = g.take(into.far[lo:lo + m], axis=0)
+                    g_m = g.take(far[lo:lo + m], axis=0)
                     if kind == "max-pooling":  # g at the winners and 0.0 elsewhere: its bits times 1 or 0
-                        edges = into.levels.order[lo:lo + m, None, None].astype(winners.dtype)
-                        won = winners.take(into.far[lo:lo + m], axis=0) == edges
+                        edges = levels.order[lo:lo + m, None, None].astype(winners.dtype)
+                        won = winners.take(far[lo:lo + m], axis=0) == edges
                         g_m.view(f"i{g_m.itemsize}")[...] *= won
                     g_m, g_a = message_grads(g_m, a_walk[lo:lo + m, :, None], z_m)
                     if need_alpha:
                         g_walk[lo:lo + m] = g_a
                     yield g_m
 
-            g_rows = into.levels.walk((heads, width), dtype, level_grads)
+            g_rows = levels.walk((heads, width), dtype, level_grads)
             g_alpha = None
             if need_alpha:
                 g_alpha = np.empty_like(g_walk)
-                g_alpha[into.levels.order] = g_walk
+                g_alpha[levels.order] = g_walk
         else:
             a = alpha.data[:, :, None]
             z_m = z_val.take(plan.src.ids, axis=0) if need_rows else None

@@ -235,9 +235,16 @@ def cmd_derive(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+def _decode_as_written(text: str, space: ActionSpace):
+    """``text`` decoded with ``space``'s option lists, at the depth and with
+    the skip wiring it is written with, so an arch trains or reports
+    without a config that repeats its ``layer_count`` and ``skip_enabled``."""
+    rows = [line.split(",") for line in text.replace(";", "\n").splitlines() if line.strip()] or [[]]
+    return decode(text, replace(space, layer_count=len(rows), skip_enabled=len(rows[0]) == len(SLOT_ORDER) + 2))
+
+
 def cmd_train(cfg: dict, out_dir: Path, arch_text: str) -> int:
-    space = build_space(cfg)
-    arch = decode(arch_text, space)
+    arch = _decode_as_written(arch_text, build_space(cfg))
     dataset = make_dataset(cfg).with_feature_dtype(CHILD_DTYPE)
     hp = build_search_config(cfg).hp
     repeat = cfg["repeat"]
@@ -308,15 +315,7 @@ def cmd_report(cfg: dict, out_dir: Path, log_paths: list) -> int:
         used_stems.add(stem)
 
         best = max(records, key=lambda r: r.raw_reward)
-        # depth and skip wiring come from the log itself, so mixed-depth logs
-        # report fine without a matching --config
-        layer_texts = [text for text in best.arch.split(";") if text]
-        log_space = replace(
-            space,
-            layer_count=len(layer_texts),
-            skip_enabled=len(layer_texts[0].split(",")) == len(SLOT_ORDER) + 2,
-        )
-        arch = decode(best.arch, log_space)
+        arch = _decode_as_written(best.arch, space)
         top = [reward for _arch, reward in top_k_report(records, top_k)]
         wall = [r.wall_ms / 1000.0 for r in records[1:]] or [records[0].wall_ms / 1000.0]
         rows.append(_report_row(stem, arch, dataset, wall, top))

@@ -50,21 +50,6 @@ class Graph:
         """The edge plan, built on first use and kept with the graph."""
         return EdgePlan(self.src, self.dst, self.node_count, self.degrees)
 
-    def with_feature_dtype(self, dtype) -> "Graph":
-        """This graph with its features in ``dtype``: itself when they
-        already are, else a new graph over the same edges. A cast that
-        would turn a finite feature into an infinity raises ``ParameterError``."""
-        if self.features.dtype == dtype:
-            return self
-        finite = np.isfinite(self.features)
-        largest = max(self.features.max(where=finite, initial=0.0), -self.features.min(where=finite, initial=0.0))
-        with np.errstate(over="ignore"):
-            if np.isinf(np.asarray(largest).astype(dtype)):
-                raise ParameterError(f"largest |feature| {largest:.6g} overflows {np.dtype(dtype).name}")
-        features = self.features.astype(dtype)
-        features.setflags(write=False)
-        return replace(self, features=features)
-
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """The distinct values of ``a``, flattened, in ascending order:
@@ -76,29 +61,26 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def canonical_edges(node_count: int, edges, symmetrize: bool = True) -> np.ndarray:
-    """Dedupe, optionally add reverse edges, always add self-loops, sort.
-    Endpoints must be integers; a bool or float one is refused."""
+def canonical_edges(node_count: int, edges) -> np.ndarray:
+    """Add reverse edges and self-loops, dedupe, sort. Endpoints must be
+    integers; a bool or float one is refused."""
     arr = _ids(edges, "edge endpoints").reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= node_count):
         raise ParameterError(f"edge endpoint out of range for {node_count} nodes")
     src, dst = arr[:, 0], arr[:, 1]
     loops = np.arange(node_count, dtype=np.int64)
-    parts = [src * node_count + dst, loops * (node_count + 1)]
-    if symmetrize:
-        parts.append(dst * node_count + src)
     # A pair's code src * n + dst sorts as the (src, dst) tuple does.
-    codes = _sorted_unique(np.concatenate(parts))
+    codes = _sorted_unique(np.concatenate([src * node_count + dst, loops * (node_count + 1), dst * node_count + src]))
     return np.stack([codes // node_count, codes % node_count], axis=1)
 
 
-def make_graph(node_count: int, edges, features, symmetrize: bool = True) -> Graph:
+def make_graph(node_count: int, edges, features) -> Graph:
     if node_count < 1:
         raise ParameterError("graph needs at least one node")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != node_count:
         raise ParameterError(f"features shape {features.shape} does not match {node_count} nodes")
-    edge_arr = canonical_edges(node_count, edges, symmetrize=symmetrize)
+    edge_arr = canonical_edges(node_count, edges)
     degrees = np.bincount(edge_arr[:, 1], minlength=node_count).astype(np.int64)
     for arr in (edge_arr, features, degrees):
         arr.setflags(write=False)
@@ -167,17 +149,27 @@ class LabeledDataset:
 
     def with_feature_dtype(self, dtype) -> "LabeledDataset":
         """This dataset with every graph's features in ``dtype``: itself
-        when they already are, else a new dataset over new graphs. This
-        one is never changed. A cast that would turn a finite feature into
-        an infinity raises ``ParameterError`` naming the graph."""
+        when they already are, else a new dataset over new graphs, each
+        with the same edges and, if built, the same ``EdgePlan`` (a plan
+        reads no feature). This one is never changed. A cast that would
+        turn a finite feature into an infinity raises ``ParameterError``
+        naming the graph."""
+        if all(graph.features.dtype == dtype for graph in self.graphs):
+            return self
         graphs = []
         for index, graph in enumerate(self.graphs):
-            try:
-                graphs.append(graph.with_feature_dtype(dtype))
-            except ParameterError as err:
-                raise ParameterError(f"graph {index}: {err}") from None
-        if all(cast is graph for cast, graph in zip(graphs, self.graphs)):
-            return self
+            features = graph.features
+            finite = np.isfinite(features)
+            largest = max(features.max(where=finite, initial=0.0), -features.min(where=finite, initial=0.0))
+            with np.errstate(over="ignore"):
+                if np.isinf(np.asarray(largest).astype(dtype)):
+                    raise ParameterError(
+                        f"graph {index}: largest |feature| {largest:.6g} overflows {np.dtype(dtype).name}")
+            cast = replace(graph, features=features.astype(dtype))
+            cast.features.setflags(write=False)
+            if "plan" in vars(graph):
+                vars(cast)["plan"] = graph.plan
+            graphs.append(cast)
         return replace(self, graphs=tuple(graphs))
 
 
@@ -264,7 +256,7 @@ def generate_sbm(
     val_ids = rest[:val_count]
     test_ids = rest[val_count:]
 
-    graph = make_graph(n, edges, features, symmetrize=True)
+    graph = make_graph(n, edges, features)
     mask = make_mask(n, train_ids, val_ids, test_ids)
     return LabeledDataset(
         graphs=(graph,),
@@ -308,7 +300,7 @@ def generate_multigraph(
     for g in range(graph_count):
         edges = _drawn_edges(rng, n, lambda r0, r1: p)  # make_graph adds the reverses
         features = rng.standard_normal((n, feature_dim))
-        graph = make_graph(n, edges, features, symmetrize=True)
+        graph = make_graph(n, edges, features)
 
         neighbor_sum = graph.plan.dst.sum(features[graph.src])
         context = 0.5 * (features + neighbor_sum / graph.degrees[:, None])
@@ -435,7 +427,7 @@ def load_citation(path) -> LabeledDataset:
     if missing.size:
         raise IngestionError(f"line {len(lines)}: node {missing[0]} never declared")
 
-    graph = make_graph(n_nodes, edges, features, symmetrize=True)
+    graph = make_graph(n_nodes, edges, features)
     try:
         mask = make_mask(n_nodes, mask_ids["train"], mask_ids["val"], mask_ids["test"])
     except ParameterError as err:

@@ -423,8 +423,6 @@ def test_leaky_relu_keeps_the_bits_of_a_float_scale(dtype):
     scale = np.where(x > 0.0, 1.0, 0.2).astype(dtype)
     assert _same_bits(out.data, np.where(x > 0.0, x, 0.2 * x))
     assert _same_bits(t.grad, g * scale)
-    with pytest.raises(ParameterError, match="slope"):
-        ad.leaky_relu(t, 1.5)
 
 
 @pytest.mark.parametrize("kind", ["gat", "sym-gat"])

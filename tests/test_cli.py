@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnnsearch import autodiff as ad
 from gnnsearch import cli
 from gnnsearch.cli import build_search_config, load_config, main
 from gnnsearch.graphs import generate_sbm, make_graph, save_citation
@@ -366,6 +367,30 @@ def test_every_command_runs_a_benchmark_workload_config(tmp_path, capsys, name):
     assert capsys.readouterr().err == ""
 
 
+def test_a_search_builds_the_destination_levels_of_each_graph_once(tmp_path, capsys, monkeypatch):
+    # generate_multigraph's label rule builds every graph's EdgePlan, and
+    # the float32 cast hands it to the graph that the children train on.
+    made, built = [], []
+    make_dataset, levels_init = cli.make_dataset, ad.Levels.__init__
+
+    def recorded_make(cfg):
+        made.append(make_dataset(cfg))
+        return made[-1]
+
+    def recorded_init(self, ids, n, order):
+        built.append(ids.ctypes.data)
+        levels_init(self, ids, n, order)
+
+    monkeypatch.setattr(cli, "make_dataset", recorded_make)
+    monkeypatch.setattr(ad.Levels, "__init__", recorded_init)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(workloads().dataset_config("multigraph-share", 1, 0), episodes=1)), encoding="utf-8")
+    assert main(["search", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    (dataset,) = made
+    assert [built.count(graph.dst.ctypes.data) for graph in dataset.graphs] == [1] * len(dataset.graphs)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["search", "random", "derive", "train", "report"])
 def test_every_command_exits_2_on_memory_error(tmp_path, capsys, monkeypatch, command):
     def no_memory(cfg):
@@ -456,6 +481,28 @@ def test_train_builds_float32_children_from_a_float64_dataset(tmp_path, capsys, 
     assert cli.make_dataset(load_config(str(cfg))).feature_dtype == np.float64
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path), "--arch", "first-order,gcn,sum,relu,1,4"]) == 0
     assert trained == [(np.float32, {np.dtype(np.float32)})] * 2
+
+
+@pytest.mark.parametrize("arch", [
+    "first-order,gcn,sum,relu,1,8",
+    "first-order,gat,sum,elu,2,8;first-order,gcn,mean-pooling,relu,2,8;first-order,const,sum,linear,1,4",
+    "first-order,gat,sum,elu,2,8,0,add;first-order,gcn,sum,linear,1,4,1,concat",
+], ids=["1-layer", "3-layer", "skip"])
+def test_train_takes_depth_and_skip_wiring_from_the_arch(tmp_path, capsys, arch):
+    # The default space declares 2 layers without skips; report takes both
+    # from its log the same way.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_epochs": 3, "patience": 3}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out), "--arch", arch]) == 0
+    assert read_csv(out / "train.csv")[1][:2] == [arch, str(arch.count(";") + 1)]
+
+
+def test_train_refuses_a_token_outside_the_config_option_lists(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, attention_options=["gcn", "const"])
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--arch", "first-order,gat,sum,relu,1,8"]) == 2
+    assert "'gat' not in ('gcn', 'const')" in capsys.readouterr().err
 
 
 def test_train_repeat_fills_std(tmp_path, capsys):

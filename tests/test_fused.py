@@ -16,7 +16,7 @@ from gnnsearch import autodiff as ad
 from gnnsearch.arch import AGGREGATION, ATTENTION, decode
 from gnnsearch.autodiff import Tensor
 from gnnsearch.gnn import _edge_scores, build_model, forward, init_layer_params
-from gnnsearch.graphs import Graph, generate_sbm, make_graph
+from gnnsearch.graphs import Graph, generate_sbm
 
 from conftest import rel_err, traced_memory
 
@@ -40,10 +40,10 @@ def _chain_scores(kind, z, graph, t):
     if kind in ("gat", "sym-gat"):
         s_l = ad.reduce_sum(ad.mul(z, t["a_l"]), axis=-1)
         s_r = ad.reduce_sum(ad.mul(z, t["a_r"]), axis=-1)
-        forward_scores = ad.leaky_relu(ad.add(ad.gather_rows(s_l, dst), ad.gather_rows(s_r, src)), 0.2)
+        forward_scores = ad.leaky_relu(ad.add(ad.gather_rows(s_l, dst), ad.gather_rows(s_r, src)))
         if kind == "gat":
             return forward_scores
-        reverse_scores = ad.leaky_relu(ad.add(ad.gather_rows(s_l, src), ad.gather_rows(s_r, dst)), 0.2)
+        reverse_scores = ad.leaky_relu(ad.add(ad.gather_rows(s_l, src), ad.gather_rows(s_r, dst)))
         return ad.add(forward_scores, reverse_scores)
     if kind == "cos":
         left = ad.head_matmul(z, t["w_l"])
@@ -74,7 +74,7 @@ def _chain_aggregate(kind, alpha, z, graph, t):
 def _chain_softmax(scores, ids, n):
     plan = ad.IndexPlan(ids, n)
     flat = scores.data.reshape(scores.data.shape[0], -1)
-    order, starts = plan.grouping
+    order, starts = plan.order, plan.starts
     seg_max = np.maximum.reduceat(flat[order], starts, axis=0)
     shift = Tensor(seg_max.reshape((n,) + scores.data.shape[1:])[plan.ids])
     exp_scores = ad.exp(ad.sub(scores, shift))
@@ -167,9 +167,11 @@ def test_a_graph_without_edges_scores_nothing_and_aggregates_zeros():
 
 
 def _max_case(z_rows, src_dst, alpha=None):
-    """A graph with the given edges (self-loops added) and node rows."""
+    """A graph with the given directed edges (self-loops added) and node rows."""
     n = len(z_rows)
-    graph = make_graph(n, src_dst, np.zeros((n, 1)), symmetrize=False)
+    edges = np.array(sorted({*map(tuple, src_dst), *((i, i) for i in range(n))}), dtype=np.int64)
+    graph = Graph(node_count=n, edges=edges, features=np.zeros((n, 1)),
+                  degrees=np.bincount(edges[:, 1], minlength=n))
     z = Tensor(np.asarray(z_rows, dtype=np.float64).reshape(n, 1, -1), requires_grad=True)
     alpha = Tensor(np.ones((graph.edge_count, 1)) if alpha is None else alpha, requires_grad=True)
     return graph, z, alpha
@@ -255,7 +257,7 @@ def test_wide_child_step_memory_does_not_grow_with_edges(first):
         model = build_model(decode(f"first-order,{first},relu,8,128;first-order,gcn,sum,relu,1,8"),
                             dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
         graph = dataset.graphs[0]
-        graph.plan.into_dst, graph.plan.into_src  # built before measuring: they outlive the step
+        graph.plan.dst_far, graph.plan.src_far  # built before measuring: they outlive the step
         with traced_memory() as memory:
             logits = forward(model, graph, training=True, rng=np.random.default_rng(1))
             ad.loss(dataset.task_kind, logits, dataset.labels[0], dataset.masks[0].train).backward()

@@ -31,28 +31,21 @@ def test_canonical_edges_symmetrize_dedupe_selfloop():
     assert out.tolist() == expected
 
 
-def test_canonical_edges_directed_mode_keeps_direction():
-    out = canonical_edges(3, [[0, 1]], symmetrize=False)
-    assert out.tolist() == [[0, 0], [0, 1], [1, 1], [2, 2]]
-
-
-def _tuple_set_edges(node_count, edges, symmetrize):
+def _tuple_set_edges(node_count, edges):
     """The set-of-tuples form canonical_edges replaced."""
     pairs = {(int(s), int(d)) for s, d in np.asarray(edges, dtype=np.int64).reshape(-1, 2)}
-    if symmetrize:
-        pairs |= {(d, s) for s, d in pairs}
+    pairs |= {(d, s) for s, d in pairs}
     pairs |= {(i, i) for i in range(node_count)}
     return np.array(sorted(pairs), dtype=np.int64)
 
 
-@pytest.mark.parametrize("symmetrize", [True, False])
-def test_canonical_edges_equal_the_tuple_set_form(symmetrize):
+def test_canonical_edges_equal_the_tuple_set_form():
     rng = np.random.default_rng(9)
     for node_count in (1, 2, 7, 300):
         for edge_count in (0, 1, 40, 2000):  # draws repeat pairs and self-loops
             edges = rng.integers(0, node_count, size=(edge_count, 2))
-            out = canonical_edges(node_count, edges, symmetrize=symmetrize)
-            expected = _tuple_set_edges(node_count, edges, symmetrize)
+            out = canonical_edges(node_count, edges)
+            expected = _tuple_set_edges(node_count, edges)
             assert out.dtype == expected.dtype and out.shape == expected.shape
             assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
 
@@ -160,6 +153,18 @@ def test_dataset_alignment_validated(rng):
             graphs=(g,), labels=(np.zeros(3, dtype=np.int64),), masks=(mask,),
             task_kind="regression", class_count=2,
         )
+
+
+def test_the_cast_keeps_a_built_plan_and_leaves_an_unbuilt_one_unbuilt():
+    built = generate_multigraph(3, 8, 2.0, 3, 2, seed=1)  # its label rule builds every graph's plan
+    cast = built.with_feature_dtype(np.float32)
+    for raw, graph in zip(built.graphs, cast.graphs):
+        assert graph.features.dtype == np.float32 and graph.edges is raw.edges
+        assert graph.plan is raw.plan
+    unbuilt = generate_sbm(2, 6, 0.5, 0.1, 3, 1.0, seed=1)
+    (raw,), (graph,) = unbuilt.graphs, unbuilt.with_feature_dtype(np.float32).graphs
+    assert "plan" not in vars(raw) and "plan" not in vars(graph)
+    assert graph.plan is not raw.plan
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ float64."""
 
 import importlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +126,8 @@ def test_float32_gradients_of_the_criterion_1_archs_match_float64():
         grads = {}
         for dtype in DTYPES:
             rng = np.random.default_rng(1000 + idx)
-            graph = make_graph(6, EDGES, rng.standard_normal((6, 5))).with_feature_dtype(dtype)
+            features = rng.standard_normal((6, 5))
+            graph = replace(make_graph(6, EDGES, features), features=features.astype(dtype))
             model = build_model(decode(text), 5, 2, rng, dtype=dtype)
             labels = rng.integers(0, 2, size=6)
             params = model.parameters()
@@ -180,7 +182,7 @@ def test_float32_w_a_sums_restart_at_twice_the_edges(monkeypatch):
         scores = ad.edge_scores("gene-linear", z, plan, w_l, w_r, w_a)
         g = rng.standard_normal(scores.shape).astype(np.float32)
         ad.add(ad.reduce_sum(out), ad.reduce_sum(ad.mul(scores, Tensor(g)))).backward()
-        edges = plan.order  # grouped by destination
+        edges = plan.dst.order  # grouped by destination
         assert np.array_equal(edges, np.argsort(graph.dst, kind="stable"))
         h = np.tanh(ad.head_matmul(z, w_l).data[graph.dst[edges]] + ad.head_matmul(z, w_r).data[graph.src[edges]])
         parts = [np.einsum("ek,ekd->kd", g[edges][lo:lo + span], h[lo:lo + span]) for lo in range(0, len(edges), span)]

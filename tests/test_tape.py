@@ -210,7 +210,7 @@ def test_backward_peak_stays_near_the_tape():
     arch = decode("first-order,cos,max-pooling,relu,16,256;first-order,gcn,sum,relu,1,8")
     model = build_model(arch, dataset.feature_dim, dataset.class_count, np.random.default_rng(0))
     plan = dataset.graphs[0].plan
-    plan.into_dst, plan.into_src  # built before measuring: they outlive the step
+    plan.dst_far, plan.src_far  # built before measuring: they outlive the step
     with traced_memory() as memory:
         _, objective = _child_loss(model, dataset, seed=1)
         held = memory.current()
