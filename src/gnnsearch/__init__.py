@@ -1,6 +1,6 @@
 """Reinforcement-learning search over graph neural network architectures."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .arch import ActionSpace, ArchDescription, decode, default_space, encode, random_arch, space_size
 from .controller import Baseline, Controller, reinforce_step, shape_reward

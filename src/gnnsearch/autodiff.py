@@ -3,12 +3,14 @@
 A tensor holds a float32 or a float64 numpy array, and every op keeps
 its inputs' dtype: its output and the gradients it returns have it too.
 Child models run in float32 and the controller in float64. Sums over
-rows by id (``IndexPlan.sum`` and the ``Levels`` walk) add in float64
-and round to the inputs' dtype once, so every sum path gives the same
-bits in either dtype. A constant that meets a tensor takes the tensor's
-dtype (``constant``): under numpy's promotion rules a float64 array,
-even a 0-d one, would turn a float32 operand into float64. Python
-scalars do not promote.
+rows by id (``IndexPlan.sum`` and the ``Levels`` walk) add each id's
+rows in index order, from 0.0, in the rows' dtype (numerics version 4),
+so every sum path gives the same bits in either dtype; the one float32
+sum whose terms cancel by construction, in ``segment_softmax``'s
+backward, adds in float64 and rounds once. A constant that meets a
+tensor takes the tensor's dtype (``constant``): under numpy's promotion
+rules a float64 array, even a 0-d one, would turn a float32 operand into
+float64. Python scalars do not promote.
 
 A primitive whose inputs need a gradient stores them and its backward
 rule on its output tensor, so every recorded output is a tape node;
@@ -303,16 +305,11 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
     return record(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
-# Widths up to which a bincount sum takes one bincount per column rather
-# than one over a (row, column) cell index: building the index costs more
-# than the extra calls there. Measured on a 60-node graph (E = 520).
-NARROW_WIDTH = 4
-
-
 # Cells per level from which a reduction walks a plan's ``Levels`` instead
-# of calling np.bincount or ufunc.reduceat once: below it the per-level
-# calls cost more. Measured on the benchmark's 400-node SBM (24 levels)
-# and 60-node multigraph graphs (14-16 levels), for sums and maxima.
+# of one call over every row (a max's ``reduceat``, counting its input's
+# cells, or a sum's padded reduce, counting the zeros its padding adds):
+# below it the per-level calls cost more. Measured on the benchmark's
+# 400-node SBM (24 levels) and 60-node multigraph graphs (14-16 levels).
 LEVEL_MIN_CELLS = 1000
 
 
@@ -327,13 +324,13 @@ class Levels:
     accumulators with one ufunc call, the accumulator first. So every id
     still combines its rows in index order: a sum is bitwise ``np.add.at``
     into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
-    rows, signed zeros and infinities included (a sum adds in float64, so
-    on float32 rows it is ``np.add.at`` into float64 zeros); a NaN result
-    is NaN, with the sign and payload left to numpy. ``walk`` is the one
-    such reduction, for rows that are built level by level, and a max
-    walk can note each winning row as it goes; ``sum`` walks rows taken
-    from one array. Results are in id order. Building the plan costs about
-    two stable sorts of the ids, so only a kept ``IndexPlan`` builds one.
+    rows, signed zeros and infinities included, in the rows' dtype; a
+    NaN result is NaN, with the sign and payload left to numpy. ``walk``
+    is the one such reduction, for rows that are built level by level,
+    and a max walk can note each winning row as it goes; ``sum`` walks
+    rows taken from one array. Results are in id order. Building the plan
+    costs about two stable sorts of the ids, so an ``IndexPlan`` builds
+    one only where it walks (see there).
     """
 
     def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
@@ -374,12 +371,12 @@ class Levels:
         ``level_rows(block, steps)`` yields, for each step of a block (see
         ``blocks``), that step's rows as a new array; the walk drops them
         (and a block's accumulator) once they are folded, before it asks
-        for the next step's. ``fold`` is ``np.add``, a sum in a float64
-        accumulator that starts at 0.0, or ``np.maximum``, a max in the
-        rows' dtype. The output is allocated once the first block's levels
+        for the next step's. ``fold`` is ``np.add``, a sum that starts at
+        0.0, or ``np.maximum``, a max; either folds in the rows' dtype,
+        ``dtype``. The output is allocated once the first block's levels
         are folded, so it is not alive while they are built; each block's
-        result is rounded into it as it is assigned, and ids without rows
-        get 0.0 (all of them where there are no rows). For a max,
+        result is assigned into it, and ids without rows get 0.0 (all of
+        them where there are no rows). For a max,
         ``winners`` ([n, *rest]), if given, gets each (id, column)'s first
         row equal to the max, as a position in the ids the plan was built
         from, or the id's first row where the max is NaN.
@@ -390,11 +387,9 @@ class Levels:
             k = 0  # not enumerate: its result tuple keeps the last rows alive
             for rows in level_rows(block, steps):
                 if k == 0:
+                    acc = rows
                     if fold is np.add:
-                        acc = rows.astype(np.float64, copy=False)
                         acc += 0.0  # np.add.at's 0.0 + x: turns -0.0 into 0.0
-                    else:
-                        acc = rows
                     if winners is not None:  # each (id, column)'s winning level
                         level = np.zeros(rows.shape, dtype=np.min_scalar_type(len(steps)))
                 else:
@@ -425,10 +420,22 @@ class Levels:
         values = np.ascontiguousarray(values)  # take copies a strided input whole
         return lambda _, steps: (values.take(self.order[lo:lo + m], axis=0) for lo, m in steps)
 
-    def sum(self, values: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """The rows of ``values`` summed by id in float64 and rounded to
-        ``dtype``, [n, ...]."""
-        return self.walk(values.shape[1:], dtype, self._taken(values))
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """The rows of ``values`` summed by id in their dtype, [n, ...]."""
+        return self.walk(values.shape[1:], values.dtype, self._taken(values))
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum over axis 0 of ``rows``, [C, ...], one row at a time in
+    order, starting from 0.0, in their dtype: numpy reduces along an axis
+    that is not the fastest in memory row by row, not pairwise, and a
+    single column is summed cumulatively instead."""
+    cells = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    if cells.shape[1] == 1:
+        total = np.cumsum(np.concatenate((np.zeros(1, dtype=cells.dtype), cells[:, 0])))[-1:]
+    else:
+        total = np.add.reduce(cells, axis=0, initial=0.0)
+    return total.reshape(rows.shape[1:])
 
 
 def _holds_bool(values) -> bool:
@@ -452,13 +459,16 @@ class IndexPlan:
     reductions of rows by id: ``sum`` and ``max`` (with its winners).
 
     What the reductions need from the ids (rows per id, a stable row order
-    grouped by id, where each id's rows begin, and the ``Levels``) is
-    worked out on first use and kept. Each reduction walks the ``Levels``
-    for an input of ``LEVEL_MIN_CELLS`` cells per level or more, and calls
-    np.bincount or a ufunc's ``reduceat`` once below that: the same bits
-    either way. Only a ``kept`` plan walks, since building its levels
-    costs about two stable sorts of the ids. A graph's ``EdgePlan`` keeps
-    one for its edge sources and one for its destinations; given raw ids,
+    grouped by id, where each id's rows begin, each id's rows laid out
+    down a column (``slots``), and the ``Levels``) is worked out on first
+    use and kept. A sum walks the ``Levels`` where padding every id to the
+    most rows of any id would add ``LEVEL_MIN_CELLS`` zero cells per level
+    or more, and makes one padded reduce below that. A max walks them for
+    an input of ``LEVEL_MIN_CELLS`` cells per level or more, and calls
+    ``reduceat`` once below that; only a ``kept`` plan's max walks, since
+    building its levels costs about two stable sorts of the ids. Every
+    path gives the same bits. A graph's ``EdgePlan`` keeps one plan for
+    its edge sources and one for its destinations; given raw ids,
     ``gather_rows`` and the segment ops build a plan for that call.
     """
 
@@ -473,9 +483,14 @@ class IndexPlan:
         self.kept = kept
 
     @cached_property
+    def runs(self) -> np.ndarray:
+        """Rows per id, 0 for an id without rows."""
+        return np.bincount(self.ids, minlength=self.n)
+
+    @cached_property
     def counts(self) -> np.ndarray:
         """Rows per id; a mean or max over an id with no rows has no value."""
-        counts = np.bincount(self.ids, minlength=self.n)
+        counts = self.runs
         if not counts.all():
             raise ParameterError(f"segment {int(np.argmin(counts))} is empty")
         return counts
@@ -496,39 +511,48 @@ class IndexPlan:
         return np.cumsum(counts) - counts
 
     @cached_property
+    def depth(self) -> int:
+        """The most rows of any id."""
+        return int(self.runs.max(initial=0))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """[depth, n]: at [j, i], the position of id i's j-th row in index
+        order, or ``len(ids)`` where id i has j rows or fewer."""
+        runs, order = self.runs, self.order
+        grouped = self.ids.take(order)
+        nth = np.arange(self.ids.size) - (np.cumsum(runs) - runs).take(grouped)
+        slots = np.full((self.depth, self.n), self.ids.size)
+        slots[nth, grouped] = order
+        return slots
+
+    @cached_property
     def levels(self) -> Levels:
         return Levels(self.ids, self.n, self.order)
 
     def _walks(self, values: np.ndarray) -> bool:
+        """Whether a max of ``values`` walks the levels."""
         return self.kept and self.levels.fits(values)
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """The rows of ``values`` summed by id, [n, ...], in their dtype.
 
-        Each cell adds its rows in index order in float64, starting from
-        0.0, and is rounded once, so on float64 rows the sum is bitwise
-        ``np.add.at`` into zeros. ``np.bincount`` over the flattened (row,
-        column) cell, over the ids themselves when a row is one value
-        wide, or over the ids once per column up to ``NARROW_WIDTH``
-        values, adds its weights in input order. ``np.add.reduceat`` over
-        sorted rows is not bitwise: it sums in another order. (A NaN sum is
-        NaN on every path, but its sign and payload can differ:
-        ``np.add.at`` and ``np.bincount`` disagree there.)
+        Each cell adds its rows in index order, starting from 0.0, in the
+        rows' dtype, so the sum is bitwise ``np.add.at`` into zeros of that
+        dtype (-0.0 rows give 0.0). The rows are padded with zeros to the
+        same count per id, as ``slots`` lays them out, and summed over that
+        count at once (``_sum_rows``). ``np.add.reduceat`` over grouped
+        rows is not bitwise: it adds each group's first row last. (A NaN
+        sum is NaN on every path, but its sign and payload can differ:
+        ``np.add.at`` and the walk's folds disagree there.)
         """
-        if self._walks(values):
-            return self.levels.sum(values, values.dtype)
         rest = values.shape[1:]
         width = math.prod(rest)
-        if 1 < width <= NARROW_WIDTH:
-            out = np.empty((self.n, width))
-            columns = np.ascontiguousarray(values.reshape(-1, width).T, dtype=np.float64)  # bincount's own weights
-            for j, column in enumerate(columns):
-                out[:, j] = np.bincount(self.ids, weights=column, minlength=self.n)
-        else:
-            cells = self.ids if width == 1 else (self.ids[:, None] * width + np.arange(width)).ravel()
-            out = np.bincount(cells, weights=values.reshape(-1), minlength=self.n * width)
-        # bincount returns int64 for an empty input, weights or not.
-        return out.astype(values.dtype, copy=False).reshape((self.n,) + rest)
+        depth = self.depth
+        if (depth * self.n - self.ids.size) * width >= LEVEL_MIN_CELLS * depth:
+            return self.levels.sum(values)
+        rows = np.concatenate((values.reshape(-1, width), np.zeros((1, width), dtype=values.dtype)))
+        return _sum_rows(rows.take(self.slots, axis=0)).reshape((self.n,) + rest)
 
     def max(self, values: np.ndarray, winners: bool = False) -> tuple:
         """(max, winners): the elementwise max of each id's rows, [n, ...],
@@ -551,9 +575,8 @@ class IndexPlan:
 
 
 # Bytes of one float64 block of ids of the fused edge ops' level walks
-# (``Levels.blocks``), and of the [C, K, D] terms of gene-linear's w_a
-# gradient: it sums its C = EDGE_CHUNK_BYTES // (itemsize K D) edges at a
-# time onto a fresh total, and those restarts fix its bits.
+# (``Levels.blocks``), and of the [C, K, D] blocks of edges that
+# gene-linear's w_a gradient adds onto its one running total.
 EDGE_CHUNK_BYTES = 8 * 2**20
 
 # Bytes of one [E, K, D] temporary from which the fused edge ops walk
@@ -831,7 +854,8 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     subtracted as a constant; softmax is shift invariant so the gradient
     is still exact. Values and gradients are those of the chain
     exp(x - max) / gather(segment_sum(exp(x - max))), computed by the same
-    numpy calls. Non-finite scores give non-finite outputs.
+    numpy calls, except that the backward's sum of float32 rows adds in
+    float64 (see ``grad_fn``). Non-finite scores give non-finite outputs.
     """
     plan = _segments(scores, segment_ids, n_segments)
     ids = plan.ids
@@ -841,7 +865,11 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
     data = exp_scores / denom
 
     def grad_fn(g):
-        g_exp = g / denom + plan.sum(-g * data / denom).take(ids, axis=0)
+        # This sum is the alpha-weighted mean of g, which every row then
+        # subtracts from its own g: the terms cancel by construction, so
+        # float32 rows add in float64 here and round once.
+        total = plan.sum((-g * data / denom).astype(np.float64, copy=False)).astype(g.dtype, copy=False)
+        g_exp = g / denom + total.take(ids, axis=0)
         return (g_exp * exp_scores,)
 
     return record(data, (scores,), grad_fn)
@@ -863,8 +891,8 @@ def segment_softmax(scores: Tensor, segment_ids, n_segments: int) -> Tensor:
 # max in the same order: they give the same bits. Scores and the sum, mean
 # and max aggregations compute their values in the order of the per-kind
 # op chains they replace, so they keep those bits; gradients reduce over D
-# with einsum and agree with the chains' to rounding. Temporaries hold the
-# inputs' dtype; sums run in float64 and round once.
+# with einsum and agree with the chains' to rounding. Temporaries and sums
+# hold the inputs' dtype (numerics version 4).
 
 
 def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -955,9 +983,9 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
     same bits however the edges are grouped. The backward walks each
     end's levels too: for cos the destinations sum ``(z w_r).take(sources)
     * g`` and the sources ``(z w_l).take(destinations) * g``. Otherwise
-    the pairs are built in one pass and rebuilt in the backward. Either
-    way gene-linear's w_a gradient sums the edges in destination-grouped
-    order (``w_a_grad``).
+    the pairs are built in one pass and rebuilt once in the backward,
+    where gene-linear's w_a gradient reads them too. Either way that
+    gradient sums the edges in destination-grouped order (``w_a_grad``).
     """
     z_val, n = z.data, plan.dst.n
     src, dst = plan.src, plan.dst
@@ -1021,53 +1049,60 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
 
         return levels.walk(left.shape[1:], left.dtype, level_rows)
 
-    def totals(g):  # (end, the gradient of that end's head product)
-        if walked:
+    def w_a_grad(g, h=None):
+        # g h summed over the edges in destination-grouped order, row by
+        # row (``_sum_rows``). ``h`` holds the one pass's tanh rows in edge
+        # order; a walk rebuilds them a block of at most N edges at a time
+        # and carries the total from block to block.
+        if h is not None:
+            rows = h.take(dst.order, axis=0)
+            rows *= g.take(dst.order, axis=0)[:, :, None]
+            return _sum_rows(rows)
+        size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))
+        total = np.zeros((heads, width), dtype=left.dtype)
+        for lo in range(0, plan.edge_count, size):
+            edges = dst.order[lo:lo + size]
+            rows = np.empty((len(edges) + 1, heads, width), dtype=left.dtype)
+            rows[0] = total
+            right.take(src.ids.take(edges), axis=0, out=rows[1:])
+            hidden(left.take(dst.ids.take(edges), axis=0), rows[1:], out=rows[1:])
+            rows[1:] *= g.take(edges, axis=0)[:, :, None]
+            total = _sum_rows(rows)
+        return total
+
+    def totals(g):  # (name, gradient): gene-linear's w_a first, then each end's head product
+        if w_a is not None and not walked:  # tanh(z_i w_l + z_j w_r) is built once
+            h = right.take(src.ids, axis=0)
+            hidden(left.take(dst.ids, axis=0), h, out=h)
+            yield "w_a", w_a_grad(g, h) if need_a else None
+            rows = g_pre(g, h)
+            del h
+            yield "dst", dst.sum(rows)
+            yield "src", src.sum(rows)
+        elif walked:
+            if w_a is not None:
+                yield "w_a", w_a_grad(g) if need_a else None
             for name in ("dst", "src"):
                 yield name, walked_total(name, g)
-        elif w_a is None:
+        else:
             for name, end, other, far in (("dst", dst, right, src), ("src", src, left, dst)):
                 rows = other.take(far.ids, axis=0)
                 rows *= g[:, :, None]
                 yield name, end.sum(rows)
-        else:
-            h = right.take(src.ids, axis=0)
-            rows = g_pre(g, hidden(left.take(dst.ids, axis=0), h, out=h))
-            del h
-            yield "dst", dst.sum(rows)
-            yield "src", src.sum(rows)
-
-    def w_a_grad(g):
-        # g h summed over the edges in grouped order, onto a fresh total
-        # per slice of ``span`` edges (the restarts fix its bits). Inside
-        # a slice, blocks of at most N edges add onto the total row by
-        # row, in the order of one einsum over the slice.
-        span = max(1, EDGE_CHUNK_BYTES // (left.itemsize * heads * width))
-        size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))
-        g_sum = None
-        for lo in range(0, max(plan.edge_count, 1), span):
-            total = np.zeros((1, heads, width), dtype=left.dtype)
-            for b in range(lo, min(lo + span, plan.edge_count), size):
-                edges = dst.order[b:min(b + size, lo + span)]
-                h = right.take(src.ids.take(edges), axis=0)
-                hidden(left.take(dst.ids.take(edges), axis=0), h, out=h)
-                terms = np.empty((len(h) + 1, heads, width), dtype=h.dtype)
-                terms[0] = total
-                np.multiply(g.take(edges, axis=0)[:, :, None], h, out=terms[1:])
-                total = terms.sum(axis=0, keepdims=True)  # row by row, as einsum adds
-            g_sum = _accumulate(g_sum, total[0])
-        return g_sum
 
     def grad_fn(g):
         grads = {}
         for name, total in totals(g):
-            w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
-            grads[name] = _heads_grad(total, z_val, w, need_z, need_w)
+            if name == "w_a":
+                grads[name] = total
+            else:
+                w, need_w = (w_l, need_l) if name == "dst" else (w_r, need_r)
+                grads[name] = _heads_grad(total, z_val, w, need_z, need_w)
             del total
         (gz, g_wl), (gz_r, g_wr) = grads["dst"], grads["src"]
         if need_z:
             gz += gz_r
-        return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, w_a_grad(g) if need_a else None)
+        return (gz, g_wl, g_wr) if w_a is None else (gz, g_wl, g_wr, grads["w_a"])
 
     return record(data, (z, *weights), grad_fn)
 
@@ -1421,7 +1456,10 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
     # the state would stay resident at every child's memory peak.
     size = state.flat.size
     rows = np.empty((2, min(size, ADAM_BLOCK)), dtype=state.flat.dtype)
-    blocks = _blocks(grads, [view.size for view in views], rows[0])
+    if size > ADAM_BLOCK:
+        blocks = _blocks(grads, [view.size for view in views], rows[0])
+    else:  # one block, as _blocks would cut it, without its bookkeeping
+        blocks = [np.concatenate(grads, axis=None, out=rows[0])] if grads else []
     for lo, g in zip(range(0, size, ADAM_BLOCK), blocks):
         hi = lo + ADAM_BLOCK
         m, v, p = state.m[lo:hi], state.v[lo:hi], state.flat[lo:hi]

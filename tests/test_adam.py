@@ -143,6 +143,29 @@ def test_blocks_match_the_per_array_step(dtype, size):
     assert _bytes(_split(state, state.v)) == _bytes(reference.v)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_set_in_one_block_gets_the_bits_of_many_blocks(dtype, monkeypatch):
+    """A set that fits one ADAM_BLOCK gathers its gradients with one
+    concatenate, not through _blocks; with ADAM_BLOCK at 4 values the
+    same set steps block by block through _blocks and gets the same bits."""
+    rng = np.random.default_rng(4)
+    shapes = ((3, 5), (7,), (2, 2, 3))
+    values = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    steps = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes] for _ in range(3)]
+    blocked, real_blocks = [], ad._blocks
+    monkeypatch.setattr(ad, "_blocks", lambda *args: blocked.append(args) or real_blocks(*args))
+    runs = []
+    for block in (ad.ADAM_BLOCK, 4):
+        monkeypatch.setattr(ad, "ADAM_BLOCK", block)
+        params = [Tensor(value.copy(), requires_grad=True) for value in values]
+        state = ad.AdamState.init(params, 0.01)
+        for grads in steps:
+            ad.adam_step(state, params, grads)
+        runs.append(_bytes([state.flat, state.m, state.v]))
+        assert len(blocked) == (0 if state.flat.size <= block else len(steps))
+    assert runs[0] == runs[1]
+
+
 def test_init_moves_the_parameters_into_one_buffer_the_step_writes():
     rng = np.random.default_rng(4)
     params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((2, 3), (4,), (1, 1))]

@@ -53,7 +53,7 @@ def _strided(rng, shape):
 
 
 def _ref_add_at(values, index, n_rows):
-    out = np.zeros((n_rows,) + values.shape[1:])
+    out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
     np.add.at(out, index, values)
     return out
 
@@ -236,7 +236,7 @@ def _values(seed, rows, width, special_rate):
 
 def _same_bits(a, b):
     """Bitwise equal, except that a NaN may differ in sign and payload:
-    numpy's own kernels disagree there (np.add.at and np.bincount do)."""
+    numpy's own kernels disagree there (np.add.at and a fold do)."""
     a, b = np.asarray(a), np.asarray(b)
     nan = np.isnan(a)
     return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and _bitwise(a[~nan], b[~nan])
@@ -248,13 +248,14 @@ def _id_draws():
 
 
 @settings(max_examples=80, deadline=None)
-@given(_id_draws(), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2**32 - 1))
-def test_level_sum_is_bitwise_add_at_into_zeros(id_draw, width, special_rate, seed):
+@given(_id_draws(), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.float64, np.float32]))
+def test_level_sum_is_bitwise_add_at_into_zeros(id_draw, width, special_rate, seed, dtype):
     n, ids = id_draw
     ids = np.array(ids, dtype=np.int64)
-    values = _values(seed, ids.size, width, special_rate)
     kept = ad.IndexPlan(ids, n, kept=True)
     with np.errstate(invalid="ignore", over="ignore"):
+        values = _values(seed, ids.size, width, special_rate).astype(dtype)
         ref = _ref_add_at(values, ids, n)
         # the size rule's pick, and each path whatever the rule says
         for got in (kept.sum(values), kept.levels.sum(values), ad.IndexPlan(ids, n).sum(values)):
@@ -375,10 +376,13 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
     graph's levels, forward and backward (one [E, K, D] temporary is 1 MB
     or more there); narrower messages make one pass over the edges and
     reduce it through the levels of the graph's plans, and scores then
-    reduce nothing in the forward. On a 60-node graph of multigraph-share
-    no width of its space (up to 4 x 32) walks, and 1 x 4 takes the
-    bincount and reduceat. 4-head softmax scores reach no levels, and the
-    segment ops given raw ids reach none at any width."""
+    reduce nothing in the forward (a sum from 8 columns: padding 400 ids
+    to 24 rows each adds 181 zero cells per column and level). On a
+    60-node graph of multigraph-share no width of its space (up to 4 x 32)
+    walks, and 1 x 4 takes the padded reduce and reduceat. 4-head float64
+    softmax scores reach no levels. Given raw ids, a max reaches none at
+    any width, and a sum walks its own plan's levels wherever the graph's
+    plan walks them."""
     sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                        signal_strength=0.3, seed=1).graphs[0]
     small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
@@ -389,8 +393,9 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
     monkeypatch.setattr(ad.Levels, "blocks", lambda self, width: seen.append(self) or real_blocks(self, width))
     monkeypatch.setattr(ad.Levels, "_taken", lambda self, values: reduced.append(self) or real_taken(self, values))
 
-    def taken(plan):
-        assert all(levels is plan.dst.levels or levels is plan.src.levels for levels in seen)
+    def taken(plan, own=True):  # own: the levels seen are the graph's plans'
+        graphs = [levels is plan.dst.levels or levels is plan.src.levels for levels in seen]
+        assert all(graphs) if own else not any(graphs)
         path = "walk" if len(seen) > len(reduced) else "levels" if seen else "flat"
         seen.clear()
         reduced.clear()
@@ -406,10 +411,11 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
         ad.segment_softmax(Tensor(rng.standard_normal((graph.edge_count, 4))), plan.dst, n)
         assert taken(plan) == "flat"
         rows = Tensor(rng.standard_normal((graph.edge_count, heads * width)).astype(np.float32), requires_grad=True)
-        for ids, expected in ((graph.dst, "flat"), (plan.dst, "flat" if path == "flat" else "levels")):
+        for ids in (graph.dst, plan.dst):
             out = ad.add(ad.segment_softmax(rows, ids, n), ad.gather_rows(ad.segment_max(rows, ids, n), ids))
             out.backward(np.ones(out.shape, dtype=np.float32))
-            assert taken(plan) == expected, (graph.node_count, heads, width, type(ids))
+            expected = "flat" if path == "flat" else "levels"
+            assert taken(plan, ids is plan.dst) == expected, (graph.node_count, heads, width, type(ids))
         z = Tensor(rng.standard_normal((n, heads, width)).astype(np.float32), requires_grad=True)
         weights = [Tensor(rng.standard_normal((heads, width, width)).astype(np.float32), requires_grad=True)
                    for _ in range(2 if kind in ("mlp", "cos", "gene-linear") else 0)]
@@ -461,8 +467,8 @@ def test_the_level_walk_gives_the_chunked_bits_for_every_kind(monkeypatch, dtype
     """Every attention x aggregation kind, walked and in one pass over the
     edges, whose reductions go through the graph's levels here: the same
     bits, NaNs included, with one row block or with 4 ids per row block (so
-    each level spans several), where gene-linear's w_a sum also restarts
-    every 4 (float64) or 8 (float32) edges on both paths."""
+    each level spans several), where gene-linear's w_a sum also adds
+    blocks of 4 edges onto one total on both paths."""
     monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", 0)
     if blocks == "several":
         monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 6 * 4)
@@ -478,8 +484,8 @@ def test_the_level_walk_gives_the_chunked_bits_for_every_kind(monkeypatch, dtype
 
 
 def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
-    """Levels.walk with 3 ids per row block, so each level spans several
-    blocks, is bitwise np.add.at into zeros, rounded once to float32. The
+    """Levels.walk of float32 rows with 3 ids per row block, so each level
+    spans several blocks, is bitwise np.add.at into float32 zeros. The
     last id has one row, of -0.0s, which np.add.at turns into 0.0s."""
     monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", 8 * 5 * 3)
     rng = np.random.default_rng(2)
@@ -487,9 +493,8 @@ def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
     with np.errstate(all="ignore"):
         values = _values(7, ids.size, 5, 0.05).astype(np.float32)
         values[-1] = -0.0
-        ref = _ref_add_at(values.astype(np.float64), ids, n)
-        got = ad.IndexPlan(ids, n).levels.sum(values, np.float32)
-        assert _same_bits(got, ref.astype(np.float32))
+        got = ad.IndexPlan(ids, n).levels.sum(values)
+        assert got.dtype == np.float32 and _same_bits(got, _ref_add_at(values, ids, n))
 
 
 @pytest.mark.parametrize("min_cells", [0, 10**9], ids=["chunk-levels", "chunk-reduceat"])
@@ -616,8 +621,8 @@ def test_a_training_step_holds_few_node_sized_arrays(attention, aggregation):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_narrow_sums_by_column_are_bitwise_add_at(dtype, width):
-    """Widths 2-4 sum one bincount per column: np.add.at into float64
-    zeros, -0.0 rows turned to 0.0, rounded once; strided and empty
+    """Widths 2-4 sum their padded layout in one reduce: np.add.at into
+    zeros of the rows' dtype, -0.0 rows turned to 0.0; strided and empty
     inputs too."""
     rng = np.random.default_rng(width)
     ids = _interleaved_ids(rng)
@@ -625,7 +630,7 @@ def test_narrow_sums_by_column_are_bitwise_add_at(dtype, width):
     values[rng.random(values.shape) < 0.2] = -0.0
     values[ids == 3] = -0.0  # a row of -0.0 sums only -0.0s
     values = values.astype(dtype)
-    ref = _ref_add_at(values.astype(np.float64), ids, N).astype(dtype)
+    ref = _ref_add_at(values, ids, N)
     plan = ad.IndexPlan(ids, N)
     assert _bitwise(plan.sum(values), ref)
     assert _bitwise(plan.sum(np.asfortranarray(values)), ref)
