@@ -1428,9 +1428,14 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
 
     A parameter whose ``data`` was rebound since ``init`` or the last step
     has its values copied back into its slot and is pointed at it again.
-    A step refused for a length or shape mismatch changes nothing.
+    So does every parameter of a deep-copied or unpickled state, whose
+    ``views`` are first cut from its own ``flat`` again. A step refused
+    for a length or shape mismatch changes nothing.
     """
     views = state.views
+    if views and not np.may_share_memory(views[0], state.flat):
+        starts = np.cumsum([0] + [view.size for view in views])
+        views = state.views = [state.flat[a:a + view.size].reshape(view.shape) for a, view in zip(starts, views)]
     if len(params) != len(views) or len(grads) != len(params):
         raise ParameterError("adam_step: params/grads length does not match state")
     rebound = []

@@ -24,7 +24,7 @@ from .autodiff import Tensor
 from .errors import ParameterError, ShapeError, TrainingError
 from .graphs import Graph, LabeledDataset
 
-# The dtype every command trains children in (numerics version 3).
+# The dtype every command trains children in, since numerics version 3.
 CHILD_DTYPE = np.dtype(np.float32)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .arch import ActionSpace, ArchDescription, default_space, encode, random_arch
 from .autodiff import Tensor
-from .controller import Baseline, Controller, Episode, open_npz, reinforce_step, shape_reward
+from .controller import Baseline, Controller, open_npz, reinforce_step, shape_reward
 from .errors import ConfigError, ParameterError, ShapeError, TrainingError
 from .gnn import (
     CHILD_DTYPE,
@@ -269,12 +269,26 @@ class EpisodeRecord:
 
 @dataclass
 class SearchLog:
+    """A search run: its records and everything it carries from one
+    episode to the next. ``run_episode`` continues it, and so does a
+    ``copy.deepcopy`` of it taken while ``batch`` is empty. Exactly one
+    of ``dataset`` (real child training) and ``reward_table`` (a
+    surrogate) is set; ``store`` is None unless the run shares weights,
+    and ``controller`` and ``opt_state`` are None for ``random``.
+    ``batch`` holds the episodes awaiting their REINFORCE step: between
+    episodes it is empty unless ``batch_size`` is above 1."""
+
     records: list
     config: SearchConfig
     space: ActionSpace
-    controller: Controller | None
-    store: SharedParamStore | None
     baseline: Baseline
+    rng: np.random.Generator
+    controller: Controller | None = None
+    opt_state: ad.AdamState | None = None
+    store: SharedParamStore | None = None
+    dataset: LabeledDataset | None = None
+    reward_table: dict | None = None
+    batch: list = field(default_factory=list)
     child_opt_steps: int = 0
 
     def __len__(self):
@@ -288,8 +302,7 @@ def top_k_report(log, k: int) -> list:
     """The k best (arch, raw reward) pairs; ties keep episode order."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    records = list(log)
-    ranked = sorted(records, key=lambda r: -r.raw_reward)
+    ranked = sorted(log, key=lambda r: -r.raw_reward)
     return [(r.arch, r.raw_reward) for r in ranked[:k]]
 
 
@@ -306,74 +319,90 @@ def _shared_hp(config: SearchConfig, epochs: int, seed: int) -> TrainHyperparams
     )
 
 
-def _scratch_hp(config: SearchConfig, max_epochs: int, seed: int) -> TrainHyperparams:
-    return replace(
-        config.hp,
-        max_epochs=max_epochs,
-        patience=min(config.hp.patience, max_epochs),
-        seed=seed,
-    )
+def _reward(log: SearchLog, arch: ArchDescription):
+    """Returns (raw_reward, TrainedResult or None). A surrogate reward
+    comes from the table and draws nothing from ``log.rng``; a missing or
+    non-finite one raises ``ConfigError``. A child that diverges or runs
+    out of memory scores 0."""
+    config, dataset = log.config, log.dataset
+    if log.reward_table is not None:
+        key = encode(arch, sep=";")
+        if key not in log.reward_table:
+            raise ConfigError(f"reward_table: no entry for architecture {key!r}")
+        raw = float(log.reward_table[key])
+        if not math.isfinite(raw):
+            raise ConfigError(f"reward_table: the reward of architecture {key!r} is not finite: {raw}")
+        return raw, None
+    seed = int(log.rng.integers(2**31))
+    if log.store is not None:
+        hp = _shared_hp(config, config.child_epochs, seed)
+    else:  # from scratch: graphnas at child_epochs, random at the full budget
+        epochs = config.child_epochs if config.strategy == "graphnas" else config.hp.max_epochs
+        hp = replace(config.hp, max_epochs=epochs, patience=min(config.hp.patience, epochs), seed=seed)
+    try:
+        model = build_model(arch, dataset.feature_dim, dataset.class_count, log.rng,
+                            store=log.store, dtype=dataset.feature_dtype)
+        result = train_child(model, dataset, hp)
+    except (TrainingError, MemoryError):
+        return 0.0, None
+    return result.best_val_metric, result
 
 
-class _ChildRunner:
-    """Builds, trains, and scores children for one search run. The store
-    is None exactly when the run does not share weights."""
-
-    def __init__(self, config: SearchConfig, dataset: LabeledDataset, store: SharedParamStore | None):
-        self.config = config
-        self.dataset = dataset
-        self.store = store
-        self.opt_steps = 0
-
-    def reward(self, arch: ArchDescription, rng: np.random.Generator):
-        """Returns (raw_reward, trained_model_or_None). Divergence or
-        running out of memory gives 0."""
-        config, dataset = self.config, self.dataset
-        seed = int(rng.integers(2**31))
-        if self.store is not None:
-            hp = _shared_hp(config, config.child_epochs, seed)
-        else:  # from scratch: graphnas at child_epochs, random at the full budget
-            epochs = config.child_epochs if config.strategy == "graphnas" else config.hp.max_epochs
-            hp = _scratch_hp(config, epochs, seed)
-        try:
-            model = build_model(arch, dataset.feature_dim, dataset.class_count, rng,
-                                store=self.store, dtype=dataset.feature_dtype)
-            result = train_child(model, dataset, hp)
-        except (TrainingError, MemoryError):
-            return 0.0, None
-        self.opt_steps += result.opt_steps
-        return result.best_val_metric, result.model
-
-    def merge(self, model: ChildModel, shaped_reward: float) -> None:
-        if self.store is None or model is None:
-            return
-        for step, params in zip(model.plan, model.layers):
-            merge_if_positive(self.store, step.key, params, shaped_reward)
+def _scored(log: SearchLog, arch: ArchDescription, entropy: float):
+    """Returns (raw_reward, shaped_reward) of ``arch``, shaped against the
+    log's baseline. A trained child's optimizer steps count in the log's,
+    and in a sharing run each of its layers merges back into the store
+    when the shaped reward is positive."""
+    raw, trained = _reward(log, arch)
+    shaped = shape_reward(raw, log.baseline, entropy, log.config.entropy_weight)
+    if trained is not None:
+        log.child_opt_steps += trained.opt_steps
+        if log.store is not None:
+            for step, params in zip(trained.model.plan, trained.model.layers):
+                merge_if_positive(log.store, step.key, params, shaped)
+    return raw, shaped
 
 
 # ---------------------------------------------------------------------------
 # the main loops
 
 
-def exploration_phase(runner: _ChildRunner, space: ActionSpace, rng: np.random.Generator, baseline: Baseline) -> int:
-    """Warm the runner's store with uniformly sampled architectures.
+def exploration_phase(log: SearchLog) -> None:
+    """Warm the log's store with ``exploration_epochs`` uniformly sampled
+    architectures. The controller is never consulted, so its parameters
+    stay bit-identical; rewards still feed the baseline."""
+    for _ in range(log.config.exploration_epochs):
+        _scored(log, random_arch(log.space, log.rng), 0.0)
 
-    The controller is never consulted, so its parameters stay
-    bit-identical. Rewards still feed the shared baseline, and the
-    children's optimizer steps count in the runner's. Returns the number
-    of merged rounds.
-    """
-    config = runner.config
-    merged = 0
-    for _ in range(config.exploration_epochs):
-        arch = random_arch(space, rng)
-        raw, model = runner.reward(arch, rng)
-        shaped = shape_reward(raw, baseline, 0.0, config.entropy_weight)
-        if model is not None:
-            runner.merge(model, shaped)
-            if shaped > 0.0:
-                merged += 1
-    return merged
+
+def run_episode(log: SearchLog) -> EpisodeRecord:
+    """One more episode of ``log``'s run: sample an architecture, score
+    it, step REINFORCE when the batch is full, and append the record."""
+    started = time.perf_counter()
+    if log.controller is None:
+        episode, arch = None, random_arch(log.space, log.rng)
+    else:
+        episode = log.controller.sample(log.rng)
+        arch = episode.arch
+    raw, shaped = _scored(log, arch, 0.0 if episode is None else episode.entropy_sum)
+    if episode is not None:
+        episode.reward, episode.shaped_reward = raw, shaped
+        log.batch.append(episode)
+        if len(log.batch) == log.config.batch_size:
+            reinforce_step(log.controller, log.batch, log.opt_state)
+            # Nothing reads the gradients again: drop them before the next child trains.
+            ad.zero_grads(log.controller.parameters())
+            log.batch = []
+    record = EpisodeRecord(
+        episode=len(log.records),
+        arch=encode(arch, sep=";"),
+        raw_reward=raw,
+        shaped_reward=shaped,
+        baseline_value=log.baseline.value,
+        wall_ms=(time.perf_counter() - started) * 1000.0,
+    )
+    log.records.append(record)
+    return record
 
 
 def search(
@@ -383,7 +412,8 @@ def search(
     reward_table: dict | None = None,
     record_sink=None,
 ) -> SearchLog:
-    """Run one search; returns the log plus the trained controller/store.
+    """Run one search; returns its log, which holds the trained
+    controller and store and can be continued with ``run_episode``.
 
     Exactly one reward source is used: a dataset (real child training)
     or a surrogate ``reward_table`` mapping encoded architectures to
@@ -397,84 +427,28 @@ def search(
     if space.layer_count != config.layer_count or space.skip_enabled != config.skip_enabled:
         raise ConfigError("space: layer_count/skip_enabled disagree with the config")
 
-    if dataset is not None:
-        dataset = dataset.with_feature_dtype(CHILD_DTYPE)
-    rng = np.random.default_rng(config.seed)
-    controller = None
-    opt_state = None
-    if config.uses_controller():
-        controller = Controller(
+    log = SearchLog(
+        records=[], config=config, space=space, baseline=Baseline(decay=config.baseline_decay),
+        rng=np.random.default_rng(config.seed), store=SharedParamStore() if config.uses_store() else None,
+        dataset=None if dataset is None else dataset.with_feature_dtype(CHILD_DTYPE),
+        reward_table=reward_table,
+    )
+    if config.uses_controller():  # initialised from rng before anything else draws
+        log.controller = Controller(
             space,
-            rng=rng,
+            rng=log.rng,
             hidden_size=config.controller_hidden,
             temperature=config.temperature,
             logit_clip=config.logit_clip,
         )
-        opt_state = ad.AdamState.init(controller.parameters(), lr=config.controller_lr)
-    store = SharedParamStore() if config.uses_store() else None
-    baseline = Baseline(decay=config.baseline_decay)
-    runner = _ChildRunner(config, dataset, store) if dataset is not None else None
-
-    if runner is not None and runner.store is not None:
-        exploration_phase(runner, space, rng, baseline)
-
-    records = []
-    batch: list[Episode] = []
-    for index in range(config.episodes):
-        started = time.perf_counter()
-        if controller is None:
-            episode = None
-            arch = random_arch(space, rng)
-            entropy = 0.0
-        else:
-            episode = controller.sample(rng)
-            arch = episode.arch
-            entropy = episode.entropy_sum
-
-        if reward_table is not None:
-            key = encode(arch, sep=";")
-            if key not in reward_table:
-                raise ConfigError(f"reward_table: no entry for architecture {key!r}")
-            raw, model = float(reward_table[key]), None
-            if not math.isfinite(raw):
-                raise ConfigError(f"reward_table: the reward of architecture {key!r} is not finite: {raw}")
-        else:
-            raw, model = runner.reward(arch, rng)
-
-        shaped = shape_reward(raw, baseline, entropy, config.entropy_weight)
-        if runner is not None and model is not None:
-            runner.merge(model, shaped)
-        if episode is not None:
-            episode.reward = raw
-            episode.shaped_reward = shaped
-            batch.append(episode)
-            if len(batch) == config.batch_size:
-                reinforce_step(controller, batch, opt_state)
-                # Nothing reads the gradients again: drop them before the next child trains.
-                ad.zero_grads(controller.parameters())
-                batch = []
-
-        record = EpisodeRecord(
-            episode=index,
-            arch=encode(arch, sep=";"),
-            raw_reward=raw,
-            shaped_reward=shaped,
-            baseline_value=baseline.value,
-            wall_ms=(time.perf_counter() - started) * 1000.0,
-        )
-        records.append(record)
+        log.opt_state = ad.AdamState.init(log.controller.parameters(), lr=config.controller_lr)
+    if log.dataset is not None and log.store is not None:
+        exploration_phase(log)
+    for _ in range(config.episodes):
+        record = run_episode(log)
         if record_sink is not None:
             record_sink(record)
-
-    return SearchLog(
-        records=records,
-        config=config,
-        space=space,
-        controller=controller,
-        store=store,
-        baseline=baseline,
-        child_opt_steps=runner.opt_steps if runner is not None else 0,
-    )
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ array assigned to each ``data``. Adam is elementwise, so the flat step
 must match it bit for bit.
 """
 
+import copy
 import itertools
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +195,28 @@ def test_a_rebound_parameter_is_picked_up():
     _reference_adam_step(reference, theirs, grads)
     assert params[0].data is state.views[0]
     assert _bytes(p.data for p in params) == _bytes(p.data for p in theirs)
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda pair: pickle.loads(pickle.dumps(pair))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copy_taken_mid_run_steps_to_the_bits_of_the_uninterrupted_run(copy_of):
+    # A copy's views are no views of its flat: the step must cut them again.
+    rng = np.random.default_rng(6)
+    params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2), (2,), (2, 2, 2))]
+    steps = [[rng.standard_normal(p.shape) for p in params] for _ in range(6)]
+    state = ad.AdamState.init(params, 0.05)
+    for grads in steps[:3]:
+        ad.adam_step(state, params, grads)
+    copied, copied_state = copy_of((params, state))
+    for grads in steps[3:]:
+        ad.adam_step(state, params, grads)
+        ad.adam_step(copied_state, copied, grads)
+    assert all(p.data is view and np.shares_memory(view, copied_state.flat)
+               for p, view in zip(copied, copied_state.views))
+    assert not np.shares_memory(copied_state.flat, state.flat)
+    assert _bytes(p.data for p in copied) == _bytes(p.data for p in params)
+    assert _bytes([copied_state.flat, copied_state.m, copied_state.v]) == _bytes([state.flat, state.m, state.v])
+    assert copied_state.step == state.step == 6
 
 
 @pytest.mark.parametrize("fault,error", [("grad-shape", ShapeError), ("grad-count", ParameterError),

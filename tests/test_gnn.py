@@ -727,7 +727,7 @@ def test_overflowing_float32_child_raises_training_error_and_scores_zero(easy_sb
         return built[-1]
 
     monkeypatch.setattr(search_module, "build_model", blown_up_build)
-    config = search_module.SearchConfig(strategy="graphnas", child_epochs=3, hp=OVERFLOW_HP)
-    runner = search_module._ChildRunner(config, dataset, None)
-    assert runner.reward(_overflowing_arch(attention), np.random.default_rng(0)) == (0.0, None)
+    config = search_module.SearchConfig(strategy="graphnas", episodes=0, child_epochs=3, hp=OVERFLOW_HP)
+    log = search_module.search(config, dataset=dataset)
+    assert search_module._reward(log, _overflowing_arch(attention)) == (0.0, None)
     assert [p.data.dtype for p in built[0].parameters()] == [np.float32] * len(built[0].parameters())

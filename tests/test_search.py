@@ -1,5 +1,6 @@
 """Search loops, the shared store, reward plumbing, and derivation."""
 
+import copy
 import dataclasses
 import itertools
 import warnings
@@ -7,13 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
+import goldens
+
 import importlib
 
 search_module = importlib.import_module("gnnsearch.search")
 
 from gnnsearch import autodiff as ad
+from gnnsearch import cli
 from gnnsearch.arch import AGGREGATION, ATTENTION, ActionSpace, decode, default_space, encode, enumerate_archs
-from gnnsearch.controller import Baseline, Controller
+from gnnsearch.controller import Controller
 from gnnsearch.errors import ConfigError, ParameterError, ShapeError, TrainingError
 from gnnsearch.gnn import TrainHyperparams, build_model, init_layer_params
 from gnnsearch.graphs import generate_multigraph, generate_sbm, make_graph
@@ -23,10 +27,10 @@ from gnnsearch.search import (
     SharedParamStore,
     ShareKey,
     derive,
-    exploration_phase,
     fetch_copy,
     load_store,
     merge_if_positive,
+    run_episode,
     save_store,
     search,
     top_k_report,
@@ -494,16 +498,23 @@ def test_divergent_children_score_zero(easy_sbm, monkeypatch):
 # exploration
 
 
-def test_exploration_updates_store_and_baseline_only(easy_sbm):
-    config = tiny_config(param_sharing=True, exploration_epochs=4, child_epochs=1, seed=9)
-    store = SharedParamStore()
-    baseline = Baseline(decay=config.baseline_decay)
-    rng = np.random.default_rng(0)
-    merged = exploration_phase(search_module._ChildRunner(config, easy_sbm, store), TINY, rng, baseline)
-    assert baseline.initialized
-    assert 0 <= merged <= config.exploration_epochs
+def test_exploration_updates_store_and_baseline_only(easy_sbm, monkeypatch):
+    config = tiny_config(param_sharing=True, exploration_epochs=4, child_epochs=1, episodes=0, seed=9)
+    unexplored = search(dataclasses.replace(config, exploration_epochs=0), dataset=easy_sbm, space=TINY)
+    accepted = []
+    merge = search_module.merge_if_positive
+
+    def counted(*args):
+        accepted.append(merge(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(search_module, "merge_if_positive", counted)
+    log = search(config, dataset=easy_sbm, space=TINY)
+    assert log.baseline.initialized and log.records == []
+    assert log.controller.checksum() == unexplored.controller.checksum()
+    assert 0 <= sum(accepted) <= len(accepted) <= config.exploration_epochs
     # One layer per arch here: a merged round writes at most one key.
-    assert len(store) <= merged
+    assert len(log.store) <= sum(accepted)
 
 
 def test_exploration_children_count_in_the_optimizer_steps(easy_sbm, monkeypatch):
@@ -556,6 +567,42 @@ def test_exploration_never_disturbs_controller_initialization(easy_sbm):
     )
     assert log.controller.checksum() == fresh.checksum()
     assert log.baseline.initialized
+
+
+# ---------------------------------------------------------------------------
+# carried state
+
+
+def _resume_case(name):
+    """(config, search keyword arguments) of cycle 0 of a benchmark workload at seed 1."""
+    bench = goldens.workloads()
+    if name == "surrogate":
+        space, landscape = bench.surrogate_inputs(1)
+        return bench.surrogate_config(1, 0), dict(space=space, reward_table=landscape)
+    cfg = cli.load_config(None, bench.dataset_config(name, 1, 0))
+    return cli.build_search_config(cfg), dict(dataset=cli.make_dataset(cfg), space=cli.build_space(cfg))
+
+
+def _carried(log):
+    """Log columns 1-5, the controller checksum and the store-array digests."""
+    entries = {} if log.store is None else log.store.entries
+    store = sorted((repr(key), list(entry), goldens.digest(entry.values())) for key, entry in entries.items())
+    return log_columns(log), log.controller.checksum(), store
+
+
+@pytest.mark.parametrize("name", ["surrogate", "sbm-share", "multigraph-share"])
+def test_a_copied_log_continues_as_the_uninterrupted_search(name):
+    # 8 episodes through search(), against 3, a deep copy, then 5 by run_episode.
+    config, source = _resume_case(name)
+    whole = search(dataclasses.replace(config, episodes=8), **source)
+    head = search(dataclasses.replace(config, episodes=3), **source)
+    resumed = copy.deepcopy(head)
+    for _ in range(5):
+        run_episode(resumed)
+    assert _carried(resumed) == _carried(whole)
+    assert resumed.child_opt_steps == whole.child_opt_steps
+    assert len(head) == 3 and len(resumed) == 8
+    assert name == "surrogate" or len(whole.store) > 0  # the store digests compare something
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +746,12 @@ def test_built_child_hits_the_keys_its_merge_wrote(easy_sbm):
 
     space = dataclasses.replace(TINY, layer_count=2)
     arch = decode("first-order,gcn,sum,relu,1,8;first-order,const,sum,linear,1,4", space)
-    store = SharedParamStore()
-    runner = search_module._ChildRunner(tiny_config(layer_count=2, param_sharing=True), easy_sbm, store)
-    _, model = runner.reward(arch, np.random.default_rng(0))
-    assert model is not None
-    runner.merge(model, shaped_reward=1.0)
+    log = search(tiny_config(layer_count=2, param_sharing=True, episodes=0), dataset=easy_sbm, space=space)
+    store = log.store
+    _, trained = search_module._reward(log, arch)
+    model = trained.model
+    for step, params in zip(model.plan, model.layers):
+        assert merge_if_positive(store, step.key, params, shaped_reward=1.0)
     assert len(store) == 2
     hits_before = store.hits
     rebuilt = build_model(arch, easy_sbm.feature_dim, easy_sbm.class_count, np.random.default_rng(1), store=store)
