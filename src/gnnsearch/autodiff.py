@@ -2,11 +2,11 @@
 
 A tensor holds a float32 or a float64 numpy array, and every op keeps
 its inputs' dtype: its output and the gradients it returns have it too.
-Child models run in float32 and the controller in float64. Sums over
-rows by id (``IndexPlan.sum`` and the ``Levels`` walk) add each id's
-rows in index order, from 0.0, in the rows' dtype (numerics version 4),
-so every sum path gives the same bits in either dtype; the one float32
-sum whose terms cancel by construction, in ``segment_softmax``'s
+Child models run in float32 and the controller in float64. Sums and
+maxima over rows by id (``IndexPlan.sum`` and ``max``) fold each id's
+rows in index order, a sum from 0.0, in the rows' dtype (numerics
+version 4), so every path gives the same bits in either dtype; the one
+float32 sum whose terms cancel by construction, in ``segment_softmax``'s
 backward, adds in float64 and rounds once. A constant that meets a
 tensor takes the tensor's dtype (``constant``): under numpy's promotion
 rules a float64 array, even a 0-d one, would turn a float32 operand into
@@ -305,10 +305,10 @@ def head_matmul(x: Tensor, w: Tensor) -> Tensor:
     return record(_heads(x_val, w_val), (x, w), lambda g: _heads_grad(g, x_val, w_val, need_x, need_w))
 
 
-# Cells per level from which a reduction walks a plan's ``Levels`` instead
-# of one call over every row (a max's ``reduceat``, counting its input's
-# cells, or a sum's padded reduce, counting the zeros its padding adds):
-# below it the per-level calls cost more. Measured on the benchmark's
+# Padding cells per level from which a sum or max walks a plan's
+# ``Levels`` instead of padding every id's rows to the most rows of any id
+# and reducing them at once (``IndexPlan.sum`` and ``max``): below it the
+# per-level calls cost more. Measured for maxima on the benchmark's
 # 400-node SBM (24 levels) and 60-node multigraph graphs (14-16 levels).
 LEVEL_MIN_CELLS = 1000
 
@@ -323,14 +323,14 @@ class Levels:
     takes one level's rows at a time and combines them into the first m
     accumulators with one ufunc call, the accumulator first. So every id
     still combines its rows in index order: a sum is bitwise ``np.add.at``
-    into zeros and a max bitwise ``np.maximum.reduceat`` over the grouped
-    rows, signed zeros and infinities included, in the rows' dtype; a
-    NaN result is NaN, with the sign and payload left to numpy. ``walk``
-    is the one such reduction, for rows that are built level by level,
-    and a max walk can note each winning row as it goes; ``sum`` walks
-    rows taken from one array. Results are in id order. Building the plan
-    costs about two stable sorts of the ids, so an ``IndexPlan`` builds
-    one only where it walks (see there).
+    into zeros and a max bitwise ``np.maximum.at`` into -inf, signed zeros
+    and infinities included, in the rows' dtype; a NaN result is NaN, with
+    the sign and payload left to numpy. ``walk`` is the one such
+    reduction, for rows that are built level by level, and a max walk can
+    note each winning row as it goes; ``sum`` walks rows taken from one
+    array. Results are in id order. Building the plan costs about two
+    stable sorts of the ids, so an ``IndexPlan`` builds one only where it
+    walks (see there).
     """
 
     def __init__(self, ids: np.ndarray, n: int, order: np.ndarray):
@@ -345,10 +345,6 @@ class Levels:
         sizes = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # ids with more than k rows
         self.rows = ranked[:int(sizes[0]) if sizes.size else 0]
         self.spans = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
-
-    def fits(self, values: np.ndarray) -> bool:
-        """Whether ``values`` has ``LEVEL_MIN_CELLS`` cells per level."""
-        return values.size >= LEVEL_MIN_CELLS * len(self.spans)
 
     def blocks(self, width: int):
         """The ids in blocks ``rows[block]`` of at most ``EDGE_CHUNK_BYTES``
@@ -425,16 +421,17 @@ class Levels:
         return self.walk(values.shape[1:], values.dtype, self._taken(values))
 
 
-def _sum_rows(rows: np.ndarray) -> np.ndarray:
-    """The sum over axis 0 of ``rows``, [C, ...], one row at a time in
-    order, starting from 0.0, in their dtype: numpy reduces along an axis
-    that is not the fastest in memory row by row, not pairwise, and a
-    single column is summed cumulatively instead."""
+def _fold_rows(rows: np.ndarray, fold=np.add, initial: float = 0.0) -> np.ndarray:
+    """``fold`` (``np.add`` or ``np.maximum``) over axis 0 of ``rows``,
+    [C, ...], one row at a time in order from ``initial``, the accumulator
+    first, in their dtype: numpy reduces along an axis that is not the
+    fastest in memory row by row, and a single column, which it would
+    reduce pairwise or in SIMD lanes, is folded cumulatively instead."""
     cells = rows.reshape(len(rows), math.prod(rows.shape[1:]))
     if cells.shape[1] == 1:
-        total = np.cumsum(np.concatenate((np.zeros(1, dtype=cells.dtype), cells[:, 0])))[-1:]
+        total = fold.accumulate(np.concatenate((np.full(1, initial, dtype=cells.dtype), cells[:, 0])))[-1:]
     else:
-        total = np.add.reduce(cells, axis=0, initial=0.0)
+        total = fold.reduce(cells, axis=0, initial=initial)
     return total.reshape(rows.shape[1:])
 
 
@@ -459,20 +456,17 @@ class IndexPlan:
     reductions of rows by id: ``sum`` and ``max`` (with its winners).
 
     What the reductions need from the ids (rows per id, a stable row order
-    grouped by id, where each id's rows begin, each id's rows laid out
-    down a column (``slots``), and the ``Levels``) is worked out on first
-    use and kept. A sum walks the ``Levels`` where padding every id to the
-    most rows of any id would add ``LEVEL_MIN_CELLS`` zero cells per level
-    or more, and makes one padded reduce below that. A max walks them for
-    an input of ``LEVEL_MIN_CELLS`` cells per level or more, and calls
-    ``reduceat`` once below that; only a ``kept`` plan's max walks, since
-    building its levels costs about two stable sorts of the ids. Every
-    path gives the same bits. A graph's ``EdgePlan`` keeps one plan for
-    its edge sources and one for its destinations; given raw ids,
+    grouped by id, each id's rows laid out down a column (``slots``), and
+    the ``Levels``) is worked out on first use and kept. Both reductions
+    pad every id's rows to the most rows of any id, as ``slots`` lays them
+    out, and reduce them at once, or walk the ``Levels`` where that padding
+    would add ``LEVEL_MIN_CELLS`` cells per level or more (``_padded``).
+    Every path gives the same bits. A graph's ``EdgePlan`` keeps one plan
+    for its edge sources and one for its destinations; given raw ids,
     ``gather_rows`` and the segment ops build a plan for that call.
     """
 
-    def __init__(self, ids, n: int, kept: bool = False):
+    def __init__(self, ids, n: int):
         ids = _ids(ids, "index")
         if ids.ndim != 1:
             raise ShapeError(f"index must be 1-d, got shape {ids.shape}")
@@ -480,7 +474,6 @@ class IndexPlan:
             raise ParameterError(f"index out of range for {n} rows")
         self.ids = ids
         self.n = n
-        self.kept = kept
 
     @cached_property
     def runs(self) -> np.ndarray:
@@ -505,12 +498,6 @@ class IndexPlan:
         return np.argsort(self.ids.astype(np.min_scalar_type(self.n - 1)), kind="stable")
 
     @cached_property
-    def starts(self) -> np.ndarray:
-        """The position in ``order`` where each id's group begins."""
-        counts = self.counts
-        return np.cumsum(counts) - counts
-
-    @cached_property
     def depth(self) -> int:
         """The most rows of any id."""
         return int(self.runs.max(initial=0))
@@ -530,48 +517,54 @@ class IndexPlan:
     def levels(self) -> Levels:
         return Levels(self.ids, self.n, self.order)
 
-    def _walks(self, values: np.ndarray) -> bool:
-        """Whether a max of ``values`` walks the levels."""
-        return self.kept and self.levels.fits(values)
+    def _padded(self, values: np.ndarray, fill: float):
+        """The rows of ``values`` laid out as ``slots`` lays them out,
+        [depth, n, width], with ``fill`` in the padding; or None where the
+        padding would add ``LEVEL_MIN_CELLS`` cells per level or more, and
+        the reduction walks the ``Levels`` instead."""
+        width = math.prod(values.shape[1:])
+        if (self.depth * self.n - self.ids.size) * width >= LEVEL_MIN_CELLS * self.depth:
+            return None
+        rows = np.empty((self.ids.size + 1, width), dtype=values.dtype)
+        rows[:-1] = values.reshape(-1, width)
+        rows[-1] = fill
+        return rows.take(self.slots, axis=0)
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """The rows of ``values`` summed by id, [n, ...], in their dtype.
 
         Each cell adds its rows in index order, starting from 0.0, in the
         rows' dtype, so the sum is bitwise ``np.add.at`` into zeros of that
-        dtype (-0.0 rows give 0.0). The rows are padded with zeros to the
-        same count per id, as ``slots`` lays them out, and summed over that
-        count at once (``_sum_rows``). ``np.add.reduceat`` over grouped
-        rows is not bitwise: it adds each group's first row last. (A NaN
-        sum is NaN on every path, but its sign and payload can differ:
-        ``np.add.at`` and the walk's folds disagree there.)
+        dtype (-0.0 rows give 0.0). The padded rows are zeros, and the sum
+        folds them with the rest (``_fold_rows``). ``np.add.reduceat`` over
+        grouped rows is not bitwise: it adds each group's first row last.
+        (A NaN sum is NaN on every path, but its sign and payload can
+        differ: ``np.add.at`` and the walk's folds disagree there.)
         """
-        rest = values.shape[1:]
-        width = math.prod(rest)
-        depth = self.depth
-        if (depth * self.n - self.ids.size) * width >= LEVEL_MIN_CELLS * depth:
+        padded = self._padded(values, 0.0)
+        if padded is None:
             return self.levels.sum(values)
-        rows = np.concatenate((values.reshape(-1, width), np.zeros((1, width), dtype=values.dtype)))
-        return _sum_rows(rows.take(self.slots, axis=0)).reshape((self.n,) + rest)
+        return _fold_rows(padded).reshape((self.n,) + values.shape[1:])
 
     def max(self, values: np.ndarray, winners: bool = False) -> tuple:
         """(max, winners): the elementwise max of each id's rows, [n, ...],
-        bitwise ``np.maximum.reduceat`` over the grouped rows, and with
-        ``winners`` each cell's first row equal to it, [n, ...], or the
-        id's first row where the max is NaN and so equals none (else None).
+        and with ``winners`` each cell's first row equal to it, [n, ...],
+        or the id's first row where the max is NaN and so equals none (else
+        None). Each cell folds its rows in index order, the accumulator
+        first, in the rows' dtype: bitwise ``np.maximum.at`` into -inf,
+        which the padded rows hold.
         """
-        starts, order = self.starts, self.order  # raises on an id without rows
-        if self._walks(values):
-            won = np.empty((self.n,) + values.shape[1:], dtype=order.dtype) if winners else None
-            return self.levels.walk(values.shape[1:], values.dtype, self.levels._taken(values), np.maximum, won), won
-        grouped = values.take(order, axis=0)
-        out = np.maximum.reduceat(grouped, starts, axis=0)
+        self.counts  # raises on an id without rows
+        shape = (self.n,) + values.shape[1:]
+        padded = self._padded(values, -np.inf)
+        if padded is None:
+            won = np.empty(shape, dtype=self.order.dtype) if winners else None
+            return self.levels.walk(shape[1:], values.dtype, self.levels._taken(values), np.maximum, won), won
+        out = _fold_rows(padded, np.maximum, -np.inf)
         if not winners:
-            return out, None
-        rows = order.reshape((-1,) + (1,) * (values.ndim - 1))
-        hit = grouped == out.repeat(self.counts, axis=0)
-        first = np.minimum.reduceat(np.where(hit, rows, len(order)), starts, axis=0)
-        return out, np.where(first == len(order), rows.take(starts, axis=0), first)
+            return out.reshape(shape), None
+        first = (padded == out).argmax(axis=0)  # a NaN max equals no row: 0, the id's first
+        return out.reshape(shape), self.slots[first, np.arange(self.n)[:, None]].reshape(shape)
 
 
 # Bytes of one float64 block of ids of the fused edge ops' level walks
@@ -592,7 +585,7 @@ WALK_MIN_BYTES = 2**20
 class EdgePlan:
     """What message passing needs from a graph's edges, worked out once.
 
-    ``src`` and ``dst`` are kept ``IndexPlan``s over the ``n`` nodes;
+    ``src`` and ``dst`` are ``IndexPlan``s over the ``n`` nodes;
     ``dst_far`` and ``src_far`` hold the other end's node of every edge in
     ``dst.levels.order`` and ``src.levels.order``, for the level walks that
     the fused edge ops take where their temporaries are wide (``walks``);
@@ -601,8 +594,8 @@ class EdgePlan:
     """
 
     def __init__(self, src, dst, n: int, degrees):
-        self.src = IndexPlan(src, n, kept=True)
-        self.dst = IndexPlan(dst, n, kept=True)
+        self.src = IndexPlan(src, n)
+        self.dst = IndexPlan(dst, n)
         if self.src.ids.shape != self.dst.ids.shape:
             raise ShapeError(f"{self.src.ids.shape[0]} sources for {self.dst.ids.shape[0]} destinations")
         self._degrees = degrees
@@ -1051,13 +1044,13 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
 
     def w_a_grad(g, h=None):
         # g h summed over the edges in destination-grouped order, row by
-        # row (``_sum_rows``). ``h`` holds the one pass's tanh rows in edge
+        # row (``_fold_rows``). ``h`` holds the one pass's tanh rows in edge
         # order; a walk rebuilds them a block of at most N edges at a time
         # and carries the total from block to block.
         if h is not None:
             rows = h.take(dst.order, axis=0)
             rows *= g.take(dst.order, axis=0)[:, :, None]
-            return _sum_rows(rows)
+            return _fold_rows(rows)
         size = min(n, max(1, EDGE_CHUNK_BYTES // (8 * heads * width)))
         total = np.zeros((heads, width), dtype=left.dtype)
         for lo in range(0, plan.edge_count, size):
@@ -1067,7 +1060,7 @@ def _paired_scores(kind: str, z: Tensor, plan: EdgePlan, weights: tuple) -> Tens
             right.take(src.ids.take(edges), axis=0, out=rows[1:])
             hidden(left.take(dst.ids.take(edges), axis=0), rows[1:], out=rows[1:])
             rows[1:] *= g.take(edges, axis=0)[:, :, None]
-            total = _sum_rows(rows)
+            total = _fold_rows(rows)
         return total
 
     def totals(g):  # (name, gradient): gene-linear's w_a first, then each end's head product

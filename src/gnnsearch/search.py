@@ -21,6 +21,7 @@ controller, its REINFORCE step, rewards and metrics stay float64.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import zipfile
@@ -271,12 +272,12 @@ class EpisodeRecord:
 class SearchLog:
     """A search run: its records and everything it carries from one
     episode to the next. ``run_episode`` continues it, and so does a
-    ``copy.deepcopy`` of it taken while ``batch`` is empty. Exactly one
-    of ``dataset`` (real child training) and ``reward_table`` (a
-    surrogate) is set; ``store`` is None unless the run shares weights,
-    and ``controller`` and ``opt_state`` are None for ``random``.
-    ``batch`` holds the episodes awaiting their REINFORCE step: between
-    episodes it is empty unless ``batch_size`` is above 1."""
+    ``copy.deepcopy`` of it. Exactly one of ``dataset`` (real child
+    training) and ``reward_table`` (a surrogate) is set; ``store`` is None
+    unless the run shares weights, and ``controller`` and ``opt_state``
+    are None for ``random``. ``batch`` holds the episodes awaiting their
+    REINFORCE step, none between episodes unless ``batch_size`` is above
+    1; a copy scores them again on its controller, unstepped since then."""
 
     records: list
     config: SearchConfig
@@ -296,6 +297,12 @@ class SearchLog:
 
     def __iter__(self):
         return iter(self.records)
+
+    def __deepcopy__(self, memo):
+        copied = SearchLog(**{f.name: copy.deepcopy(getattr(self, f.name), memo) for f in fields(self)})
+        for episode in copied.batch:  # a node's backward reads the arrays the original steps in place
+            episode.log_prob_node, _ = copied.controller.teacher_force(episode.tokens)
+        return copied
 
 
 def top_k_report(log, k: int) -> list:

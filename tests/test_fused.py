@@ -74,8 +74,7 @@ def _chain_aggregate(kind, alpha, z, graph, t):
 def _chain_softmax(scores, ids, n):
     plan = ad.IndexPlan(ids, n)
     flat = scores.data.reshape(scores.data.shape[0], -1)
-    order, starts = plan.order, plan.starts
-    seg_max = np.maximum.reduceat(flat[order], starts, axis=0)
+    seg_max = np.maximum.reduceat(flat[plan.order], np.cumsum(plan.counts) - plan.counts, axis=0)
     shift = Tensor(seg_max.reshape((n,) + scores.data.shape[1:])[plan.ids])
     exp_scores = ad.exp(ad.sub(scores, shift))
     denom = ad.segment_sum(exp_scores, plan, n)

@@ -654,9 +654,9 @@ def test_forwards_build_the_graph_plan_once(tiny_graph, monkeypatch):
     built = []
     original = ad.IndexPlan.__init__
 
-    def counted(self, ids, n, kept=False):
+    def counted(self, ids, n):
         built.append(n)
-        original(self, ids, n, kept)
+        original(self, ids, n)
 
     monkeypatch.setattr(ad.IndexPlan, "__init__", counted)
     arch = _arch("first-order,gcn,max-pooling,relu,2,4;first-order,gat,mean-pooling,linear,1,4")

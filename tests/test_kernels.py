@@ -253,12 +253,16 @@ def _id_draws():
 def test_level_sum_is_bitwise_add_at_into_zeros(id_draw, width, special_rate, seed, dtype):
     n, ids = id_draw
     ids = np.array(ids, dtype=np.int64)
-    kept = ad.IndexPlan(ids, n, kept=True)
+    plan = ad.IndexPlan(ids, n)
     with np.errstate(invalid="ignore", over="ignore"):
         values = _values(seed, ids.size, width, special_rate).astype(dtype)
         ref = _ref_add_at(values, ids, n)
-        # the size rule's pick, and each path whatever the rule says
-        for got in (kept.sum(values), kept.levels.sum(values), ad.IndexPlan(ids, n).sum(values)):
+        # the size rule's pick, then the walk and the padded reduce whatever the rule says
+        sums = [plan.sum(values)]
+        for min_cells in (0, 10**9):
+            with mock.patch.object(ad, "LEVEL_MIN_CELLS", min_cells):
+                sums.append(plan.sum(values))
+        for got in sums:
             assert _same_bits(got, ref)
 
 
@@ -277,25 +281,37 @@ def _grouped(ids):
 
 
 def _maxima(ids, n, values):
-    """``IndexPlan.max(values, winners=True)`` on a kept plan that walks
-    its levels, then on a plan that calls reduceat."""
-    kept, unkept = ad.IndexPlan(ids, n, kept=True), ad.IndexPlan(ids, n)
-    with mock.patch.object(ad, "LEVEL_MIN_CELLS", 0):
-        assert kept._walks(values)
-        walked = kept.max(values, winners=True)
-    assert not unkept._walks(values)
-    return walked, unkept.max(values, winners=True)
+    """``IndexPlan.max(values, winners=True)`` through the level walk, then
+    through the padded reduce."""
+    plan, maxima = ad.IndexPlan(ids, n), []
+    for min_cells in (0, 10**9):
+        with mock.patch.object(ad, "LEVEL_MIN_CELLS", min_cells):
+            assert (plan._padded(values, -np.inf) is None) == (min_cells == 0)
+            maxima.append(plan.max(values, winners=True))
+    return maxima
+
+
+def _ref_reduceat_max(values, starts):
+    """``np.maximum.reduceat`` over grouped rows: each group folded in row
+    order, the accumulator first, but for the sign of a zero max on ties,
+    since numpy reduces a single column of 9 or more rows in lanes (and
+    wider rows from 17). So a single column is reduced as two, which keeps
+    row order up to 16 rows, and one is kept."""
+    if values.shape[1] == 1:
+        return np.maximum.reduceat(np.repeat(values, 2, axis=1), starts, axis=0)[:, :1]
+    return np.maximum.reduceat(values, starts, axis=0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_id_draws().filter(lambda d: d[1]), st.integers(1, 300), st.sampled_from([0.0, 0.05, 0.5]),
-       st.integers(0, 2**32 - 1))
-def test_level_max_and_first_winner_are_bitwise_the_reduceat_forms(id_draw, width, special_rate, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from([np.float64, np.float32]))
+def test_level_max_and_first_winner_are_bitwise_the_reduceat_forms(id_draw, width, special_rate, seed, dtype):
     _, ids = id_draw
     ids, starts = _grouped(ids)
-    values = _values(seed, ids.size, width, special_rate)
+    with np.errstate(over="ignore"):  # float32 turns 1e308 into inf and subnormals into zeros
+        values = _values(seed, ids.size, width, special_rate).astype(dtype)
     values[np.random.default_rng(seed).random(ids.size) < 0.3] = values[0]  # whole-row ties
-    ref_top = np.maximum.reduceat(values, starts, axis=0)
+    ref_top = _ref_reduceat_max(values, starts)
     with np.errstate(invalid="ignore"):
         hit = values == ref_top[ids]
     ref = np.minimum.reduceat(np.where(hit, np.arange(ids.size)[:, None], ids.size), starts, axis=0)
@@ -318,15 +334,32 @@ def test_level_max_pins_nan_signed_zeros_and_ties():
         assert _bitwise(top[0], np.maximum(values[0], values[1]))
         assert np.isnan(top[0, 2]) and np.isnan(top[0, 3]) and top[0, 4] == 2.0
         assert winners.tolist() == [[0, 0, 0, 0, 0]]
+    # One id and one column, 16 rows: the padded reduce runs along a
+    # contiguous axis, where numpy reduces in lanes; on the first column
+    # that ends on 0.0, where the fold in row order ends on the last zero,
+    # -0.0. A NaN row makes the max NaN and sends the winner to the first
+    # row; a tie goes to the first row equal to the max.
+    zeros = [-1.0, -1.0, 0.0, -1.0, 0.0, -1.0, -np.inf, -1.0, -np.inf, 0.0, -0.0,
+             -np.inf, -np.inf, -np.inf, -np.inf, -1.0]
+    columns = [(zeros, -0.0, 2), (np.resize([-0.0, 1.0, np.nan, 2.0], 16), np.nan, 0),
+               (np.resize([-1.0, 3.0, -np.inf, 3.0, 0.0], 16), 3.0, 1)]
+    ids, starts = _grouped([0] * 16)
+    for column, expected, winner in columns:
+        for dtype in (np.float64, np.float32):
+            values = np.array(column, dtype=dtype)[:, None]
+            for top, winners in _maxima(ids, 1, values):
+                assert _same_bits(top, _ref_reduceat_max(values, starts))
+                assert _same_bits(top, np.array([[expected]], dtype=dtype))
+                assert winners.tolist() == [[winner]]
 
 
 @pytest.mark.parametrize("min_cells", [0, ad.LEVEL_MIN_CELLS])
 def test_segment_max_builds_winners_only_for_a_gradient(monkeypatch, min_cells):
-    # Through a level walk and through reduceat: an input that needs no
-    # gradient gets its max alone, and one that does gets the winners the
-    # backward scatters to.
+    # Through a level walk and through the padded reduce: an input that
+    # needs no gradient gets its max alone, and one that does gets the
+    # winners the backward scatters to.
     monkeypatch.setattr(ad, "LEVEL_MIN_CELLS", min_cells)
-    plan = ad.IndexPlan(_interleaved_ids(np.random.default_rng(0)), N, kept=True)
+    plan = ad.IndexPlan(_interleaved_ids(np.random.default_rng(0)), N)
     asked, max_ = [], ad.IndexPlan.max
     monkeypatch.setattr(ad.IndexPlan, "max", lambda self, *args: asked.append(args[1:]) or max_(self, *args))
     x = np.random.default_rng(1).standard_normal((E, K, D))
@@ -376,13 +409,14 @@ def test_both_paths_run_on_the_benchmark_graph_shapes(kind, monkeypatch):
     graph's levels, forward and backward (one [E, K, D] temporary is 1 MB
     or more there); narrower messages make one pass over the edges and
     reduce it through the levels of the graph's plans, and scores then
-    reduce nothing in the forward (a sum from 8 columns: padding 400 ids
-    to 24 rows each adds 181 zero cells per column and level). On a
-    60-node graph of multigraph-share no width of its space (up to 4 x 32)
-    walks, and 1 x 4 takes the padded reduce and reduceat. 4-head float64
-    softmax scores reach no levels. Given raw ids, a max reaches none at
-    any width, and a sum walks its own plan's levels wherever the graph's
-    plan walks them."""
+    reduce nothing in the forward. A sum or max by id walks the levels
+    from 8 columns there (padding 400 ids to 24 rows each adds 181 cells
+    per column and level) and pads below. On a 60-node graph of
+    multigraph-share no width of its space (up to 4 x 32) walks the edges;
+    a sum or max pads up to 36 columns (27.5 cells per column and level),
+    so 1 x 4 takes the padded reduce and 4 x 32 the levels. 4-head float64
+    softmax scores reach no levels. Given raw ids, a sum or max walks its
+    own plan's levels wherever the graph's plan walks them."""
     sbm = generate_sbm(block_count=4, nodes_per_block=100, p_in=0.06, p_out=0.02, feature_dim=16,
                        signal_strength=0.3, seed=1).graphs[0]
     small = generate_multigraph(graph_count=3, nodes_per_graph=60, avg_degree=8.0, label_count=6,
@@ -501,7 +535,7 @@ def test_a_level_walk_in_row_blocks_sums_in_index_order(monkeypatch):
 def test_max_pooling_ties_route_to_the_same_edge_walked_and_chunked(monkeypatch, min_cells):
     """Many equal messages into each destination, ties of 0.0 and -0.0,
     NaN maxima and infinite gradients, with 3 ids per row block: the walk
-    and the one pass (through the graph's levels, or through reduceat)
+    and the one pass (through the graph's levels, or padded and reduced)
     route each (destination, column)'s gradient to its first edge equal to
     the max, or to its first edge where the max is NaN, bitwise as an
     inline reference."""

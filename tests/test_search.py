@@ -605,6 +605,22 @@ def test_a_copied_log_continues_as_the_uninterrupted_search(name):
     assert name == "surrogate" or len(whole.store) > 0  # the store digests compare something
 
 
+def test_a_copy_taken_mid_batch_continues_after_the_original_steps():
+    # With batch_size 2 a copy after 3 episodes holds one pending episode;
+    # the original then runs its 5 episodes, and steps, before the copy does.
+    config, source = _resume_case("surrogate")
+    config = dataclasses.replace(config, batch_size=2)
+    whole = search(dataclasses.replace(config, episodes=8), **source)
+    head = search(dataclasses.replace(config, episodes=3), **source)
+    resumed = copy.deepcopy(head)
+    assert len(head.batch) == 1
+    for log in (head, resumed):
+        for _ in range(5):
+            run_episode(log)
+    assert _carried(head) == _carried(whole)
+    assert _carried(resumed) == _carried(whole)
+
+
 # ---------------------------------------------------------------------------
 # derivation
 
